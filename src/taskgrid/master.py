@@ -59,7 +59,8 @@ class MasterCore:
         self.clock = clock
         self.scheduler = Scheduler(config, on_transition=on_transition)
         self.jobs: dict[str, list[str]] = {}
-        self.outputs: dict[str, bytes] = {}
+        # task id -> the RESULT's output_b64, reported verbatim.
+        self.outputs: dict[str, str] = {}
         self._senders: dict[str, Sender] = {}
         self._on_assignment = on_assignment
 
@@ -134,7 +135,7 @@ class MasterCore:
                 kind=entry.kind,
                 requires_gpu=entry.requires_gpu,
                 params=dict(entry.params),
-                payload=protocol.from_b64(entry.payload_b64),
+                payload_b64=entry.payload_b64,
             )
             try:
                 self.scheduler.enqueue_task(task, now)
@@ -158,7 +159,7 @@ class MasterCore:
             error=message.error,
         )
         if recorded and ok:
-            self.outputs[message.task_id] = protocol.from_b64(message.output_b64 or "")
+            self.outputs[message.task_id] = message.output_b64 or ""
         self._pump(now)
 
     def _pump(self, now_ms: int) -> None:
@@ -172,7 +173,7 @@ class MasterCore:
                 kind=task.kind,
                 requires_gpu=task.requires_gpu,
                 params=dict(task.params),
-                payload_b64=protocol.to_b64(task.payload),
+                payload_b64=task.payload_b64,
             )
             sender = self._senders.get(worker_id)
             if sender is None:
@@ -192,7 +193,6 @@ class MasterCore:
         reports = []
         for task_id in task_ids:
             task = self.scheduler.tasks[task_id]
-            output = self.outputs.get(task_id)
             reports.append(
                 TaskReport(
                     task_id=task_id,
@@ -202,7 +202,7 @@ class MasterCore:
                     dispatched_ms=task.timing.dispatched_ms,
                     completed_ms=task.timing.completed_ms,
                     exec_ms=task.timing.exec_ms,
-                    output_b64=protocol.to_b64(output) if output is not None else None,
+                    output_b64=self.outputs.get(task_id),
                     error=task.error,
                 )
             )
@@ -254,7 +254,6 @@ class MasterServer:
         self._listener = socket.create_server((host, port), reuse_port=False)
         self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()[:2]
-        self._threads: list[threading.Thread] = []
 
     @property
     def port(self) -> int:
@@ -273,14 +272,12 @@ class MasterServer:
                     continue
                 except OSError:
                     break
-                thread = threading.Thread(
+                threading.Thread(
                     target=self._serve_connection,
                     args=(sock, peer),
                     name=f"master-conn-{peer}",
                     daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
+                ).start()
         finally:
             self._listener.close()
 

@@ -80,14 +80,18 @@ def overhead_ms(timing: TimingRecord) -> int:
 
 @dataclass
 class TaskDescriptor:
-    """One unit of work as tracked by the master."""
+    """One unit of work as tracked by the master.
+
+    ``payload_b64`` is the base64 text the task was submitted with; the
+    master forwards it verbatim and never decodes it.
+    """
 
     task_id: str
     job_id: str
     kind: str
     requires_gpu: bool
     params: dict[str, str] = field(default_factory=dict)
-    payload: bytes = b""
+    payload_b64: str = ""
     state: TaskState = TaskState.QUEUED
     assigned_worker: str | None = None
     timing: TimingRecord = field(default_factory=TimingRecord)

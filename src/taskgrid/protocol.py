@@ -5,6 +5,12 @@ LF. Encoding is canonical and byte-deterministic: the ``type`` field
 comes first, every other key (at any nesting level) is sorted
 alphabetically, optional fields that are unset are omitted, and binary
 payloads travel as base64 strings. Decoders accept any field order.
+
+``decode`` checks every base64 field strictly, accepting exactly what
+``from_b64`` accepts, but without decoding it: the master forwards
+payload and output text verbatim, and only the worker decodes a
+payload, once. :class:`LineFramer` is linear in line length, so a
+multi-megabyte line costs the same however the stream is chunked.
 """
 
 from __future__ import annotations
@@ -224,12 +230,33 @@ def _check_bool(value: Any, name: str) -> bool:
     return value
 
 
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _is_strict_b64(text: str) -> bool:
+    """True iff ``from_b64`` would accept ``text``, found without decoding.
+
+    Strict base64 is alphabet characters followed by a run of ``=``. A
+    string without data takes no padding; with ``n`` data characters,
+    ``n % 4`` must be 0 (any padding), 2 (exactly two ``=``) or 3
+    (exactly one).
+    """
+    if not text.isascii():
+        return False
+    data = text.encode("ascii")
+    pad = data.translate(None, _B64_ALPHABET)
+    if pad != b"=" * len(pad) or not data.endswith(pad):
+        return False
+    n = len(data) - len(pad)
+    if n % 4 == 0:
+        return n > 0 or not pad
+    return n % 4 > 1 and len(pad) == 4 - n % 4
+
+
 def _check_b64(value: Any, name: str) -> str:
     text = _check_str(value, name)
-    try:
-        from_b64(text)
-    except Exception:
-        raise ProtocolError(f"field {name} is not valid base64") from None
+    if not _is_strict_b64(text):
+        raise ProtocolError(f"field {name} is not valid base64")
     return text
 
 
@@ -381,7 +408,14 @@ def decode(line: bytes) -> Message:
 
 
 class LineFramer:
-    """Reassemble LF-terminated lines from an arbitrarily chunked stream."""
+    """Reassemble LF-terminated lines from an arbitrarily chunked stream.
+
+    Work is linear in the bytes fed: each chunk is scanned for LF once,
+    resuming where the previous scan stopped, and the consumed lines are
+    trimmed from the buffer once per call. A :class:`FramingError`
+    leaves the stream unusable; the caller drops the framer with its
+    connection.
+    """
 
     def __init__(self, max_line_bytes: int = MAX_LINE_BYTES):
         self._buffer = bytearray()
@@ -389,17 +423,21 @@ class LineFramer:
 
     def feed(self, data: bytes) -> list[bytes]:
         """Append a chunk; return the now-complete lines (LF stripped)."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        # Everything already buffered was scanned by an earlier call and
+        # holds no LF.
+        pos = len(buffer)
+        buffer.extend(data)
         lines: list[bytes] = []
-        while True:
-            idx = self._buffer.find(b"\n")
-            if idx < 0:
-                break
-            if idx > self._max:
-                raise FramingError(f"line of {idx} bytes exceeds cap {self._max}")
-            lines.append(bytes(self._buffer[:idx]))
-            del self._buffer[: idx + 1]
-        if len(self._buffer) > self._max:
+        start = 0
+        with memoryview(buffer) as view:
+            while (idx := buffer.find(b"\n", pos)) >= 0:
+                if idx - start > self._max:
+                    raise FramingError(f"line of {idx - start} bytes exceeds cap {self._max}")
+                lines.append(view[start:idx].tobytes())
+                start = pos = idx + 1
+        del buffer[:start]
+        if len(buffer) > self._max:
             raise FramingError(f"unterminated line exceeds cap {self._max}")
         return lines
 

@@ -214,11 +214,14 @@ class WorkerAgent:
     def _execute(self, dispatch: Dispatch) -> None:
         try:
             result = execute_dispatch(self.registry, dispatch, self.config.worker_id)
+        finally:
+            # Free the slot before the RESULT goes out: the master may
+            # dispatch the next task as soon as it reads it.
+            self.busy = False
+        try:
             self._send(result)
         except Exception:
             logger.exception("failed to report result for %s", dispatch.task_id)
-        finally:
-            self.busy = False
 
     def _beat_loop(self) -> None:
         assert self._beat_interval_ms is not None

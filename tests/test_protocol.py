@@ -1,7 +1,9 @@
 import base64
+import binascii
+import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taskgrid import protocol
@@ -180,6 +182,43 @@ def test_invalid_base64_rejected():
         decode(b'{"type":"DISPATCH","kind":"k","params":{},"payload_b64":"!!","requires_gpu":false,"task_id":"t"}\n')
 
 
+def _strict_b64_accepts(text):
+    try:
+        binascii.a2b_base64(text.encode("ascii"), strict_mode=True)
+    except (UnicodeEncodeError, binascii.Error):
+        return False
+    return True
+
+
+def _check_b64_accepts(text):
+    try:
+        protocol._check_b64(text, "payload_b64")
+    except ProtocolError:
+        return False
+    return True
+
+
+def test_base64_check_matches_strict_decoder_exhaustively():
+    mismatches = [
+        text
+        for n in range(9)
+        for text in map("".join, itertools.product("AB=/-", repeat=n))
+        if _check_b64_accepts(text) != _strict_b64_accepts(text)
+    ]
+    assert mismatches == []
+
+
+@given(st.text(max_size=24) | st.text("AQ+/=\n-", max_size=24) | b64s.map(lambda s: s + "=" * 3))
+@settings(max_examples=500)
+@example("AAAA\n")
+@example("AA==\n")
+@example("AA=A")
+@example("A\u00e9==")
+@example("=")
+def test_base64_check_matches_strict_decoder(text):
+    assert _check_b64_accepts(text) == _strict_b64_accepts(text)
+
+
 def test_bool_is_not_an_int():
     with pytest.raises(ProtocolError, match="cpu_mhz"):
         decode(b'{"type":"REGISTER","cpu_mhz":true,"has_gpu":false,"worker_id":"W"}\n')
@@ -229,3 +268,78 @@ def test_framing_is_chunking_invariant(msgs, data):
         got.extend(framer.feed(stream[prev:cut]))
         prev = cut
     assert [decode(line) for line in got] == list(msgs)
+
+
+class RescanLineFramer:
+    """The plain form of LineFramer, rescanning the whole buffer on every
+    feed; the oracle the linear framer must match."""
+
+    def __init__(self, max_line_bytes):
+        self._buffer = bytearray()
+        self._max = max_line_bytes
+
+    def feed(self, data):
+        self._buffer.extend(data)
+        lines = []
+        while True:
+            idx = self._buffer.find(b"\n")
+            if idx < 0:
+                break
+            if idx > self._max:
+                raise FramingError(f"line of {idx} bytes exceeds cap {self._max}")
+            lines.append(bytes(self._buffer[:idx]))
+            del self._buffer[: idx + 1]
+        if len(self._buffer) > self._max:
+            raise FramingError(f"unterminated line exceeds cap {self._max}")
+        return lines
+
+
+def _feed_all(framer, chunks):
+    """Each feed's lines, ending with the first FramingError's message."""
+    out = []
+    for chunk in chunks:
+        try:
+            out.append(framer.feed(chunk))
+        except FramingError as exc:
+            out.append(("FramingError", exc.detail))
+            break
+    return out
+
+
+def _chunked(stream, cuts):
+    bounds = [0] + sorted(cuts) + [len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        [b"abc", b"\ndef", b"\n"],  # LF as the first byte of a chunk
+        [b"abc\n", b"de\n"],  # LF as the last byte of a chunk
+        [b"a\nbb\n\nccc\nd", b"d\ne\n"],  # several lines in one chunk
+        [b"\n\n\n"],
+        [b"abcd", b"efgh", b"\n"],  # over the cap across chunks
+        [b"ab\nabcdefgh"],  # unterminated tail over the cap
+        [b"ab\nabcdefg\nxyz"],  # terminated line over the cap
+    ],
+)
+def test_framer_matches_rescan_oracle_on_edge_chunks(chunks):
+    assert _feed_all(LineFramer(max_line_bytes=5), chunks) == _feed_all(
+        RescanLineFramer(max_line_bytes=5), chunks
+    )
+
+
+@given(
+    st.lists(st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")), max_size=12),
+    st.booleans(),
+    st.integers(1, 64),
+    st.data(),
+)
+@settings(max_examples=400)
+def test_framer_matches_rescan_oracle(lines, terminated, cap, data):
+    stream = b"\n".join(lines) + (b"\n" if terminated and lines else b"")
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=10))
+    chunks = _chunked(stream, cuts)
+    assert _feed_all(LineFramer(max_line_bytes=cap), chunks) == _feed_all(
+        RescanLineFramer(max_line_bytes=cap), chunks
+    )

@@ -189,6 +189,22 @@ def test_agent_rejects_dispatch_while_busy(scripted):
     assert final.status == "OK"
 
 
+def test_agent_is_idle_when_its_result_is_sent():
+    # The master may dispatch again as soon as it reads a RESULT, so the
+    # slot must already be free when the RESULT goes out; otherwise the
+    # next DISPATCH can race in and be refused with BUSY.
+    config = WorkerConfig(worker_id="W1", master_host="127.0.0.1", master_port=1, cpu_mhz=2400)
+    agent = WorkerAgent(config)
+    sent = []
+    agent._send = lambda message: sent.append((message, agent.busy))
+    agent._start_task(make_dispatch("noop"))
+    agent._exec_thread.join(timeout=5)
+    [(result, busy_at_send)] = sent
+    assert isinstance(result, Result) and result.status == "OK"
+    assert busy_at_send is False
+    assert agent.busy is False
+
+
 def test_agent_reregisters_on_not_registered(scripted):
     master, start_agent = scripted
     start_agent(interval_ms=50)
