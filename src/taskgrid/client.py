@@ -9,6 +9,8 @@ import uuid
 from . import protocol
 from .protocol import (
     ErrorReply,
+    JobProgress,
+    JobProgressReply,
     JobStatus,
     JobStatusReply,
     Message,
@@ -16,8 +18,6 @@ from .protocol import (
     SubmitAck,
     SubmitTask,
 )
-
-TERMINAL_STATES = {"COMPLETED", "FAILED"}
 
 
 class MasterUnreachable(ConnectionError):
@@ -97,19 +97,32 @@ class MasterClient:
             raise ClientError(f"unexpected reply to JOB_STATUS: {type(reply).__name__}")
         return reply
 
+    def job_progress(self, job_id: str) -> JobProgressReply:
+        reply = self._request(JobProgress(job_id=job_id))
+        if not isinstance(reply, JobProgressReply):
+            raise ClientError(f"unexpected reply to JOB_PROGRESS: {type(reply).__name__}")
+        return reply
+
     def wait_for_job(
         self,
         job_id: str,
         timeout_s: float | None = None,
         poll_interval_s: float = 0.1,
     ) -> JobStatusReply:
-        """Poll JOB_STATUS until every task is terminal or the timeout
-        expires; returns the last reply either way."""
+        """Poll JOB_PROGRESS until no task is queued or dispatched or the
+        timeout expires, then fetch JOB_STATUS once and return it; on
+        timeout that reply is not terminal.
+
+        Progress replies are constant-size, so polling costs the same
+        however many tasks and outputs the job has; the outputs cross
+        the wire once.
+        """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
-            reply = self.job_status(job_id)
-            if all(task.state in TERMINAL_STATES for task in reply.tasks):
-                return reply
+            progress = self.job_progress(job_id)
+            if progress.queued + progress.dispatched == 0:
+                break
             if deadline is not None and time.monotonic() >= deadline:
-                return reply
+                break
             time.sleep(poll_interval_s)
+        return self.job_status(job_id)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
+from collections import Counter
 from typing import Callable, Iterable
 
 from . import protocol
@@ -21,6 +22,8 @@ from .protocol import (
     ErrorReply,
     Heartbeat,
     HeartbeatAck,
+    JobProgress,
+    JobProgressReply,
     JobStatus,
     JobStatusReply,
     Message,
@@ -76,7 +79,9 @@ class MasterCore:
         if isinstance(message, Register):
             return self._handle_register(message, sender)
         if isinstance(message, Heartbeat):
-            ok = self.scheduler.heartbeat(message.worker_id, message.ts_ms, message.busy)
+            ok = self.scheduler.heartbeat(
+                message.worker_id, message.ts_ms, message.busy, self.clock()
+            )
             return HeartbeatAck(
                 status=protocol.HEARTBEAT_OK if ok else protocol.HEARTBEAT_NOT_REGISTERED
             )
@@ -85,6 +90,8 @@ class MasterCore:
             return None
         if isinstance(message, Submit):
             return self._handle_submit(message)
+        if isinstance(message, JobProgress):
+            return self.job_progress_reply(message.job_id)
         if isinstance(message, JobStatus):
             return self.job_status_reply(message.job_id)
         return ErrorReply(code="UNEXPECTED_MESSAGE", detail=type(message).__name__)
@@ -208,12 +215,26 @@ class MasterCore:
             )
         return JobStatusReply(job_id=job_id, tasks=tuple(reports))
 
-    def job_is_terminal(self, job_id: str) -> bool:
-        task_ids = self.jobs.get(job_id, [])
-        return all(
-            self.scheduler.tasks[tid].state in (TaskState.COMPLETED, TaskState.FAILED)
-            for tid in task_ids
+    def job_progress_reply(self, job_id: str) -> JobProgressReply | ErrorReply:
+        """The job's task counts by state, without building task reports."""
+        task_ids = self.jobs.get(job_id)
+        if task_ids is None:
+            return ErrorReply(code="UNKNOWN_JOB", detail=job_id)
+        tasks = self.scheduler.tasks
+        counts = Counter(tasks[tid].state for tid in task_ids)
+        return JobProgressReply(
+            job_id=job_id,
+            queued=counts[TaskState.QUEUED],
+            dispatched=counts[TaskState.DISPATCHED],
+            completed=counts[TaskState.COMPLETED],
+            failed=counts[TaskState.FAILED],
         )
+
+    def job_is_terminal(self, job_id: str) -> bool:
+        """True when no task of the job is queued or dispatched; an
+        unknown job has none."""
+        progress = self.job_progress_reply(job_id)
+        return isinstance(progress, ErrorReply) or progress.queued + progress.dispatched == 0
 
     def state_dump_lines(self) -> Iterable[bytes]:
         """One canonical JOB_STATUS_REPLY line per job."""

@@ -105,6 +105,9 @@ class WorkerProfile:
 
     ``cpu_mhz`` orders the dispatch rings; ``gpu_cores``/``gpu_mem_mb``
     are descriptive metadata only and never influence placement.
+    ``last_heartbeat_ms`` is on the master's clock and decides liveness;
+    ``last_beat_ts_ms`` is the newest ``ts_ms`` the worker sent, on the
+    worker's own clock, and only orders that worker's beats.
     """
 
     worker_id: str
@@ -113,6 +116,7 @@ class WorkerProfile:
     gpu_cores: int | None = None
     gpu_mem_mb: int | None = None
     last_heartbeat_ms: int = 0
+    last_beat_ts_ms: int | None = None
     busy: bool = False
     current_task: str | None = None
 

@@ -127,6 +127,22 @@ class JobStatus:
 
 
 @dataclass(frozen=True)
+class JobProgress:
+    job_id: str
+
+
+@dataclass(frozen=True)
+class JobProgressReply:
+    """A job's task counts by state: a constant-size reply for polling."""
+
+    job_id: str
+    queued: int
+    dispatched: int
+    completed: int
+    failed: int
+
+
+@dataclass(frozen=True)
 class TaskReport:
     task_id: str
     state: str
@@ -162,6 +178,8 @@ Message = (
     | SubmitAck
     | JobStatus
     | JobStatusReply
+    | JobProgress
+    | JobProgressReply
     | ErrorReply
 )
 
@@ -176,6 +194,8 @@ _TYPE_NAMES: dict[type, str] = {
     SubmitAck: "SUBMIT_ACK",
     JobStatus: "JOB_STATUS",
     JobStatusReply: "JOB_STATUS_REPLY",
+    JobProgress: "JOB_PROGRESS",
+    JobProgressReply: "JOB_PROGRESS_REPLY",
     ErrorReply: "ERROR",
 }
 _CLASSES_BY_NAME = {name: cls for cls, name in _TYPE_NAMES.items()}
@@ -382,6 +402,16 @@ _FIELD_SPECS: dict[str, dict[str, tuple[Callable, bool]]] = {
     "JOB_STATUS_REPLY": {
         "job_id": (_check_str, True),
         "tasks": (_check_report_tasks, True),
+    },
+    "JOB_PROGRESS": {
+        "job_id": (_check_str, True),
+    },
+    "JOB_PROGRESS_REPLY": {
+        "job_id": (_check_str, True),
+        "queued": (_check_int, True),
+        "dispatched": (_check_int, True),
+        "completed": (_check_int, True),
+        "failed": (_check_int, True),
     },
     "ERROR": {
         "code": (_check_str, True),

@@ -185,22 +185,27 @@ class Scheduler:
                 )
                 self._requeue(orphan, now_ms)
         profile.last_heartbeat_ms = now_ms
+        profile.last_beat_ts_ms = None
         profile.busy = False
         profile.current_task = None
         self.catalog.insert(profile)
 
-    def heartbeat(self, worker_id: str, ts_ms: int, busy: bool) -> bool:
-        """Record liveness; returns False for unknown workers.
+    def heartbeat(self, worker_id: str, ts_ms: int, busy: bool, now_ms: int) -> bool:
+        """Record liveness at ``now_ms``, the master's clock; returns False
+        for unknown workers.
 
-        Out-of-order beats (older timestamp than recorded) are ignored.
-        The busy flag is informational only; the catalog's busy state is
-        maintained by dispatch/completion bookkeeping.
+        ``ts_ms`` is on the worker's own clock, which is never compared
+        with the master's: it only drops that worker's out-of-order
+        beats (older than the newest seen). The busy flag is
+        informational only; the catalog's busy state is maintained by
+        dispatch/completion bookkeeping.
         """
         profile = self.catalog.workers.get(worker_id)
         if profile is None:
             return False
-        if ts_ms >= profile.last_heartbeat_ms:
-            profile.last_heartbeat_ms = ts_ms
+        if profile.last_beat_ts_ms is None or ts_ms >= profile.last_beat_ts_ms:
+            profile.last_beat_ts_ms = ts_ms
+            profile.last_heartbeat_ms = now_ms
         return True
 
     def evict_stale(self, now_ms: int) -> list[str]:

@@ -257,6 +257,11 @@ class WorkerAgent:
     def _close_socket(self) -> None:
         with self._sock_lock:
             if self._sock is not None:
+                # shutdown wakes a reader blocked in recv; close alone does not.
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 try:
                     self._sock.close()
                 except OSError:

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 import time
 
@@ -96,6 +97,67 @@ def test_unknown_job_is_an_error(server):
     with MasterClient("127.0.0.1", server.port) as client:
         with pytest.raises(ClientError, match="UNKNOWN_JOB"):
             client.job_status("nope")
+        with pytest.raises(ClientError, match="UNKNOWN_JOB"):
+            client.job_progress("nope")
+
+
+def _record_request_types(server):
+    """Names of the message types the master handles, in arrival order."""
+    seen = []
+    handle = server.core.handle
+
+    def recording(message, sender):
+        seen.append(type(message).__name__)
+        return handle(message, sender)
+
+    server.core.handle = recording
+    return seen
+
+
+def test_wait_for_job_polls_progress_and_fetches_status_once():
+    # The default 6 s liveness window outlasts the test: the fake worker sends no beats.
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    server.start()
+    seen = _record_request_types(server)
+
+    def check_wait(client, reply, state):
+        # Several progress polls, then exactly one status fetch, whose
+        # reply is what a direct job_status call returns.
+        requests = [name for name in seen if name in ("JobProgress", "JobStatus")]
+        assert requests.count("JobProgress") >= 2
+        assert requests[-1] == "JobStatus" and requests.count("JobStatus") == 1
+        assert [task.state for task in reply.tasks] == [state]
+        assert reply == client.job_status("J1")
+        seen.clear()
+
+    def ok(dispatch):
+        return Result(
+            task_id=dispatch.task_id, worker_id=worker.worker_id, status="OK", exec_ms=3, output_b64=""
+        )
+
+    worker = FakeWorkerConn(server.port)
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit([make_task("noop", requires_gpu=True, task_id="T0")], job_id="J0")
+            held = worker.read()  # the only worker holds T0, so T1 stays queued
+            client.submit([make_task("noop", requires_gpu=True, task_id="T1")], job_id="J1")
+
+            # Timeout path.
+            reply = client.wait_for_job("J1", timeout_s=0.2, poll_interval_s=0.02)
+            check_wait(client, reply, "QUEUED")
+
+            # Terminal path: T1's result arrives while the client polls.
+            worker.send(ok(held))
+            timer = threading.Timer(0.15, lambda: worker.send(ok(worker.read())))
+            timer.start()
+            try:
+                reply = client.wait_for_job("J1", timeout_s=5, poll_interval_s=0.02)
+            finally:
+                timer.join(5)
+            check_wait(client, reply, "COMPLETED")
+    finally:
+        worker.close()
+        server.shutdown()
 
 
 def test_duplicate_task_ids_not_accepted(server):
@@ -211,3 +273,46 @@ def test_bind_conflict_raises():
             MasterServer("127.0.0.1", srv.port, SchedulerConfig())
     finally:
         srv.shutdown()
+
+
+def test_alternating_noop_stress_completes_every_task():
+    # Back-to-back tasks race each agent's executor thread (which frees
+    # the slot and sends the RESULT) against its reader thread (which
+    # takes the next DISPATCH); a lost race fails a task with BUSY.
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    server.start()
+    agents = [
+        WorkerAgent(
+            WorkerConfig(
+                worker_id=wid,
+                master_host="127.0.0.1",
+                master_port=server.port,
+                cpu_mhz=2000,
+                has_gpu=gpu,
+                lane_count=1,
+            )
+        )
+        for wid, gpu in (("Wgpu", True), ("Wcpu", False))
+    ]
+    threads = [threading.Thread(target=agent.run, daemon=True) for agent in agents]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        tasks = [make_task("noop", requires_gpu=i % 2 == 0) for i in range(2000)]
+        with MasterClient("127.0.0.1", server.port) as client:
+            ack = client.submit(tasks, job_id="stress")
+            assert ack.accepted_count == 2000
+            reply = client.wait_for_job("stress", timeout_s=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        for agent in agents:
+            agent.stop()
+        server.shutdown()
+        for thread in threads:
+            thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
+    failed = [task for task in reply.tasks if task.state != "COMPLETED"]
+    assert len(reply.tasks) == 2000 and failed == []
+    assert {task.worker_id for task in reply.tasks} == {"Wgpu", "Wcpu"}

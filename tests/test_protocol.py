@@ -13,6 +13,8 @@ from taskgrid.protocol import (
     FramingError,
     Heartbeat,
     HeartbeatAck,
+    JobProgress,
+    JobProgressReply,
     JobStatus,
     JobStatusReply,
     LineFramer,
@@ -82,6 +84,15 @@ messages = st.one_of(
     st.builds(SubmitAck, job_id=ids, accepted_count=st.integers(0, 1000)),
     st.builds(JobStatus, job_id=ids),
     st.builds(JobStatusReply, job_id=ids, tasks=st.lists(task_reports, max_size=4).map(tuple)),
+    st.builds(JobProgress, job_id=ids),
+    st.builds(
+        JobProgressReply,
+        job_id=ids,
+        queued=st.integers(0, 10**6),
+        dispatched=st.integers(0, 10**6),
+        completed=st.integers(0, 10**6),
+        failed=st.integers(0, 10**6),
+    ),
     st.builds(ErrorReply, code=ids, detail=st.text(max_size=40)),
 )
 
@@ -89,6 +100,41 @@ messages = st.one_of(
 def test_heartbeat_golden_bytes():
     beat = Heartbeat(worker_id="W1", ts_ms=5000, busy=False)
     assert encode(beat) == b'{"type":"HEARTBEAT","busy":false,"ts_ms":5000,"worker_id":"W1"}\n'
+
+
+def test_job_progress_golden_bytes():
+    assert encode(JobProgress(job_id="J1")) == b'{"type":"JOB_PROGRESS","job_id":"J1"}\n'
+    reply = JobProgressReply(job_id="J1", queued=2, dispatched=1, completed=3, failed=0)
+    assert encode(reply) == (
+        b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":1,"failed":0,'
+        b'"job_id":"J1","queued":2}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        (b'{"type":"JOB_PROGRESS","job_id":"J1","tasks":[]}', "unknown field tasks"),
+        (b'{"type":"JOB_PROGRESS"}', "missing required field job_id"),
+        (
+            b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":1,"job_id":"J1","queued":2}',
+            "missing required field failed",
+        ),
+        (
+            b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":1,"failed":0,'
+            b'"job_id":"J1","queued":2,"tasks":[]}',
+            "unknown field tasks",
+        ),
+        (
+            b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":true,"failed":0,'
+            b'"job_id":"J1","queued":2}',
+            "dispatched must be an integer",
+        ),
+    ],
+)
+def test_job_progress_decoding_is_strict(line, match):
+    with pytest.raises(ProtocolError, match=match):
+        decode(line)
 
 
 def test_empty_payload_dispatch():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from taskgrid.master import MasterCore
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
+from taskgrid.protocol import Heartbeat, Register
 from taskgrid.scheduler import (
     DuplicateTaskError,
     RegistrationError,
@@ -94,28 +96,52 @@ def test_insertion_preserves_rotation_of_existing_workers():
 def test_heartbeat_updates_timestamp():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
-    assert s.heartbeat("W1", 5000, busy=False)
-    assert s.catalog.workers["W1"].last_heartbeat_ms == 5000
+    assert s.heartbeat("W1", 5000, busy=False, now_ms=700)
+    assert s.catalog.workers["W1"].last_heartbeat_ms == 700
+    assert s.catalog.workers["W1"].last_beat_ts_ms == 5000
 
 
 def test_heartbeat_unknown_worker():
     s = mk_scheduler()
-    assert not s.heartbeat("W9", 1000, busy=False)
+    assert not s.heartbeat("W9", 1000, busy=False, now_ms=1000)
 
 
 def test_out_of_order_heartbeat_ignored():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
-    s.heartbeat("W1", 5000, False)
-    s.heartbeat("W1", 4000, False)
-    assert s.catalog.workers["W1"].last_heartbeat_ms == 5000
+    s.heartbeat("W1", 5000, False, now_ms=100)
+    s.heartbeat("W1", 4000, False, now_ms=200)
+    assert s.catalog.workers["W1"].last_beat_ts_ms == 5000
+    assert s.catalog.workers["W1"].last_heartbeat_ms == 100
     # replaying any permutation settles on the maximum
     rng = random.Random(3)
     stamps = list(range(5001, 5030))
     rng.shuffle(stamps)
-    for ts in stamps:
-        s.heartbeat("W1", ts, False)
-    assert s.catalog.workers["W1"].last_heartbeat_ms == 5029
+    for now, ts in enumerate(stamps, start=300):
+        s.heartbeat("W1", ts, False, now_ms=now)
+    assert s.catalog.workers["W1"].last_beat_ts_ms == 5029
+
+
+def test_liveness_uses_master_clock_not_worker_clock():
+    # A heartbeat's ts_ms comes from the worker host's monotonic clock,
+    # which can be far behind or far ahead of the master's.
+    clock = [1_000_000]
+    core = MasterCore(SchedulerConfig(), clock=lambda: clock[0])
+    for wid in ("Wbehind", "Wahead"):
+        core.handle(Register(worker_id=wid, cpu_mhz=2000, has_gpu=False), lambda message: None)
+    evicted_at = {}
+    for now in range(1_002_000, 1_020_001, 2000):
+        clock[0] = now
+        # Wbehind beats on time for 18 s; Wahead beats once, then goes silent.
+        core.handle(Heartbeat(worker_id="Wbehind", ts_ms=now - 900_000, busy=False), None)
+        if now == 1_002_000:
+            core.handle(Heartbeat(worker_id="Wahead", ts_ms=now + 10**9, busy=False), None)
+        core.tick()
+        for wid in ("Wbehind", "Wahead"):
+            if wid not in core.scheduler.catalog:
+                evicted_at.setdefault(wid, now)
+    # Wahead goes at the first tick more than the 6,000 ms window after its beat.
+    assert evicted_at == {"Wahead": 1_010_000}
 
 
 # -- eviction ---------------------------------------------------------------------
@@ -133,8 +159,8 @@ def test_fresh_workers_not_evicted():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
     s.register_worker(mk_profile("W2"), 0)
-    s.heartbeat("W1", 5000, False)
-    s.heartbeat("W2", 5500, False)
+    s.heartbeat("W1", 5000, False, now_ms=5000)
+    s.heartbeat("W2", 5500, False, now_ms=5500)
     assert s.evict_stale(7000) == []
     assert set(s.catalog.workers) == {"W1", "W2"}
 
@@ -422,7 +448,7 @@ def _run_random_trace(seed):
         else:
             for wid, profile in list(s.catalog.workers.items()):
                 if rng.random() < 0.3:
-                    s.heartbeat(wid, now, profile.busy)
+                    s.heartbeat(wid, now, profile.busy, now_ms=now)
             for wid in s.evict_stale(now):
                 live_dispatched = {
                     tid: w for tid, w in live_dispatched.items() if w != wid
