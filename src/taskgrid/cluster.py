@@ -220,6 +220,9 @@ class InProcCluster:
         )
 
     def _handle_worker_message(self, message: Message, sender: Callable[[Message], None]) -> None:
+        if isinstance(message, Register):
+            self.core.register(message, sender)
+            return
         reply = self.core.handle(message, sender)
         if reply is not None:
             sender(reply)

@@ -74,10 +74,17 @@ class MasterCore:
 
         ``sender`` must deliver a message back over the connection the
         inbound message arrived on; it is retained for workers so that
-        later dispatches can reach them.
+        later dispatches can reach them. A REGISTER's ack is returned
+        after any DISPATCH its round already sent through ``sender``; a
+        transport that carries both on one connection uses
+        :meth:`register`, which sends the ack first.
         """
         if isinstance(message, Register):
-            return self._handle_register(message, sender)
+            now = self.clock()
+            ack = self._handle_register(message, sender, now)
+            if ack.accepted:
+                self._pump(now)
+            return ack
         if isinstance(message, Heartbeat):
             ok = self.scheduler.heartbeat(
                 message.worker_id, message.ts_ms, message.busy, self.clock()
@@ -103,7 +110,16 @@ class MasterCore:
             self._senders.pop(worker_id, None)
         self._pump(now)
 
-    def _handle_register(self, message: Register, sender: Sender) -> RegisterAck:
+    def register(self, message: Register, sender: Sender) -> None:
+        """Handle a REGISTER, sending its ack through ``sender`` before
+        any DISPATCH the new worker receives."""
+        now = self.clock()
+        ack = self._handle_register(message, sender, now)
+        sender(ack)
+        if ack.accepted:
+            self._pump(now)
+
+    def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
         profile = WorkerProfile(
             worker_id=message.worker_id,
             cpu_mhz=message.cpu_mhz,
@@ -111,7 +127,6 @@ class MasterCore:
             gpu_cores=message.gpu_cores,
             gpu_mem_mb=message.gpu_mem_mb,
         )
-        now = self.clock()
         try:
             self.scheduler.register_worker(profile, now)
         except RegistrationError as exc:
@@ -128,7 +143,6 @@ class MasterCore:
             message.cpu_mhz,
             "gpu" if message.has_gpu else "cpu",
         )
-        self._pump(now)
         return RegisterAck(accepted=True, heartbeat_interval_ms=self.config.heartbeat_interval_ms)
 
     def _handle_submit(self, message: Submit) -> SubmitAck:
@@ -272,6 +286,9 @@ class MasterServer:
         self.core = MasterCore(config, **core_kwargs)
         self._lock = threading.Lock()
         self._stop = threading.Event()
+        # Open connections, so shutdown can close them; under _conn_lock.
+        self._connections: set[_Connection] = set()
+        self._conn_lock = threading.Lock()
         self._listener = socket.create_server((host, port), reuse_port=False)
         self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()[:2]
@@ -309,11 +326,17 @@ class MasterServer:
         return thread
 
     def shutdown(self) -> None:
+        """Stop accepting and close every open connection, which ends
+        the threads serving them."""
         self._stop.set()
         try:
             self._listener.close()
         except OSError:
             pass
+        with self._conn_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
 
     def dump_state(self, path: str) -> None:
         with self._lock:
@@ -332,6 +355,10 @@ class MasterServer:
     def _serve_connection(self, sock: socket.socket, peer) -> None:
         conn = _Connection(sock)
         logger.debug("connection from %s", peer)
+        # Registered before the _stop check below: a shutdown either
+        # closes this connection or is seen by that check.
+        with self._conn_lock:
+            self._connections.add(conn)
         try:
             framer = protocol.LineFramer()
             while not self._stop.is_set():
@@ -353,10 +380,16 @@ class MasterServer:
                         conn.send(ErrorReply(code=exc.code, detail=exc.detail))
                         continue
                     with self._lock:
-                        reply = self.core.handle(message, conn.send)
+                        if isinstance(message, Register):
+                            self.core.register(message, conn.send)
+                            reply = None
+                        else:
+                            reply = self.core.handle(message, conn.send)
                     if reply is not None:
                         conn.send(reply)
         except Exception:
             logger.exception("connection handler failed for %s", peer)
         finally:
+            with self._conn_lock:
+                self._connections.discard(conn)
             conn.close()

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .model import (
     TaskDescriptor,
@@ -125,6 +126,39 @@ class MembershipCatalog:
         return worker_id in self.workers
 
 
+class ClassQueues:
+    """Queued task ids as one FCFS deque per task class.
+
+    Entries are ``(submitted_ms, enqueue seq, task_id)`` kept in
+    ascending order, so each deque's head is its class's oldest task.
+    Iterating yields the task ids of both classes merged in that order,
+    and the queue compares equal to the list of them; ``len`` is O(1).
+    """
+
+    def __init__(self) -> None:
+        self.gpu: deque[tuple[int, int, str]] = deque()
+        self.cpu: deque[tuple[int, int, str]] = deque()
+
+    def of(self, requires_gpu: bool) -> deque[tuple[int, int, str]]:
+        return self.gpu if requires_gpu else self.cpu
+
+    def __len__(self) -> int:
+        return len(self.gpu) + len(self.cpu)
+
+    def __iter__(self) -> Iterator[str]:
+        return (task_id for _, _, task_id in sorted([*self.gpu, *self.cpu]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ClassQueues):
+            other = list(other)
+        return list(self) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ClassQueues({list(self)!r})"
+
+
 class Scheduler:
     """Deterministic scheduling state machine.
 
@@ -137,8 +171,7 @@ class Scheduler:
         self.config = config
         self.catalog = MembershipCatalog()
         self.tasks: dict[str, TaskDescriptor] = {}
-        self.queue: list[str] = []  # task_ids, FCFS order
-        self._seen_task_ids: set[str] = set()
+        self.queue = ClassQueues()
         self._enqueue_seq: dict[str, int] = {}
         self._next_seq = 0
         self._on_transition = on_transition
@@ -153,17 +186,14 @@ class Scheduler:
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 
-    def _queue_key(self, task_id: str) -> tuple[int, int]:
-        task = self.tasks[task_id]
-        return (task.timing.submitted_ms or 0, self._enqueue_seq[task_id])
-
     def _requeue(self, task: TaskDescriptor, now_ms: int) -> None:
         """Return an orphaned task to the queue at its original FCFS slot."""
         task.assigned_worker = None
         task.timing.dispatched_ms = None
         task.attempt += 1
         self._transition(task, TaskState.QUEUED, now_ms)
-        bisect.insort(self.queue, task.task_id, key=self._queue_key)
+        entry = (task.timing.submitted_ms, self._enqueue_seq[task.task_id], task.task_id)
+        bisect.insort(self.queue.of(task.requires_gpu), entry)
 
     # -- membership --------------------------------------------------------
 
@@ -227,16 +257,16 @@ class Scheduler:
     # -- tasks ---------------------------------------------------------------
 
     def enqueue_task(self, task: TaskDescriptor, now_ms: int) -> None:
-        if task.task_id in self._seen_task_ids:
+        if task.task_id in self.tasks:
             raise DuplicateTaskError(task.task_id)
         if task.state is not TaskState.QUEUED:
             raise ValueError(f"task {task.task_id} submitted in state {task.state}")
         task.timing.submitted_ms = now_ms
-        self._seen_task_ids.add(task.task_id)
-        self._enqueue_seq[task.task_id] = self._next_seq
+        seq = self._next_seq
         self._next_seq += 1
+        self._enqueue_seq[task.task_id] = seq
         self.tasks[task.task_id] = task
-        self.queue.append(task.task_id)
+        self.queue.of(task.requires_gpu).append((now_ms, seq, task.task_id))
 
     def schedule_round(self, now_ms: int) -> list[tuple[str, str]]:
         """One FCFS pass over the queue; returns (task_id, worker_id)
@@ -248,46 +278,49 @@ class Scheduler:
         queued without blocking tasks of the other class. GPU tasks with
         no GPU worker registered at all fail once they outlive the
         unschedulable timeout.
+
+        The two class queues are merged head by head in FCFS order. A
+        class stops for the round once its ring has no idle worker, or,
+        with no GPU ring, at its first GPU task still inside the timeout
+        (the queue is ordered by submission time, so expired tasks form a
+        prefix). A round thus costs O(assignments + failures).
         """
         assignments: list[tuple[str, str]] = []
-        blocked: set[int] = set()  # id() of rings with no idle worker left
-        remaining: list[str] = []
-        for task_id in self.queue:
-            task = self.tasks[task_id]
-            if task.requires_gpu:
-                ring = self.catalog.gpu_ring
-                if not ring.ids:
-                    age = now_ms - (task.timing.submitted_ms or 0)
-                    if age > self.config.unschedulable_timeout_ms:
-                        task.error = UNSCHEDULABLE_ERROR
-                        self._transition(task, TaskState.FAILED, now_ms)
-                        continue
-                    remaining.append(task_id)
-                    continue
+        workers = self.catalog.workers
+        gpu_ring = self.catalog.gpu_ring if self.catalog.gpu_ring.ids else None
+        cpu_ring = self.catalog.cpu_ring if self.catalog.cpu_ring.ids else gpu_ring
+        gpu_queue, cpu_queue = self.queue.gpu, self.queue.cpu
+        expired_before = now_ms - self.config.unschedulable_timeout_ms
+        blocked: set[_Ring] = set()  # rings with no idle worker left
+        while True:
+            gpu_ready = bool(gpu_queue) and (
+                gpu_queue[0][0] < expired_before if gpu_ring is None else gpu_ring not in blocked
+            )
+            cpu_ready = bool(cpu_queue) and cpu_ring is not None and cpu_ring not in blocked
+            if gpu_ready and not (cpu_ready and cpu_queue[0] < gpu_queue[0]):
+                queue, ring = gpu_queue, gpu_ring
+            elif cpu_ready:
+                queue, ring = cpu_queue, cpu_ring
             else:
-                ring = self.catalog.cpu_ring
-                if not ring.ids:
-                    ring = self.catalog.gpu_ring
-                    if not ring.ids:
-                        remaining.append(task_id)
-                        continue
-            if id(ring) in blocked:
-                remaining.append(task_id)
+                return assignments
+            if ring is None:
+                task = self.tasks[queue.popleft()[2]]
+                task.error = UNSCHEDULABLE_ERROR
+                self._transition(task, TaskState.FAILED, now_ms)
                 continue
-            worker_id = ring.take_idle(self.catalog.workers)
+            worker_id = ring.take_idle(workers)
             if worker_id is None:
-                blocked.add(id(ring))
-                remaining.append(task_id)
+                blocked.add(ring)
                 continue
-            profile = self.catalog.workers[worker_id]
+            task_id = queue.popleft()[2]
+            task = self.tasks[task_id]
+            profile = workers[worker_id]
             profile.busy = True
             profile.current_task = task_id
             task.assigned_worker = worker_id
             task.timing.dispatched_ms = now_ms
             self._transition(task, TaskState.DISPATCHED, now_ms)
             assignments.append((task_id, worker_id))
-        self.queue = remaining
-        return assignments
 
     def complete_task(
         self,

@@ -93,6 +93,50 @@ def test_register_submit_dispatch_complete(server):
     worker.close()
 
 
+def test_register_ack_precedes_first_dispatch(server):
+    with MasterClient("127.0.0.1", server.port) as client:
+        client.submit([make_task("noop", requires_gpu=True, task_id="T1")], job_id="J1")
+        # T1 is queued; registering makes room for it at once.
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(protocol.encode(Register(worker_id="W1", cpu_mhz=2400, has_gpu=True)))
+            framer = protocol.LineFramer()
+            lines = []
+            while len(lines) < 2:
+                chunk = sock.recv(65536)
+                assert chunk, "master closed the connection"
+                lines.extend(framer.feed(chunk))
+        finally:
+            sock.close()
+    first, second = (protocol.decode(line) for line in lines[:2])
+    assert isinstance(first, RegisterAck) and first.accepted
+    assert isinstance(second, Dispatch) and second.task_id == "T1"
+
+
+def test_shutdown_closes_open_connections():
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    server.start()
+    before = set(threading.enumerate())
+    client = MasterClient("127.0.0.1", server.port)
+    try:
+        assert client.submit([make_task("noop", task_id="T1")], job_id="J1").accepted_count == 1
+        serving = [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("master-conn-")
+        ]
+        assert len(serving) == 1
+        server.shutdown()
+        serving[0].join(5)
+        assert not serving[0].is_alive()
+        # MasterUnreachable on EOF, or a reset while sending: both OSError.
+        with pytest.raises(OSError):
+            client.job_progress("J1")
+    finally:
+        client.close()
+        server.shutdown()
+
+
 def test_unknown_job_is_an_error(server):
     with MasterClient("127.0.0.1", server.port) as client:
         with pytest.raises(ClientError, match="UNKNOWN_JOB"):

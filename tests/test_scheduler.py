@@ -502,3 +502,33 @@ def test_liveness_idle_worker_and_queue_gives_assignment():
     s.register_worker(mk_profile("W1", 2000, gpu=True), 0)
     s.enqueue_task(mk_task("T1", gpu=True), 0)
     assert len(s.schedule_round(0)) >= 1
+
+
+class _CountingTasks(dict):
+    """The task table, counting every lookup of a task."""
+
+    lookups = 0
+
+    def __getitem__(self, task_id):
+        self.lookups += 1
+        return super().__getitem__(task_id)
+
+    def get(self, task_id, default=None):
+        self.lookups += 1
+        return super().get(task_id, default)
+
+
+def test_round_work_is_bounded_by_assignments_not_queue_length():
+    s = mk_scheduler()
+    s.register_worker(mk_profile("G", gpu=True), 0)
+    s.register_worker(mk_profile("C"), 0)
+    s.enqueue_task(mk_task("busy-g", gpu=True), 0)
+    s.enqueue_task(mk_task("busy-c"), 0)
+    assert len(s.schedule_round(0)) == 2
+    for i in range(10_000):
+        s.enqueue_task(mk_task(f"T{i}", gpu=i % 2 == 0), 1)
+    s.complete_task("busy-g", "G", ok=True, exec_ms=1, now_ms=2)
+    s.tasks = _CountingTasks(s.tasks)
+    assert s.schedule_round(2) == [("T0", "G")]
+    assert s.tasks.lookups <= 4
+    assert len(s.queue) == 9_999
