@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import protocol
 from .client import MasterClient, make_task
+from .model import overhead_ms
 from .protocol import TaskReport
 from .sobel import parse_pgm
 
@@ -140,7 +141,7 @@ def run_bench(
                 seq_exec_ms=seq_pick.exec_ms,
                 par_exec_ms=par_pick.exec_ms,
                 turnaround_ms=turnaround,
-                overhead_ms=turnaround - par_pick.exec_ms,
+                overhead_ms=overhead_ms(par_pick),
             )
         )
     return BenchReport(rows)

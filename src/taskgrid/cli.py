@@ -17,6 +17,7 @@ from . import protocol
 from .bench import IntegrityError, run_bench
 from .client import ClientError, MasterClient, MasterUnreachable, make_task, new_id
 from .master import MasterServer
+from .model import overhead_ms
 from .scheduler import SchedulerConfig
 from .worker import RegistrationRejected, WorkerAgent, WorkerConfig
 
@@ -189,7 +190,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             turnaround = task.completed_ms - task.submitted_ms
             line += (
                 f"  worker={task.worker_id} exec={task.exec_ms}ms"
-                f" turnaround={turnaround}ms overhead={turnaround - task.exec_ms}ms"
+                f" turnaround={turnaround}ms overhead={overhead_ms(task)}ms"
             )
             if task.output_b64 is not None:
                 out_path = os.path.join(args.outdir, f"{task.task_id}.pgm")

@@ -14,6 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .protocol import TaskReport
 
 
 def monotonic_ms() -> int:
@@ -66,9 +70,11 @@ class MissingTimingError(ValueError):
     """A timing computation needed a timestamp that was never recorded."""
 
 
-def overhead_ms(timing: TimingRecord) -> int:
+def overhead_ms(timing: TimingRecord | TaskReport) -> int:
     """Framework overhead: turnaround minus worker-side execution time.
 
+    Reads the three timestamps by name, so a master's
+    :class:`TimingRecord` and a client's ``TaskReport`` both work.
     Requires ``submitted_ms``, ``completed_ms`` and ``exec_ms`` to be
     present; raises :class:`MissingTimingError` otherwise.
     """

@@ -11,15 +11,18 @@ payloads travel as base64 strings. Decoders accept any field order.
 payload and output text verbatim, and only the worker decodes a
 payload, once. :class:`LineFramer` is linear in line length, so a
 multi-megabyte line costs the same however the stream is chunked.
+
+Each message's schema is its dataclass: ``decode`` derives its checks
+from the field annotations at import. A field is required unless its
+annotation admits ``None``, and :data:`B64` marks base64 text.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import socket
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterator
+from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
 
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
@@ -28,7 +31,7 @@ RESULT_FAILED = "FAILED"
 HEARTBEAT_OK = "OK"
 HEARTBEAT_NOT_REGISTERED = "NOT_REGISTERED"
 
-_TASK_STATES = ("QUEUED", "DISPATCHED", "COMPLETED", "FAILED")
+B64 = Annotated[str, "base64"]
 
 
 class ProtocolError(Exception):
@@ -78,7 +81,7 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class HeartbeatAck:
-    status: str  # OK | NOT_REGISTERED
+    status: Literal["OK", "NOT_REGISTERED"]
 
 
 @dataclass(frozen=True)
@@ -87,16 +90,16 @@ class Dispatch:
     kind: str
     requires_gpu: bool
     params: dict[str, str] = field(default_factory=dict)
-    payload_b64: str = ""
+    payload_b64: B64 = ""
 
 
 @dataclass(frozen=True)
 class Result:
     task_id: str
     worker_id: str
-    status: str  # OK | FAILED
+    status: Literal["OK", "FAILED"]
     exec_ms: int
-    output_b64: str | None = None
+    output_b64: B64 | None = None
     error: str | None = None
 
 
@@ -106,7 +109,7 @@ class SubmitTask:
     kind: str
     requires_gpu: bool
     params: dict[str, str] = field(default_factory=dict)
-    payload_b64: str = ""
+    payload_b64: B64 = ""
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,13 @@ class JobProgressReply:
 @dataclass(frozen=True)
 class TaskReport:
     task_id: str
-    state: str
+    state: Literal["QUEUED", "DISPATCHED", "COMPLETED", "FAILED"]
     worker_id: str | None = None
     submitted_ms: int | None = None
     dispatched_ms: int | None = None
     completed_ms: int | None = None
     exec_ms: int | None = None
-    output_b64: str | None = None
+    output_b64: B64 | None = None
     error: str | None = None
 
 
@@ -198,7 +201,6 @@ _TYPE_NAMES: dict[type, str] = {
     JobProgressReply: "JOB_PROGRESS_REPLY",
     ErrorReply: "ERROR",
 }
-_CLASSES_BY_NAME = {name: cls for cls, name in _TYPE_NAMES.items()}
 
 
 def _wire_value(value: Any) -> Any:
@@ -312,112 +314,56 @@ def _build(cls: type, obj: dict[str, Any], spec: dict[str, tuple[Callable, bool]
     return cls(**values)
 
 
-def _check_submit_tasks(value: Any, name: str) -> tuple[SubmitTask, ...]:
-    if not isinstance(value, list):
-        raise ProtocolError(f"field {name} must be an array")
-    spec = {
-        "task_id": (_check_str, True),
-        "kind": (_check_str, True),
-        "requires_gpu": (_check_bool, True),
-        "params": (_check_params, True),
-        "payload_b64": (_check_b64, True),
-    }
-    return tuple(
-        _build(SubmitTask, _check_object(item, name), spec, f"{name} entry") for item in value
-    )
-
-
-def _check_report_tasks(value: Any, name: str) -> tuple[TaskReport, ...]:
-    if not isinstance(value, list):
-        raise ProtocolError(f"field {name} must be an array")
-    spec = {
-        "task_id": (_check_str, True),
-        "state": (_check_enum(_TASK_STATES), True),
-        "worker_id": (_check_str, False),
-        "submitted_ms": (_check_int, False),
-        "dispatched_ms": (_check_int, False),
-        "completed_ms": (_check_int, False),
-        "exec_ms": (_check_int, False),
-        "output_b64": (_check_b64, False),
-        "error": (_check_str, False),
-    }
-    return tuple(
-        _build(TaskReport, _check_object(item, name), spec, f"{name} entry") for item in value
-    )
-
-
 def _check_object(value: Any, name: str) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise ProtocolError(f"field {name} must be an object")
     return value
 
 
-_FIELD_SPECS: dict[str, dict[str, tuple[Callable, bool]]] = {
-    "REGISTER": {
-        "worker_id": (_check_str, True),
-        "cpu_mhz": (_check_int, True),
-        "has_gpu": (_check_bool, True),
-        "gpu_cores": (_check_int, False),
-        "gpu_mem_mb": (_check_int, False),
-    },
-    "REGISTER_ACK": {
-        "accepted": (_check_bool, True),
-        "heartbeat_interval_ms": (_check_int, True),
-        "reason": (_check_str, False),
-    },
-    "HEARTBEAT": {
-        "worker_id": (_check_str, True),
-        "ts_ms": (_check_int, True),
-        "busy": (_check_bool, True),
-    },
-    "HEARTBEAT_ACK": {
-        "status": (_check_enum((HEARTBEAT_OK, HEARTBEAT_NOT_REGISTERED)), True),
-    },
-    "DISPATCH": {
-        "task_id": (_check_str, True),
-        "kind": (_check_str, True),
-        "requires_gpu": (_check_bool, True),
-        "params": (_check_params, True),
-        "payload_b64": (_check_b64, True),
-    },
-    "RESULT": {
-        "task_id": (_check_str, True),
-        "worker_id": (_check_str, True),
-        "status": (_check_enum((RESULT_OK, RESULT_FAILED)), True),
-        "exec_ms": (_check_int, True),
-        "output_b64": (_check_b64, False),
-        "error": (_check_str, False),
-    },
-    "SUBMIT": {
-        "job_id": (_check_str, True),
-        "tasks": (_check_submit_tasks, True),
-    },
-    "SUBMIT_ACK": {
-        "job_id": (_check_str, True),
-        "accepted_count": (_check_int, True),
-    },
-    "JOB_STATUS": {
-        "job_id": (_check_str, True),
-    },
-    "JOB_STATUS_REPLY": {
-        "job_id": (_check_str, True),
-        "tasks": (_check_report_tasks, True),
-    },
-    "JOB_PROGRESS": {
-        "job_id": (_check_str, True),
-    },
-    "JOB_PROGRESS_REPLY": {
-        "job_id": (_check_str, True),
-        "queued": (_check_int, True),
-        "dispatched": (_check_int, True),
-        "completed": (_check_int, True),
-        "failed": (_check_int, True),
-    },
-    "ERROR": {
-        "code": (_check_str, True),
-        "detail": (_check_str, True),
-    },
+_PLAIN_CHECKS: dict[Any, Callable[[Any, str], Any]] = {
+    str: _check_str,
+    int: _check_int,
+    bool: _check_bool,
+    B64: _check_b64,
+    dict[str, str]: _check_params,
 }
+
+
+def _check_array(cls: type) -> Callable[[Any, str], tuple]:
+    spec = _spec_of(cls)
+
+    def check(value: Any, name: str) -> tuple:
+        if not isinstance(value, list):
+            raise ProtocolError(f"field {name} must be an array")
+        where = f"{name} entry"
+        return tuple(_build(cls, _check_object(item, name), spec, where) for item in value)
+
+    return check
+
+
+def _check_for(hint: Any) -> Callable[[Any, str], Any]:
+    origin = get_origin(hint)
+    if origin is Literal:
+        return _check_enum(get_args(hint))
+    if origin is tuple:
+        return _check_array(get_args(hint)[0])
+    return _PLAIN_CHECKS[hint]
+
+
+def _spec_of(cls: type) -> dict[str, tuple[Callable, bool]]:
+    """``cls``'s fields in declaration order, each as (check, required)."""
+    hints = get_type_hints(cls, include_extras=True)
+    spec = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        required = type(None) not in get_args(hint)
+        if not required:
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        spec[f.name] = (_check_for(hint), required)
+    return spec
+
+
+_SPECS = {name: (cls, _spec_of(cls)) for cls, name in _TYPE_NAMES.items()}
 
 
 def decode(line: bytes) -> Message:
@@ -431,10 +377,10 @@ def decode(line: bytes) -> Message:
     if "type" not in obj:
         raise ProtocolError("missing required field type")
     type_name = obj["type"]
-    if not isinstance(type_name, str) or type_name not in _FIELD_SPECS:
+    if not isinstance(type_name, str) or type_name not in _SPECS:
         raise ProtocolError(f"unknown message type {type_name!r}")
-    cls = _CLASSES_BY_NAME[type_name]
-    return _build(cls, obj, _FIELD_SPECS[type_name], type_name)
+    cls, spec = _SPECS[type_name]
+    return _build(cls, obj, spec, type_name)
 
 
 class LineFramer:
@@ -470,22 +416,3 @@ class LineFramer:
         if len(buffer) > self._max:
             raise FramingError(f"unterminated line exceeds cap {self._max}")
         return lines
-
-
-def send_message(sock: socket.socket, message: Message) -> None:
-    sock.sendall(encode(message))
-
-
-def recv_messages(sock: socket.socket) -> Iterator[Message]:
-    """Yield decoded messages from a socket until EOF.
-
-    Raises :class:`FramingError` on an oversized line; the caller is
-    expected to close the connection.
-    """
-    framer = LineFramer()
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            return
-        for line in framer.feed(chunk):
-            yield decode(line)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import protocol
-from .model import monotonic_ms
+from .model import WorkerProfile, monotonic_ms, validate_profile
 from .protocol import Dispatch, Heartbeat, HeartbeatAck, Message, Register, RegisterAck, Result
 from .workloads import ExecutorRegistry, UnknownKindError, built_in_registry
 
@@ -46,12 +46,16 @@ class WorkerConfig:
             self.lane_count = os.cpu_count() or 1
 
     def validate(self) -> None:
-        if not self.worker_id:
-            raise ValueError("worker_id must be non-empty")
-        if self.cpu_mhz <= 0:
-            raise ValueError("cpu_mhz must be positive")
-        if not self.has_gpu and (self.gpu_cores is not None or self.gpu_mem_mb is not None):
-            raise ValueError("gpu_cores/gpu_mem_mb require has_gpu")
+        profile = WorkerProfile(
+            worker_id=self.worker_id,
+            cpu_mhz=self.cpu_mhz,
+            has_gpu=self.has_gpu,
+            gpu_cores=self.gpu_cores,
+            gpu_mem_mb=self.gpu_mem_mb,
+        )
+        reason = validate_profile(profile)
+        if reason is not None:
+            raise ValueError(reason)
         if self.lane_count < 1:
             raise ValueError("lane_count must be >= 1")
 

@@ -1,12 +1,16 @@
 import base64
 import binascii
+import dataclasses
 import itertools
+import json
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taskgrid import protocol
+from taskgrid.model import TaskState
 from taskgrid.protocol import (
     Dispatch,
     ErrorReply,
@@ -388,4 +392,174 @@ def test_framer_matches_rescan_oracle(lines, terminated, cap, data):
     chunks = _chunked(stream, cuts)
     assert _feed_all(LineFramer(max_line_bytes=cap), chunks) == _feed_all(
         RescanLineFramer(max_line_bytes=cap), chunks
+    )
+
+
+# -- decoding rejections, field by field --------------------------------------
+
+_STR, _INT, _BOOL, _PARAMS, _B64 = "str", "int", "bool", "params", "b64"
+
+# Every field of every message type, in declaration order, as
+# (kind, required, valid value). A tuple kind lists an enum's values in
+# the order its error message gives them; a dict kind is the schema of
+# an array's entries.
+_SUBMIT_TASK_FIELDS = {
+    "task_id": (_STR, True, "T1"),
+    "kind": (_STR, True, "noop"),
+    "requires_gpu": (_BOOL, True, False),
+    "params": (_PARAMS, True, {"k": "v"}),
+    "payload_b64": (_B64, True, "AQID"),
+}
+_TASK_REPORT_FIELDS = {
+    "task_id": (_STR, True, "T1"),
+    "state": (("QUEUED", "DISPATCHED", "COMPLETED", "FAILED"), True, "COMPLETED"),
+    "worker_id": (_STR, False, "W1"),
+    "submitted_ms": (_INT, False, 1),
+    "dispatched_ms": (_INT, False, 2),
+    "completed_ms": (_INT, False, 3),
+    "exec_ms": (_INT, False, 1),
+    "output_b64": (_B64, False, "AQID"),
+    "error": (_STR, False, "boom"),
+}
+_WIRE_FIELDS = {
+    "REGISTER": {
+        "worker_id": (_STR, True, "W1"),
+        "cpu_mhz": (_INT, True, 2400),
+        "has_gpu": (_BOOL, True, True),
+        "gpu_cores": (_INT, False, 384),
+        "gpu_mem_mb": (_INT, False, 2048),
+    },
+    "REGISTER_ACK": {
+        "accepted": (_BOOL, True, True),
+        "heartbeat_interval_ms": (_INT, True, 2000),
+        "reason": (_STR, False, "nope"),
+    },
+    "HEARTBEAT": {
+        "worker_id": (_STR, True, "W1"),
+        "ts_ms": (_INT, True, 5000),
+        "busy": (_BOOL, True, False),
+    },
+    "HEARTBEAT_ACK": {"status": (("OK", "NOT_REGISTERED"), True, "OK")},
+    "DISPATCH": _SUBMIT_TASK_FIELDS,
+    "RESULT": {
+        "task_id": (_STR, True, "T1"),
+        "worker_id": (_STR, True, "W1"),
+        "status": (("OK", "FAILED"), True, "OK"),
+        "exec_ms": (_INT, True, 7),
+        "output_b64": (_B64, False, "AQID"),
+        "error": (_STR, False, "boom"),
+    },
+    "SUBMIT": {"job_id": (_STR, True, "J1"), "tasks": (_SUBMIT_TASK_FIELDS, True, None)},
+    "SUBMIT_ACK": {"job_id": (_STR, True, "J1"), "accepted_count": (_INT, True, 1)},
+    "JOB_STATUS": {"job_id": (_STR, True, "J1")},
+    "JOB_STATUS_REPLY": {"job_id": (_STR, True, "J1"), "tasks": (_TASK_REPORT_FIELDS, True, None)},
+    "JOB_PROGRESS": {"job_id": (_STR, True, "J1")},
+    "JOB_PROGRESS_REPLY": {
+        "job_id": (_STR, True, "J1"),
+        "queued": (_INT, True, 2),
+        "dispatched": (_INT, True, 1),
+        "completed": (_INT, True, 3),
+        "failed": (_INT, True, 0),
+    },
+    "ERROR": {"code": (_STR, True, "E"), "detail": (_STR, True, "bad")},
+}
+
+
+def _valid_object(schema):
+    return {
+        name: [_valid_object(kind)] if isinstance(kind, dict) else value
+        for name, (kind, _, value) in schema.items()
+    }
+
+
+def _bad_values(name, kind):
+    """(label, value, error) for values of the wrong JSON type or content."""
+    if isinstance(kind, dict):
+        not_array = f"field {name} must be an array"
+        return [
+            ("object", {}, not_array),
+            ("null", None, not_array),
+            ("string", "x", not_array),
+            ("entry-not-object", [1], f"field {name} must be an object"),
+        ]
+    if kind == _INT:
+        not_int = f"field {name} must be an integer"
+        return [("string", "1", not_int), ("bool", True, not_int), ("float", 1.5, not_int),
+                ("null", None, not_int)]
+    if kind == _BOOL:
+        not_bool = f"field {name} must be a boolean"
+        return [("int", 1, not_bool), ("string", "true", not_bool), ("null", None, not_bool)]
+    if kind == _PARAMS:
+        return [
+            ("array", ["k"], f"field {name} must be an object"),
+            ("null", None, f"field {name} must be an object"),
+            ("int-value", {"k": 1}, f"field {name} must map strings to strings"),
+        ]
+    not_str = f"field {name} must be a string"
+    cases = [("int", 1, not_str), ("array", ["x"], not_str), ("null", None, not_str)]
+    if isinstance(kind, tuple):
+        cases.append(("outside-enum", "BOGUS", f"field {name} must be one of {', '.join(kind)}"))
+    if kind == _B64:
+        cases.append(("bad-alphabet", "!!", f"field {name} is not valid base64"))
+        cases.append(("bad-length", "AQI", f"field {name} is not valid base64"))
+    return cases
+
+
+def _rejection_cases(schema, where):
+    """(label, object, error) for every way one field of ``schema`` can be
+    wrong; array fields recurse into their entries."""
+    valid = _valid_object(schema)
+    cases = []
+    for name, (kind, required, _) in schema.items():
+        if required:
+            missing = {key: value for key, value in valid.items() if key != name}
+            cases.append((f"{name}-missing", missing, f"missing required field {name} in {where}"))
+        for label, value, error in _bad_values(name, kind):
+            cases.append((f"{name}-{label}", {**valid, name: value}, error))
+        if isinstance(kind, dict):
+            for label, entry, error in _rejection_cases(kind, f"{name} entry"):
+                cases.append((f"{name}.{label}", {**valid, name: [entry]}, error))
+    first_required = next(name for name, (_, required, _) in schema.items() if required)
+    cases.append(("empty", {}, f"missing required field {first_required} in {where}"))
+    cases.append(("unknown-key", {**valid, "bogus": 1}, f"unknown field bogus in {where}"))
+    return cases
+
+
+def _wire_line(type_name, obj):
+    return json.dumps({"type": type_name, **obj}).encode() + b"\n"
+
+
+_REJECTIONS = [
+    pytest.param(_wire_line(type_name, obj), error, id=f"{type_name}-{label}")
+    for type_name, schema in _WIRE_FIELDS.items()
+    for label, obj, error in _rejection_cases(schema, type_name)
+]
+
+
+def test_rejection_table_covers_every_field_of_every_message():
+    assert set(_WIRE_FIELDS) == set(protocol._TYPE_NAMES.values())
+    for type_name, schema in _WIRE_FIELDS.items():
+        msg = decode(_wire_line(type_name, _valid_object(schema)))
+        assert list(schema) == [f.name for f in dataclasses.fields(msg)]
+        assert all(getattr(msg, name) is not None for name in schema)
+        if "tasks" in schema:
+            assert list(schema["tasks"][0]) == [f.name for f in dataclasses.fields(msg.tasks[0])]
+
+
+@pytest.mark.parametrize("line, error", _REJECTIONS)
+def test_decode_rejects_each_bad_field_with_exact_error(line, error):
+    with pytest.raises(ProtocolError) as info:
+        decode(line)
+    assert info.value.detail == error
+
+
+def test_wire_enums_match_their_constants():
+    def allowed(cls, name):
+        return get_args(get_type_hints(cls)[name])
+
+    assert list(allowed(TaskReport, "state")) == [s.value for s in TaskState]
+    assert allowed(Result, "status") == (protocol.RESULT_OK, protocol.RESULT_FAILED)
+    assert allowed(HeartbeatAck, "status") == (
+        protocol.HEARTBEAT_OK,
+        protocol.HEARTBEAT_NOT_REGISTERED,
     )

@@ -273,3 +273,12 @@ def test_worker_config_validation():
         WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=0).validate()
     config = WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=1)
     assert config.lane_count >= 1
+
+
+@pytest.mark.parametrize("gpu", [{"gpu_cores": 0}, {"gpu_mem_mb": -1}])
+def test_worker_config_rejects_non_positive_gpu_resources(gpu):
+    config = WorkerConfig(
+        worker_id="W1", master_host="h", master_port=1, cpu_mhz=2400, has_gpu=True, **gpu
+    )
+    with pytest.raises(ValueError, match="must be positive"):
+        config.validate()
