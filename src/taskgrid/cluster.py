@@ -1,12 +1,14 @@
 """Deterministic in-process cluster for integration testing.
 
-One :class:`MasterCore` and any number of simulated worker agents are
-wired through in-memory channels that carry the exact wire-protocol
-bytes (every message passes through encode -> framer -> decode). Time
-is a logical clock advanced by the test script; heartbeats, eviction
-ticks and task completions are discrete events processed in a
-deterministic (time, insertion) order, so identical scripts produce
-identical dispatch logs byte for byte.
+One :class:`MasterCore` and any number of simulated workers are wired
+through in-memory channels that carry the exact wire-protocol bytes
+(every message passes through encode -> framer -> decode). Each
+simulated worker runs the production :class:`WorkerCore`, like the TCP
+:class:`WorkerAgent`; the two differ only in transport, clock and when
+execution runs. Time is a logical clock advanced by the test script;
+heartbeats, eviction ticks and task completions are discrete events
+processed in a deterministic (time, insertion) order, so identical
+scripts produce identical dispatch logs byte for byte.
 
 Execution semantics: a dispatch runs its executor immediately (in wall
 time), but the RESULT is delivered after the executor-reported exec_ms
@@ -26,20 +28,16 @@ from .master import MasterCore
 from .model import TaskDescriptor, TaskState, WorkerProfile
 from .protocol import (
     Dispatch,
-    Heartbeat,
-    HeartbeatAck,
     JobStatus,
     JobStatusReply,
     Message,
     Register,
-    RegisterAck,
-    Result,
     Submit,
     SubmitAck,
     SubmitTask,
 )
 from .scheduler import SchedulerConfig
-from .worker import execute_dispatch
+from .worker import WorkerCore
 from .workloads import ExecutorRegistry, built_in_registry
 
 
@@ -85,73 +83,45 @@ class _Channel:
 
 
 class SimWorker:
-    """Scripted stand-in for a worker agent, driven by logical time."""
+    """A :class:`WorkerCore` driven by logical time instead of sockets."""
 
-    def __init__(self, cluster: InProcCluster, register_msg: Register, registry: ExecutorRegistry):
+    def __init__(self, cluster: InProcCluster, core: WorkerCore):
         self.cluster = cluster
-        self.worker_id = register_msg.worker_id
-        self.register_msg = register_msg
-        self.registry = registry
+        self.core = core
         self.alive = True
-        self.busy = False
-        self.beat_interval_ms: int | None = None
         self.to_master: _Channel | None = None
+        self._beating = False
 
     def _send(self, message: Message) -> None:
         if self.alive and self.to_master is not None:
             self.to_master.send(message)
 
     def start(self) -> None:
-        self._send(self.register_msg)
+        self._send(self.core.register)
 
     def on_message(self, message: Message) -> None:
         if not self.alive:
             return
-        if isinstance(message, RegisterAck):
-            if not message.accepted:
-                raise AssertionError(f"sim worker {self.worker_id} rejected: {message.reason}")
-            if self.beat_interval_ms is None:
-                self.beat_interval_ms = message.heartbeat_interval_ms
-                self._schedule_beat()
-        elif isinstance(message, HeartbeatAck):
-            if message.status == protocol.HEARTBEAT_NOT_REGISTERED:
-                self._send(self.register_msg)
-        elif isinstance(message, Dispatch):
-            self._run_task(message)
+        self.core.handle(message, self._send, self._run_task)
+        if self.core.beat_interval_ms is not None and not self._beating:
+            self._beating = True
+            self._beat_later()
 
-    def _schedule_beat(self) -> None:
-        assert self.beat_interval_ms is not None
-        self.cluster._schedule(self.beat_interval_ms, self._beat)
+    def _beat_later(self) -> None:
+        self.cluster._schedule(self.core.beat_interval_ms, self._beat)
 
     def _beat(self) -> None:
-        if not self.alive:
-            return
-        self._send(Heartbeat(worker_id=self.worker_id, ts_ms=self.cluster.now_ms, busy=self.busy))
-        self._schedule_beat()
+        if self.alive:
+            self._send(self.core.heartbeat(self.cluster.now_ms))
+            self._beat_later()
 
     def _run_task(self, dispatch: Dispatch) -> None:
-        if self.busy:
-            self._send(
-                Result(
-                    task_id=dispatch.task_id,
-                    worker_id=self.worker_id,
-                    status=protocol.RESULT_FAILED,
-                    exec_ms=0,
-                    error="BUSY",
-                )
-            )
-            return
-        self.busy = True
-        result = execute_dispatch(self.registry, dispatch, self.worker_id)
-        logical_ms = result.exec_ms
-        if "sim_exec_ms" in dispatch.params:
-            logical_ms = int(dispatch.params["sim_exec_ms"])
+        result = self.core.execute(dispatch)
+        logical_ms = int(dispatch.params.get("sim_exec_ms", result.exec_ms))
 
         def finish() -> None:
-            if not self.alive:
-                return
-            self.busy = False
-            self._send(result)
+            if self.alive:
+                self.core.finish(result, self._send)
 
         self.cluster._schedule(logical_ms, finish)
 
@@ -257,11 +227,8 @@ class InProcCluster:
             gpu_cores=gpu_cores,
             gpu_mem_mb=gpu_mem_mb,
         )
-        worker = SimWorker(
-            self,
-            register,
-            registry or built_in_registry(lane_count=lane_count, simulated_sleep=True),
-        )
+        registry = registry or built_in_registry(lane_count=lane_count, simulated_sleep=True)
+        worker = SimWorker(self, WorkerCore(register, registry))
         self._attach_worker(worker)
         self.workers[worker_id] = worker
         worker.start()

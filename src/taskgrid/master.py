@@ -120,15 +120,8 @@ class MasterCore:
             self._pump(now)
 
     def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
-        profile = WorkerProfile(
-            worker_id=message.worker_id,
-            cpu_mhz=message.cpu_mhz,
-            has_gpu=message.has_gpu,
-            gpu_cores=message.gpu_cores,
-            gpu_mem_mb=message.gpu_mem_mb,
-        )
         try:
-            self.scheduler.register_worker(profile, now)
+            self.scheduler.register_worker(WorkerProfile.from_register(message), now)
         except RegistrationError as exc:
             logger.warning("rejected registration from %s: %s", message.worker_id, exc)
             return RegisterAck(

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .protocol import TaskReport
+    from .protocol import Register, TaskReport
 
 
 def monotonic_ms() -> int:
@@ -125,6 +125,17 @@ class WorkerProfile:
     last_beat_ts_ms: int | None = None
     busy: bool = False
     current_task: str | None = None
+
+    @classmethod
+    def from_register(cls, message: Register) -> WorkerProfile:
+        """The profile a REGISTER declares."""
+        return cls(
+            worker_id=message.worker_id,
+            cpu_mhz=message.cpu_mhz,
+            has_gpu=message.has_gpu,
+            gpu_cores=message.gpu_cores,
+            gpu_mem_mb=message.gpu_mem_mb,
+        )
 
 
 def validate_profile(profile: WorkerProfile) -> str | None:

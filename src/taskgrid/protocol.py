@@ -308,7 +308,7 @@ def _build(cls: type, obj: dict[str, Any], spec: dict[str, tuple[Callable, bool]
             values[name] = check(obj[name], name)
         elif required:
             raise ProtocolError(f"missing required field {name} in {where}")
-    extras = set(obj) - set(spec) - {"type"}
+    extras = set(obj) - set(spec)
     if extras:
         raise ProtocolError(f"unknown field {sorted(extras)[0]} in {where}")
     return cls(**values)
@@ -376,7 +376,7 @@ def decode(line: bytes) -> Message:
         raise ProtocolError("message must be a JSON object")
     if "type" not in obj:
         raise ProtocolError("missing required field type")
-    type_name = obj["type"]
+    type_name = obj.pop("type")
     if not isinstance(type_name, str) or type_name not in _SPECS:
         raise ProtocolError(f"unknown message type {type_name!r}")
     cls, spec = _SPECS[type_name]

@@ -1,9 +1,10 @@
-"""Worker agent: registers with a master, heartbeats, executes dispatches.
+"""Worker: registers with a master, heartbeats, executes dispatches.
 
-The agent is single-slot: one task at a time, executed on a dedicated
-thread so the socket reader keeps draining (a master sending a large
-payload must never deadlock against a busy executor) and heartbeats
-keep flowing mid-task.
+:class:`WorkerCore` holds every rule of the single-slot worker, free of
+any transport; :class:`WorkerAgent` drives it over TCP, executing each
+task on a dedicated thread so the socket reader keeps draining (a master
+sending a large payload must never deadlock against a busy executor) and
+heartbeats keep flowing mid-task.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import socket
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable
 
 from . import protocol
 from .model import WorkerProfile, monotonic_ms, validate_profile
@@ -46,14 +47,7 @@ class WorkerConfig:
             self.lane_count = os.cpu_count() or 1
 
     def validate(self) -> None:
-        profile = WorkerProfile(
-            worker_id=self.worker_id,
-            cpu_mhz=self.cpu_mhz,
-            has_gpu=self.has_gpu,
-            gpu_cores=self.gpu_cores,
-            gpu_mem_mb=self.gpu_mem_mb,
-        )
-        reason = validate_profile(profile)
+        reason = validate_profile(WorkerProfile.from_register(self.register_message()))
         if reason is not None:
             raise ValueError(reason)
         if self.lane_count < 1:
@@ -77,34 +71,95 @@ def execute_dispatch(
     Unknown kinds and executor exceptions become FAILED results; the
     agent never dies because a workload misbehaved.
     """
-    params: Mapping[str, str] = dispatch.params
     try:
         payload = protocol.from_b64(dispatch.payload_b64)
-        output, exec_ms = registry.execute(dispatch.kind, params, payload)
-    except UnknownKindError:
+        output, exec_ms = registry.execute(dispatch.kind, dispatch.params, payload)
         return Result(
             task_id=dispatch.task_id,
             worker_id=worker_id,
-            status=protocol.RESULT_FAILED,
-            exec_ms=0,
-            error="UNKNOWN_KIND",
+            status=protocol.RESULT_OK,
+            exec_ms=exec_ms,
+            output_b64=protocol.to_b64(output),
         )
+    except UnknownKindError:
+        error = "UNKNOWN_KIND"
     except Exception as exc:
         logger.warning("executor %s failed: %s", dispatch.kind, exc)
-        return Result(
-            task_id=dispatch.task_id,
-            worker_id=worker_id,
-            status=protocol.RESULT_FAILED,
-            exec_ms=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
     return Result(
         task_id=dispatch.task_id,
         worker_id=worker_id,
-        status=protocol.RESULT_OK,
-        exec_ms=exec_ms,
-        output_b64=protocol.to_b64(output),
+        status=protocol.RESULT_FAILED,
+        exec_ms=0,
+        error=error,
     )
+
+
+Sender = Callable[[Message], None]
+
+
+class WorkerCore:
+    """The worker's protocol state machine, mirroring ``MasterCore``.
+
+    ``busy`` is the slot; ``beat_interval_ms`` is the cadence of the
+    latest accepted REGISTER_ACK, ``None`` until the first.
+    """
+
+    def __init__(self, register: Register, registry: ExecutorRegistry):
+        self.register = register
+        self.registry = registry
+        self.busy = False
+        self.beat_interval_ms: int | None = None
+
+    def handle(
+        self, message: Message, send: Sender, start: Callable[[Dispatch], None]
+    ) -> None:
+        """Apply one inbound message. A DISPATCH the slot can take marks
+        it busy and goes to ``start``, which must run it and later call
+        :meth:`finish`."""
+        if isinstance(message, RegisterAck):
+            if not message.accepted:
+                raise RegistrationRejected(message.reason or "registration rejected")
+            self.beat_interval_ms = message.heartbeat_interval_ms
+            logger.info("registered; heartbeat every %d ms", message.heartbeat_interval_ms)
+        elif isinstance(message, HeartbeatAck):
+            if message.status == protocol.HEARTBEAT_NOT_REGISTERED:
+                logger.warning("master does not know us; re-registering")
+                send(self.register)
+        elif isinstance(message, Dispatch):
+            if self.busy:
+                # Master bug guard; a healthy master never double-dispatches.
+                send(
+                    Result(
+                        task_id=message.task_id,
+                        worker_id=self.register.worker_id,
+                        status=protocol.RESULT_FAILED,
+                        exec_ms=0,
+                        error="BUSY",
+                    )
+                )
+                return
+            self.busy = True
+            start(message)
+        else:
+            logger.warning("ignoring unexpected message: %s", type(message).__name__)
+
+    def execute(self, dispatch: Dispatch) -> Result:
+        """Run a started dispatch; the slot is freed if this raises."""
+        try:
+            return execute_dispatch(self.registry, dispatch, self.register.worker_id)
+        except BaseException:
+            self.busy = False
+            raise
+
+    def finish(self, result: Result, send: Sender) -> None:
+        # Free the slot before the RESULT goes out: the master may
+        # dispatch the next task as soon as it reads it.
+        self.busy = False
+        send(result)
+
+    def heartbeat(self, ts_ms: int) -> Heartbeat:
+        return Heartbeat(worker_id=self.register.worker_id, ts_ms=ts_ms, busy=self.busy)
 
 
 class WorkerAgent:
@@ -118,16 +173,21 @@ class WorkerAgent:
     ):
         config.validate()
         self.config = config
-        self.registry = registry or built_in_registry(lane_count=config.lane_count)
-        self.busy = False
+        self.core = WorkerCore(
+            config.register_message(),
+            registry or built_in_registry(lane_count=config.lane_count),
+        )
         self._stop = stop_event or threading.Event()
         self._sock: socket.socket | None = None
         self._sock_lock = threading.Lock()
-        self._beat_interval_ms: int | None = None
         self._beat_thread: threading.Thread | None = None
         self._exec_thread: threading.Thread | None = None
         self._session_down = threading.Event()
         self._last_send_ok_ms = monotonic_ms()
+
+    @property
+    def busy(self) -> bool:
+        return self.core.busy
 
     def stop(self) -> None:
         self._stop.set()
@@ -161,7 +221,7 @@ class WorkerAgent:
         sock.settimeout(None)
         self._sock = sock
         self._session_down.clear()
-        self._send(self.config.register_message())
+        self._send(self.core.register)
         logger.info("connected to master at %s:%d", *address)
         framer = protocol.LineFramer()
         while not self._stop.is_set() and not self._session_down.is_set():
@@ -177,75 +237,40 @@ class WorkerAgent:
                 self._handle(message)
 
     def _handle(self, message: Message) -> None:
-        if isinstance(message, RegisterAck):
-            if not message.accepted:
-                raise RegistrationRejected(message.reason or "registration rejected")
-            self._beat_interval_ms = message.heartbeat_interval_ms
-            logger.info("registered; heartbeat every %d ms", message.heartbeat_interval_ms)
-            if self._beat_thread is None or not self._beat_thread.is_alive():
-                self._beat_thread = threading.Thread(
-                    target=self._beat_loop, name="worker-heartbeat", daemon=True
-                )
-                self._beat_thread.start()
-        elif isinstance(message, HeartbeatAck):
-            if message.status == protocol.HEARTBEAT_NOT_REGISTERED:
-                logger.warning("master does not know us; re-registering")
-                self._send(self.config.register_message())
-        elif isinstance(message, Dispatch):
-            self._start_task(message)
-        else:
-            logger.warning("ignoring unexpected message: %s", type(message).__name__)
+        self.core.handle(message, self._send, self._start_task)
+        if self.core.beat_interval_ms is not None and (
+            self._beat_thread is None or not self._beat_thread.is_alive()
+        ):
+            self._beat_thread = threading.Thread(
+                target=self._beat_loop, name="worker-heartbeat", daemon=True
+            )
+            self._beat_thread.start()
 
     def _start_task(self, dispatch: Dispatch) -> None:
-        if self.busy:
-            # Master bug guard; a healthy master never double-dispatches.
-            self._send(
-                Result(
-                    task_id=dispatch.task_id,
-                    worker_id=self.config.worker_id,
-                    status=protocol.RESULT_FAILED,
-                    exec_ms=0,
-                    error="BUSY",
-                )
-            )
-            return
-        self.busy = True
         self._exec_thread = threading.Thread(
             target=self._execute, args=(dispatch,), name="worker-exec", daemon=True
         )
         self._exec_thread.start()
 
     def _execute(self, dispatch: Dispatch) -> None:
+        result = self.core.execute(dispatch)
         try:
-            result = execute_dispatch(self.registry, dispatch, self.config.worker_id)
-        finally:
-            # Free the slot before the RESULT goes out: the master may
-            # dispatch the next task as soon as it reads it.
-            self.busy = False
-        try:
-            self._send(result)
+            self.core.finish(result, self._send)
         except Exception:
             logger.exception("failed to report result for %s", dispatch.task_id)
 
     def _beat_loop(self) -> None:
-        assert self._beat_interval_ms is not None
-        interval_s = self._beat_interval_ms / 1000.0
-        window_ms = None
-        while not self._stop.wait(interval_s):
-            beat = Heartbeat(
-                worker_id=self.config.worker_id, ts_ms=monotonic_ms(), busy=self.busy
-            )
+        # Read per beat: a later REGISTER_ACK may change the interval.
+        while not self._stop.wait(self.core.beat_interval_ms / 1000.0):
             try:
-                self._send(beat)
+                self._send(self.core.heartbeat(monotonic_ms()))
                 self._last_send_ok_ms = monotonic_ms()
             except OSError as exc:
                 # Keep retrying on the next tick; once the liveness window
                 # has certainly expired master-side, force a fresh session
                 # (reconnect + re-register).
                 logger.warning("heartbeat send failed: %s", exc)
-                if window_ms is None:
-                    window_ms = self._beat_interval_ms * 3
-                if monotonic_ms() - self._last_send_ok_ms > window_ms:
+                if monotonic_ms() - self._last_send_ok_ms > self.core.beat_interval_ms * 3:
                     self._session_down.set()
                     self._close_socket()
 

@@ -533,6 +533,18 @@ _REJECTIONS = [
     pytest.param(_wire_line(type_name, obj), error, id=f"{type_name}-{label}")
     for type_name, schema in _WIRE_FIELDS.items()
     for label, obj, error in _rejection_cases(schema, type_name)
+] + [
+    # ``type`` names the message, so only the top-level object may carry it.
+    pytest.param(
+        _wire_line(
+            type_name,
+            {**_valid_object(_WIRE_FIELDS[type_name]),
+             "tasks": [{**_valid_object(entry), "type": [1, 2]}]},
+        ),
+        "unknown field type in tasks entry",
+        id=f"{type_name}-tasks.type-key",
+    )
+    for type_name, entry in (("SUBMIT", _SUBMIT_TASK_FIELDS), ("JOB_STATUS_REPLY", _TASK_REPORT_FIELDS))
 ]
 
 

@@ -16,7 +16,7 @@ from taskgrid.protocol import (
 )
 from taskgrid.sobel import GrayImage, parse_pgm, sobel_sequential, write_pgm
 from taskgrid.worker import RegistrationRejected, WorkerAgent, WorkerConfig, execute_dispatch
-from taskgrid.workloads import built_in_registry
+from taskgrid.workloads import ExecutorRegistry, built_in_registry
 
 
 def make_dispatch(kind, payload=b"", params=None, task_id="T1"):
@@ -282,3 +282,29 @@ def test_worker_config_rejects_non_positive_gpu_resources(gpu):
     )
     with pytest.raises(ValueError, match="must be positive"):
         config.validate()
+
+
+def test_execute_output_that_fails_to_encode_becomes_failed():
+    # A str output cannot be base64-encoded; the RESULT must still go out.
+    registry = ExecutorRegistry()
+    registry.register("text", lambda params, payload: ("text", 0))
+    result = execute_dispatch(registry, make_dispatch("text"), "W1")
+    assert result.status == "FAILED"
+    assert result.error.startswith("TypeError")
+
+
+def test_agent_beats_at_the_latest_accepted_interval(scripted):
+    # A re-registration's ack (say, from a master restarted with a shorter
+    # --heartbeat-ms) sets the cadence of every later beat.
+    master, start_agent = scripted
+    start_agent(interval_ms=2000)
+    master.send(RegisterAck(accepted=True, heartbeat_interval_ms=20))
+    deadline = time.monotonic() + 5.0
+    beats = 0
+    try:
+        while beats < 10:
+            master.conn.settimeout(max(deadline - time.monotonic(), 0.001))
+            beats += isinstance(master.read(), Heartbeat)
+    except TimeoutError:
+        pass
+    assert beats == 10
