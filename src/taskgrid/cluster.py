@@ -32,6 +32,7 @@ from .protocol import (
     JobStatusReply,
     Message,
     Register,
+    RegisterAck,
     Submit,
     SubmitAck,
     SubmitTask,
@@ -90,7 +91,7 @@ class SimWorker:
         self.core = core
         self.alive = True
         self.to_master: _Channel | None = None
-        self._beating = False
+        self._beat_epoch = 0
 
     def _send(self, message: Message) -> None:
         if self.alive and self.to_master is not None:
@@ -103,15 +104,18 @@ class SimWorker:
         if not self.alive:
             return
         self.core.handle(message, self._send, self._run_task)
-        if self.core.beat_interval_ms is not None and not self._beating:
-            self._beating = True
+        if isinstance(message, RegisterAck):
+            # Accepted (a rejection raised above): beat at its interval
+            # from now on; a beat pending from an older ack is dropped.
+            self._beat_epoch += 1
             self._beat_later()
 
     def _beat_later(self) -> None:
-        self.cluster._schedule(self.core.beat_interval_ms, self._beat)
+        epoch = self._beat_epoch
+        self.cluster._schedule(self.core.beat_interval_ms, lambda: self._beat(epoch))
 
-    def _beat(self) -> None:
-        if self.alive:
+    def _beat(self, epoch: int) -> None:
+        if self.alive and epoch == self._beat_epoch:
             self._send(self.core.heartbeat(self.cluster.now_ms))
             self._beat_later()
 

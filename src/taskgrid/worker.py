@@ -1,16 +1,18 @@
 """Worker: registers with a master, heartbeats, executes dispatches.
 
 :class:`WorkerCore` holds every rule of the single-slot worker, free of
-any transport; :class:`WorkerAgent` drives it over TCP, executing each
-task on a dedicated thread so the socket reader keeps draining (a master
-sending a large payload must never deadlock against a busy executor) and
-heartbeats keep flowing mid-task.
+any transport; :class:`WorkerAgent` drives it over TCP with three
+long-lived threads: the socket reader, one executor fed through a queue
+(so the reader keeps draining while a task runs: a master sending a
+large payload must never deadlock against a busy executor) and the
+heartbeat, which keeps beating mid-task.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import queue
 import socket
 import threading
 from dataclasses import dataclass
@@ -181,7 +183,9 @@ class WorkerAgent:
         self._sock: socket.socket | None = None
         self._sock_lock = threading.Lock()
         self._beat_thread: threading.Thread | None = None
+        self._beat_rearm = threading.Event()
         self._exec_thread: threading.Thread | None = None
+        self._exec_queue: queue.SimpleQueue[Dispatch | None] = queue.SimpleQueue()
         self._session_down = threading.Event()
         self._last_send_ok_ms = monotonic_ms()
 
@@ -191,6 +195,8 @@ class WorkerAgent:
 
     def stop(self) -> None:
         self._stop.set()
+        self._beat_rearm.set()
+        self._exec_queue.put(None)
         self._session_down.set()
         self._close_socket()
 
@@ -238,30 +244,38 @@ class WorkerAgent:
 
     def _handle(self, message: Message) -> None:
         self.core.handle(message, self._send, self._start_task)
-        if self.core.beat_interval_ms is not None and (
-            self._beat_thread is None or not self._beat_thread.is_alive()
-        ):
-            self._beat_thread = threading.Thread(
-                target=self._beat_loop, name="worker-heartbeat", daemon=True
-            )
-            self._beat_thread.start()
+        if isinstance(message, RegisterAck):
+            # Accepted (a rejection raised above): beat at its interval
+            # from now on, cutting short a wait armed with an older one.
+            self._beat_rearm.set()
+            if self._beat_thread is None:
+                self._beat_thread = threading.Thread(
+                    target=self._beat_loop, name="worker-heartbeat", daemon=True
+                )
+                self._beat_thread.start()
 
     def _start_task(self, dispatch: Dispatch) -> None:
-        self._exec_thread = threading.Thread(
-            target=self._execute, args=(dispatch,), name="worker-exec", daemon=True
-        )
-        self._exec_thread.start()
+        if self._exec_thread is None:
+            self._exec_thread = threading.Thread(
+                target=self._exec_loop, name="worker-exec", daemon=True
+            )
+            self._exec_thread.start()
+        self._exec_queue.put(dispatch)
 
-    def _execute(self, dispatch: Dispatch) -> None:
-        result = self.core.execute(dispatch)
-        try:
-            self.core.finish(result, self._send)
-        except Exception:
-            logger.exception("failed to report result for %s", dispatch.task_id)
+    def _exec_loop(self) -> None:
+        # Serves every session; a RESULT whose session died fails to send
+        # and is logged. ``stop()`` queues the None that ends it.
+        while (dispatch := self._exec_queue.get()) is not None:
+            try:
+                self.core.finish(self.core.execute(dispatch), self._send)
+            except BaseException:
+                logger.exception("failed to run or report %s", dispatch.task_id)
 
     def _beat_loop(self) -> None:
-        # Read per beat: a later REGISTER_ACK may change the interval.
-        while not self._stop.wait(self.core.beat_interval_ms / 1000.0):
+        while not self._stop.is_set():
+            if self._beat_rearm.wait(self.core.beat_interval_ms / 1000.0):
+                self._beat_rearm.clear()  # a new ack, or stop()
+                continue
             try:
                 self._send(self.core.heartbeat(monotonic_ms()))
                 self._last_send_ok_ms = monotonic_ms()

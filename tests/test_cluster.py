@@ -152,3 +152,28 @@ def test_unschedulable_gpu_task_fails_in_logical_time():
     [report] = reply.tasks
     assert report.state == "FAILED"
     assert "UNSCHEDULABLE" in report.error
+
+
+def test_shortened_reregistration_interval_takes_effect_at_once():
+    # The master restarts with a shorter interval (2000 -> 500 ms, so a
+    # 1500 ms liveness window) and the worker re-registers: its next beat
+    # must follow the new interval, not the one pending from the old ack.
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=2000))
+    worker = cluster.add_worker("W1", cpu_mhz=2400)
+    cluster.advance(100)
+    cluster.config.heartbeat_interval_ms = 500
+    worker.start()
+    cluster.submit(
+        [make_task("sleep", params={"duration_ms": "0", "sim_exec_ms": "5000"}, task_id="T1")]
+    )
+    assert [a.worker_id for a in cluster.assignments] == ["W1"]
+    for _ in range(60):
+        cluster.advance(100)
+        assert "W1" in cluster.core.scheduler.catalog.workers
+    assert not any(
+        t.from_state is TaskState.DISPATCHED and t.to_state is TaskState.QUEUED
+        for t in cluster.transitions
+    )
+    [report] = cluster.job_status().tasks
+    assert report.state == "COMPLETED"
+    assert cluster.core.scheduler.tasks["T1"].attempt == 0

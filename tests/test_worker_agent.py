@@ -196,9 +196,15 @@ def test_agent_is_idle_when_its_result_is_sent():
     config = WorkerConfig(worker_id="W1", master_host="127.0.0.1", master_port=1, cpu_mhz=2400)
     agent = WorkerAgent(config)
     sent = []
-    agent._send = lambda message: sent.append((message, agent.busy))
+    delivered = threading.Event()
+
+    def send(message):
+        sent.append((message, agent.busy))
+        delivered.set()
+
+    agent._send = send
     agent._start_task(make_dispatch("noop"))
-    agent._exec_thread.join(timeout=5)
+    delivered.wait(timeout=5)
     [(result, busy_at_send)] = sent
     assert isinstance(result, Result) and result.status == "OK"
     assert busy_at_send is False
@@ -308,3 +314,81 @@ def test_agent_beats_at_the_latest_accepted_interval(scripted):
     except TimeoutError:
         pass
     assert beats == 10
+
+
+def test_shortened_reregistration_interval_takes_effect_at_once(scripted):
+    # A re-ack with a shorter interval must cut short the beat already
+    # waiting out the old one, or a master whose liveness window is
+    # 3 x 500 ms evicts the worker before its first beat.
+    master, start_agent = scripted
+    start_agent(interval_ms=2000)
+    master.send(make_dispatch("noop"))
+    master.read_until(Result)  # the first ack is applied; the beat waits 2 s
+    master.send(RegisterAck(accepted=True, heartbeat_interval_ms=500))
+    t0 = time.monotonic()
+    master.read_until(Heartbeat)
+    assert time.monotonic() - t0 < 1.5
+
+
+def _record_thread(params, payload):
+    return str(threading.get_ident()).encode(), 0
+
+
+def test_dispatches_run_on_one_long_lived_executor_thread(scripted, monkeypatch):
+    master, start_agent = scripted
+    agent, _ = start_agent()
+    agent.core.registry.register("where", _record_thread)
+    master.send(make_dispatch("where", task_id="T0"))
+    idents = {protocol.from_b64(master.read_until(Result).output_b64)}
+
+    constructed = []
+
+    class CountingThread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            constructed.append(kwargs.get("name"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    for i in range(1, 6):
+        master.send(make_dispatch("where", task_id=f"T{i}"))
+        result = master.read_until(Result)
+        assert (result.task_id, result.status) == (f"T{i}", "OK")
+        idents.add(protocol.from_b64(result.output_b64))
+    assert len(idents) == 1
+    assert constructed == []
+
+
+def test_executor_survives_a_raising_task(scripted):
+    master, start_agent = scripted
+    agent, _ = start_agent()
+
+    def explode(params, payload):
+        raise RuntimeError("boom")
+
+    agent.core.registry.register("explode", explode)
+    master.send(make_dispatch("explode", task_id="T-bad"))
+    failed = master.read_until(Result)
+    assert (failed.task_id, failed.status) == ("T-bad", "FAILED")
+    assert "boom" in failed.error
+    master.send(make_dispatch("noop", task_id="T-good"))
+    ok = master.read_until(Result)
+    assert (ok.task_id, ok.status) == ("T-good", "OK")
+    assert agent.busy is False
+
+
+def test_stop_ends_the_executor_thread(scripted):
+    master, start_agent = scripted
+    before = {t for t in threading.enumerate() if t.name == "worker-exec"}
+    agent, _ = start_agent()
+    master.send(make_dispatch("noop"))
+    master.read_until(Result)
+
+    def leftover():
+        return [t for t in threading.enumerate() if t.name == "worker-exec" and t not in before]
+
+    assert leftover()
+    agent.stop()
+    deadline = time.monotonic() + 5.0
+    while leftover() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert leftover() == []
