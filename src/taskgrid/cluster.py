@@ -3,9 +3,11 @@
 One :class:`MasterCore` and any number of simulated workers are wired
 through in-memory channels that carry the exact wire-protocol bytes
 (every message passes through encode -> framer -> decode). Each
-simulated worker runs the production :class:`WorkerCore`, like the TCP
-:class:`WorkerAgent`; the two differ only in transport, clock and when
-execution runs. Time is a logical clock advanced by the test script;
+simulated worker runs the production :class:`WorkerCore`, heartbeat
+cadence included, like the TCP :class:`WorkerAgent`; the two differ only
+in transport, clock and when execution runs. A simulated worker wakes
+when its core's next beat falls due, where the agent's reader stops
+waiting for input. Time is a logical clock advanced by the test script;
 heartbeats, eviction ticks and task completions are discrete events
 processed in a deterministic (time, insertion) order, so identical
 scripts produce identical dispatch logs byte for byte.
@@ -32,7 +34,6 @@ from .protocol import (
     JobStatusReply,
     Message,
     Register,
-    RegisterAck,
     Submit,
     SubmitAck,
     SubmitTask,
@@ -91,7 +92,6 @@ class SimWorker:
         self.core = core
         self.alive = True
         self.to_master: _Channel | None = None
-        self._beat_epoch = 0
 
     def _send(self, message: Message) -> None:
         if self.alive and self.to_master is not None:
@@ -103,21 +103,19 @@ class SimWorker:
     def on_message(self, message: Message) -> None:
         if not self.alive:
             return
+        due = self.core.next_beat_ms
         self.core.handle(message, self._send, self._run_task)
-        if isinstance(message, RegisterAck):
-            # Accepted (a rejection raised above): beat at its interval
-            # from now on; a beat pending from an older ack is dropped.
-            self._beat_epoch += 1
-            self._beat_later()
+        if self.core.next_beat_ms != due:  # an accepted REGISTER_ACK re-armed it
+            self._wake_at_next_beat()
 
-    def _beat_later(self) -> None:
-        epoch = self._beat_epoch
-        self.cluster._schedule(self.core.beat_interval_ms, lambda: self._beat(epoch))
+    def _wake_at_next_beat(self) -> None:
+        self.cluster._schedule(self.core.next_beat_ms - self.cluster.now_ms, self._wake)
 
-    def _beat(self, epoch: int) -> None:
-        if self.alive and epoch == self._beat_epoch:
-            self._send(self.core.heartbeat(self.cluster.now_ms))
-            self._beat_later()
+    def _wake(self) -> None:
+        # A wake armed before a later ack moved the beat finds none due and
+        # ends there, so one chain of wakes follows the latest ack.
+        if self.alive and self.core.beat_if_due(self._send):
+            self._wake_at_next_beat()
 
     def _run_task(self, dispatch: Dispatch) -> None:
         result = self.core.execute(dispatch)
@@ -232,7 +230,7 @@ class InProcCluster:
             gpu_mem_mb=gpu_mem_mb,
         )
         registry = registry or built_in_registry(lane_count=lane_count, simulated_sleep=True)
-        worker = SimWorker(self, WorkerCore(register, registry))
+        worker = SimWorker(self, WorkerCore(register, registry, clock=lambda: self.now_ms))
         self._attach_worker(worker)
         self.workers[worker_id] = worker
         worker.start()

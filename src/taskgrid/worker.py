@@ -1,11 +1,12 @@
 """Worker: registers with a master, heartbeats, executes dispatches.
 
-:class:`WorkerCore` holds every rule of the single-slot worker, free of
-any transport; :class:`WorkerAgent` drives it over TCP with three
-long-lived threads: the socket reader, one executor fed through a queue
-(so the reader keeps draining while a task runs: a master sending a
-large payload must never deadlock against a busy executor) and the
-heartbeat, which keeps beating mid-task.
+:class:`WorkerCore` holds every rule of the single-slot worker, the
+heartbeat cadence included, free of any transport; :class:`WorkerAgent`
+drives it over TCP with two long-lived threads: the socket reader, which
+also sends each beat when it falls due (so beats go on mid-task), and
+one executor fed through a queue (so the reader keeps draining while a
+task runs: a master sending a large payload must never deadlock against
+a busy executor).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import logging
 import os
 import queue
+import select
 import socket
 import threading
 from dataclasses import dataclass
@@ -70,8 +72,10 @@ def execute_dispatch(
 ) -> Result:
     """Run one dispatch through the registry and build its RESULT.
 
-    Unknown kinds and executor exceptions become FAILED results; the
-    agent never dies because a workload misbehaved.
+    Unknown kinds and whatever an executor raises, ``sys.exit()``
+    included, become FAILED results: the agent never dies because a
+    workload misbehaved, and a task it got never goes unreported. Only
+    ``KeyboardInterrupt`` propagates.
     """
     try:
         payload = protocol.from_b64(dispatch.payload_b64)
@@ -85,7 +89,9 @@ def execute_dispatch(
         )
     except UnknownKindError:
         error = "UNKNOWN_KIND"
-    except Exception as exc:
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:
         logger.warning("executor %s failed: %s", dispatch.kind, exc)
         error = f"{type(exc).__name__}: {exc}"
     return Result(
@@ -104,14 +110,22 @@ class WorkerCore:
     """The worker's protocol state machine, mirroring ``MasterCore``.
 
     ``busy`` is the slot; ``beat_interval_ms`` is the cadence of the
-    latest accepted REGISTER_ACK, ``None`` until the first.
+    latest accepted REGISTER_ACK and ``next_beat_ms`` when the next beat
+    falls due on ``clock``, both ``None`` until the first.
     """
 
-    def __init__(self, register: Register, registry: ExecutorRegistry):
+    def __init__(
+        self,
+        register: Register,
+        registry: ExecutorRegistry,
+        clock: Callable[[], int] = monotonic_ms,
+    ):
         self.register = register
         self.registry = registry
+        self.clock = clock
         self.busy = False
         self.beat_interval_ms: int | None = None
+        self.next_beat_ms: int | None = None
 
     def handle(
         self, message: Message, send: Sender, start: Callable[[Dispatch], None]
@@ -122,7 +136,10 @@ class WorkerCore:
         if isinstance(message, RegisterAck):
             if not message.accepted:
                 raise RegistrationRejected(message.reason or "registration rejected")
+            # A new interval takes effect at once, cutting short a wait
+            # armed with an older one.
             self.beat_interval_ms = message.heartbeat_interval_ms
+            self.next_beat_ms = self.clock() + message.heartbeat_interval_ms
             logger.info("registered; heartbeat every %d ms", message.heartbeat_interval_ms)
         elif isinstance(message, HeartbeatAck):
             if message.status == protocol.HEARTBEAT_NOT_REGISTERED:
@@ -147,12 +164,7 @@ class WorkerCore:
             logger.warning("ignoring unexpected message: %s", type(message).__name__)
 
     def execute(self, dispatch: Dispatch) -> Result:
-        """Run a started dispatch; the slot is freed if this raises."""
-        try:
-            return execute_dispatch(self.registry, dispatch, self.register.worker_id)
-        except BaseException:
-            self.busy = False
-            raise
+        return execute_dispatch(self.registry, dispatch, self.register.worker_id)
 
     def finish(self, result: Result, send: Sender) -> None:
         # Free the slot before the RESULT goes out: the master may
@@ -163,42 +175,51 @@ class WorkerCore:
     def heartbeat(self, ts_ms: int) -> Heartbeat:
         return Heartbeat(worker_id=self.register.worker_id, ts_ms=ts_ms, busy=self.busy)
 
+    def beat_if_due(self, send: Sender) -> bool:
+        """Send the beat due by now, if any, and re-arm; True if it beat.
+        Re-arming first keeps it to one beat per due time, even if
+        ``send`` raises."""
+        now = self.clock()
+        if self.next_beat_ms is None or now < self.next_beat_ms:
+            return False
+        self.next_beat_ms = now + self.beat_interval_ms
+        send(self.heartbeat(now))
+        return True
+
 
 class WorkerAgent:
     """Long-running agent; ``run()`` blocks until stopped or rejected."""
 
-    def __init__(
-        self,
-        config: WorkerConfig,
-        registry: ExecutorRegistry | None = None,
-        stop_event: threading.Event | None = None,
-    ):
+    def __init__(self, config: WorkerConfig, registry: ExecutorRegistry | None = None):
         config.validate()
         self.config = config
         self.core = WorkerCore(
             config.register_message(),
             registry or built_in_registry(lane_count=config.lane_count),
         )
-        self._stop = stop_event or threading.Event()
+        self._stop = threading.Event()
         self._sock: socket.socket | None = None
         self._sock_lock = threading.Lock()
-        self._beat_thread: threading.Thread | None = None
-        self._beat_rearm = threading.Event()
         self._exec_thread: threading.Thread | None = None
         self._exec_queue: queue.SimpleQueue[Dispatch | None] = queue.SimpleQueue()
-        self._session_down = threading.Event()
-        self._last_send_ok_ms = monotonic_ms()
 
     @property
     def busy(self) -> bool:
         return self.core.busy
 
     def stop(self) -> None:
+        """End ``run()``. Takes no lock, so a signal handler may call it."""
         self._stop.set()
-        self._beat_rearm.set()
         self._exec_queue.put(None)
-        self._session_down.set()
-        self._close_socket()
+        sock = self._sock
+        if sock is not None:
+            # shutdown wakes the reader, which closes the socket on its way
+            # out; closing it here could hand its fd number to a new socket
+            # while the reader still polls it.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def run(self) -> None:
         """Connect/register/serve loop with bounded exponential backoff."""
@@ -226,11 +247,19 @@ class WorkerAgent:
         sock = socket.create_connection(address, timeout=10)
         sock.settimeout(None)
         self._sock = sock
-        self._session_down.clear()
         self._send(self.core.register)
         logger.info("connected to master at %s:%d", *address)
+        # Not sock.settimeout: the executor's sendall of a large RESULT
+        # would share that timeout.
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
         framer = protocol.LineFramer()
-        while not self._stop.is_set() and not self._session_down.is_set():
+        while not self._stop.is_set():
+            # A beat that fails to send ends the session like a failed recv.
+            self.core.beat_if_due(self._send)
+            due = self.core.next_beat_ms
+            if not poller.poll(None if due is None else max(due - self.core.clock(), 0)):
+                continue  # the next beat is due
             chunk = sock.recv(65536)
             if not chunk:
                 raise ConnectionError("master closed the connection")
@@ -240,19 +269,7 @@ class WorkerAgent:
                 except protocol.ProtocolError as exc:
                     logger.warning("dropping undecodable line from master: %s", exc)
                     continue
-                self._handle(message)
-
-    def _handle(self, message: Message) -> None:
-        self.core.handle(message, self._send, self._start_task)
-        if isinstance(message, RegisterAck):
-            # Accepted (a rejection raised above): beat at its interval
-            # from now on, cutting short a wait armed with an older one.
-            self._beat_rearm.set()
-            if self._beat_thread is None:
-                self._beat_thread = threading.Thread(
-                    target=self._beat_loop, name="worker-heartbeat", daemon=True
-                )
-                self._beat_thread.start()
+                self.core.handle(message, self._send, self._start_task)
 
     def _start_task(self, dispatch: Dispatch) -> None:
         if self._exec_thread is None:
@@ -271,23 +288,6 @@ class WorkerAgent:
             except BaseException:
                 logger.exception("failed to run or report %s", dispatch.task_id)
 
-    def _beat_loop(self) -> None:
-        while not self._stop.is_set():
-            if self._beat_rearm.wait(self.core.beat_interval_ms / 1000.0):
-                self._beat_rearm.clear()  # a new ack, or stop()
-                continue
-            try:
-                self._send(self.core.heartbeat(monotonic_ms()))
-                self._last_send_ok_ms = monotonic_ms()
-            except OSError as exc:
-                # Keep retrying on the next tick; once the liveness window
-                # has certainly expired master-side, force a fresh session
-                # (reconnect + re-register).
-                logger.warning("heartbeat send failed: %s", exc)
-                if monotonic_ms() - self._last_send_ok_ms > self.core.beat_interval_ms * 3:
-                    self._session_down.set()
-                    self._close_socket()
-
     # -- plumbing ---------------------------------------------------------------
 
     def _send(self, message: Message) -> None:
@@ -300,11 +300,6 @@ class WorkerAgent:
     def _close_socket(self) -> None:
         with self._sock_lock:
             if self._sock is not None:
-                # shutdown wakes a reader blocked in recv; close alone does not.
-                try:
-                    self._sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
                 try:
                     self._sock.close()
                 except OSError:

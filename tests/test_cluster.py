@@ -1,4 +1,5 @@
 import random
+import sys
 
 from conftest import random_image
 from oracle import brute_force_sobel
@@ -6,9 +7,10 @@ from taskgrid import protocol
 from taskgrid.client import make_task
 from taskgrid.cluster import InProcCluster
 from taskgrid.model import TaskState
-from taskgrid.protocol import Dispatch
+from taskgrid.protocol import Dispatch, Heartbeat
 from taskgrid.scheduler import SchedulerConfig
 from taskgrid.sobel import parse_pgm, write_pgm
+from taskgrid.workloads import built_in_registry
 
 
 def test_basic_submit_and_complete():
@@ -177,3 +179,37 @@ def test_shortened_reregistration_interval_takes_effect_at_once():
     [report] = cluster.job_status().tasks
     assert report.state == "COMPLETED"
     assert cluster.core.scheduler.tasks["T1"].attempt == 0
+
+
+def test_one_beat_per_interval_of_the_latest_ack():
+    # Re-acks at 2000 -> 500 -> 800 ms: the beats follow each new interval
+    # from its ack, and the wakes armed by older acks (due at 2000 and
+    # 1600) find no beat due and send nothing.
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=2000))
+    beats = []
+    handle = cluster.core.handle
+
+    def spy(message, sender):
+        if isinstance(message, Heartbeat):
+            beats.append(cluster.now_ms)
+        return handle(message, sender)
+
+    cluster.core.handle = spy
+    worker = cluster.add_worker("W1", cpu_mhz=2400)
+    for at_ms, interval_ms in ((100, 500), (1300, 800)):
+        cluster.advance(at_ms - cluster.now_ms)
+        cluster.config.heartbeat_interval_ms = interval_ms
+        worker.start()
+    cluster.advance(5000 - cluster.now_ms)
+    assert beats == [600, 1100, 2100, 2900, 3700, 4500]
+
+
+def test_executor_exit_fails_the_task():
+    registry = built_in_registry(simulated_sleep=True)
+    registry.register("exit", lambda params, payload: sys.exit(3))
+    cluster = InProcCluster()
+    cluster.add_worker("W1", cpu_mhz=2400, registry=registry)
+    cluster.submit([make_task("exit", task_id="T1")])
+    [report] = cluster.run_until_terminal().tasks
+    assert (report.state, report.error) == ("FAILED", "SystemExit: 3")
+    assert "W1" in cluster.core.scheduler.catalog.workers

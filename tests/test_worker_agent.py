@@ -1,4 +1,6 @@
+import random
 import socket
+import sys
 import threading
 import time
 
@@ -93,6 +95,8 @@ class ScriptedMaster:
         self.listener.settimeout(timeout)
         self.conn, _ = self.listener.accept()
         self.conn.settimeout(5.0)
+        self._framer = protocol.LineFramer()
+        self._pending = []
 
     def read(self):
         while not self._pending:
@@ -392,3 +396,74 @@ def test_stop_ends_the_executor_thread(scripted):
     while leftover() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert leftover() == []
+
+
+def test_executor_exit_becomes_a_failed_result(scripted):
+    # sys.exit() in an executor must still be reported, or the master
+    # keeps the task DISPATCHED and the worker busy for ever.
+    master, start_agent = scripted
+    agent, _ = start_agent()
+    agent.core.registry.register("exit", lambda params, payload: sys.exit(3))
+    master.send(make_dispatch("exit", task_id="T-exit"))
+    failed = master.read_until(Result)
+    assert (failed.task_id, failed.status, failed.error) == ("T-exit", "FAILED", "SystemExit: 3")
+    master.send(make_dispatch("noop", task_id="T-next"))
+    ok = master.read_until(Result)
+    assert (ok.task_id, ok.status) == ("T-next", "OK")
+
+
+def test_agent_starts_no_heartbeat_thread(scripted):
+    master, start_agent = scripted
+    before = set(threading.enumerate())
+    start_agent(interval_ms=20)
+    for _ in range(3):
+        master.read_until(Heartbeat)
+    [reader] = set(threading.enumerate()) - before  # the thread running agent.run()
+    assert reader.name != "worker-heartbeat"
+
+
+def test_stop_during_the_beat_wait_returns_from_run():
+    # stop() lands anywhere in the reader's loop: waiting for input until
+    # the next beat, sending a beat, or handling a line.
+    rng = random.Random(2024)
+    for _ in range(20):
+        master = ScriptedMaster()
+        agent = WorkerAgent(
+            WorkerConfig(
+                worker_id="W1", master_host="127.0.0.1", master_port=master.port, cpu_mhz=2400
+            )
+        )
+        raised = []
+
+        def run():
+            try:
+                agent.run()
+            except BaseException as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            master.accept()
+            master.read_until(Register)
+            master.send(RegisterAck(accepted=True, heartbeat_interval_ms=5))
+            time.sleep(rng.uniform(0, 0.03))
+            agent.stop()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert raised == []
+        finally:
+            agent.stop()
+            master.close()
+
+
+def test_agent_registers_again_after_the_master_drops_the_session(scripted, monkeypatch):
+    monkeypatch.setattr(worker_mod, "RETRY_BASE_S", 0.05)
+    master, start_agent = scripted
+    start_agent(interval_ms=50)
+    master.read_until(Heartbeat)
+    master.conn.close()
+    master.accept()
+    assert master.read_until(Register) == Register(worker_id="W1", cpu_mhz=2400, has_gpu=False)
+    master.send(RegisterAck(accepted=True, heartbeat_interval_ms=50))
+    assert master.read_until(Heartbeat).worker_id == "W1"

@@ -95,12 +95,86 @@ def test_slot_is_freed_when_execution_raises():
         pass
 
     def interrupted(params, payload):
-        raise Interrupted
+        raise Interrupted("caught")
 
     registry = ExecutorRegistry()
     registry.register("noop", interrupted)
     core = make_core(registry)
     core.handle(DISPATCH, None, lambda dispatch: None)
-    with pytest.raises(Interrupted):
-        core.execute(DISPATCH)
+    result = core.execute(DISPATCH)
+    assert result == Result(
+        task_id="T1", worker_id="W1", status="FAILED", exec_ms=0, error="Interrupted: caught"
+    )
+    sent = []
+    core.finish(result, sent.append)
+    assert sent == [result]
     assert not core.busy
+
+
+# -- heartbeat cadence, on a clock the test sets -----------------------------------
+
+
+class Clock:
+    def __init__(self):
+        self.now_ms = 0
+
+    def __call__(self):
+        return self.now_ms
+
+
+def make_clocked_core():
+    clock = Clock()
+    return WorkerCore(REGISTER, built_in_registry(), clock=clock), clock
+
+
+def ack(interval_ms):
+    return RegisterAck(accepted=True, heartbeat_interval_ms=interval_ms)
+
+
+def test_no_beat_before_the_first_accepted_ack():
+    core, clock = make_clocked_core()
+    sent = []
+    with pytest.raises(RegistrationRejected):
+        core.handle(REJECT, sent.append, None)
+    core.handle(NOT_REGISTERED, sent.append, None)
+    clock.now_ms = 10**9
+    assert not core.beat_if_due(sent.append)
+    assert sent == [REGISTER]  # the re-register, never a beat
+    assert core.next_beat_ms is None
+
+
+def test_beat_is_due_at_exactly_ack_plus_interval():
+    core, clock = make_clocked_core()
+    clock.now_ms = 100
+    core.handle(ack(500), None, None)
+    assert core.next_beat_ms == 600
+    sent = []
+    clock.now_ms = 599
+    assert not core.beat_if_due(sent.append)
+    clock.now_ms = 600
+    assert core.beat_if_due(sent.append)
+    assert sent == [Heartbeat(worker_id="W1", ts_ms=600, busy=False)]
+    assert core.next_beat_ms == 1100
+
+
+def test_shorter_reack_makes_the_next_beat_due_earlier():
+    core, clock = make_clocked_core()
+    core.handle(ack(2000), None, None)
+    clock.now_ms = 100
+    core.handle(ack(500), None, None)
+    assert core.next_beat_ms == 600
+    sent = []
+    clock.now_ms = 600
+    assert core.beat_if_due(sent.append)
+    assert [beat.ts_ms for beat in sent] == [600]
+
+
+def test_two_calls_at_one_due_time_send_one_beat():
+    core, clock = make_clocked_core()
+    core.handle(ack(500), None, None)
+    sent = []
+    clock.now_ms = 700  # late: still one beat, and the next is 500 ms on
+    assert core.beat_if_due(sent.append)
+    assert not core.beat_if_due(sent.append)
+    assert len(sent) == 1
+    assert core.next_beat_ms == 1200
