@@ -107,7 +107,6 @@ def cmd_master(args: argparse.Namespace) -> int:
             heartbeat_interval_ms=args.heartbeat_ms,
             liveness_misses=args.liveness_misses,
             unschedulable_timeout_ms=args.unschedulable_timeout_ms,
-            listen_address=f"{host}:{port}",
         )
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import time
 import uuid
+from typing import TypeVar
 
 from . import protocol
 from .protocol import (
@@ -18,6 +19,9 @@ from .protocol import (
     SubmitAck,
     SubmitTask,
 )
+
+
+R = TypeVar("R", bound=Message)
 
 
 class MasterUnreachable(ConnectionError):
@@ -77,31 +81,24 @@ class MasterClient:
             self._pending.extend(protocol.decode(line) for line in self._framer.feed(chunk))
         return self._pending.pop(0)
 
-    def _request(self, message: Message) -> Message:
+    def _request(self, message: Message, reply_type: type[R]) -> R:
         self._sock.sendall(protocol.encode(message))
         reply = self._recv()
         if isinstance(reply, ErrorReply):
             raise ClientError(f"{reply.code}: {reply.detail}")
+        if not isinstance(reply, reply_type):
+            raise ClientError(f"unexpected reply to {type(message).__name__}: {type(reply).__name__}")
         return reply
 
     def submit(self, tasks: list[SubmitTask], job_id: str | None = None) -> SubmitAck:
         job_id = job_id or new_id("job")
-        reply = self._request(Submit(job_id=job_id, tasks=tuple(tasks)))
-        if not isinstance(reply, SubmitAck):
-            raise ClientError(f"unexpected reply to SUBMIT: {type(reply).__name__}")
-        return reply
+        return self._request(Submit(job_id=job_id, tasks=tuple(tasks)), SubmitAck)
 
     def job_status(self, job_id: str) -> JobStatusReply:
-        reply = self._request(JobStatus(job_id=job_id))
-        if not isinstance(reply, JobStatusReply):
-            raise ClientError(f"unexpected reply to JOB_STATUS: {type(reply).__name__}")
-        return reply
+        return self._request(JobStatus(job_id=job_id), JobStatusReply)
 
     def job_progress(self, job_id: str) -> JobProgressReply:
-        reply = self._request(JobProgress(job_id=job_id))
-        if not isinstance(reply, JobProgressReply):
-            raise ClientError(f"unexpected reply to JOB_PROGRESS: {type(reply).__name__}")
-        return reply
+        return self._request(JobProgress(job_id=job_id), JobProgressReply)
 
     def wait_for_job(
         self,

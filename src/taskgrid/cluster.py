@@ -150,7 +150,9 @@ class InProcCluster:
             on_assignment=self._record_assignment,
         )
         self.workers: dict[str, SimWorker] = {}
-        self._client_channel = _Channel(self, self._handle_client_message)
+        self._client_channel = _Channel(
+            self, lambda m: self.core.deliver(m, self._client_replies.append)
+        )
         self._client_replies: list[Message] = []
         self._schedule(self.config.heartbeat_interval_ms, self._master_tick)
 
@@ -187,22 +189,7 @@ class InProcCluster:
                 self.dispatch_frames.append(data)
             to_worker.send_bytes(data)
 
-        worker.to_master = _Channel(
-            self, lambda m, send=master_sender: self._handle_worker_message(m, send)
-        )
-
-    def _handle_worker_message(self, message: Message, sender: Callable[[Message], None]) -> None:
-        if isinstance(message, Register):
-            self.core.register(message, sender)
-            return
-        reply = self.core.handle(message, sender)
-        if reply is not None:
-            sender(reply)
-
-    def _handle_client_message(self, message: Message) -> None:
-        reply = self.core.handle(message, self._client_replies.append)
-        if reply is not None:
-            self._client_replies.append(reply)
+        worker.to_master = _Channel(self, lambda m: self.core.deliver(m, master_sender))
 
     # -- cluster control -----------------------------------------------------------
 

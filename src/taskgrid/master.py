@@ -3,16 +3,22 @@
 :class:`MasterCore` is the transport-free event handler — one message or
 tick in, replies and dispatches out — so the TCP server and the
 in-process test cluster drive identical logic. :class:`MasterServer`
-wraps it with a threaded TCP listener; every core call is serialized
-under one lock, which realizes the single-logical-event-loop model.
+wraps it in a TCP server that runs on one thread: a selector loop
+accepts, reads, calls the core, runs its eviction tick and writes
+through per-connection queues that never block, so the master is one
+event loop and a peer that stops reading holds up only its own
+connection.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import selectors
 import socket
 import threading
-from collections import Counter
+import time
+from collections import Counter, deque
 from typing import Callable, Iterable
 
 from . import protocol
@@ -75,9 +81,8 @@ class MasterCore:
         ``sender`` must deliver a message back over the connection the
         inbound message arrived on; it is retained for workers so that
         later dispatches can reach them. A REGISTER's ack is returned
-        after any DISPATCH its round already sent through ``sender``; a
-        transport that carries both on one connection uses
-        :meth:`register`, which sends the ack first.
+        after any DISPATCH its round already sent through ``sender``;
+        transports use :meth:`deliver`, which sends the ack first.
         """
         if isinstance(message, Register):
             now = self.clock()
@@ -110,14 +115,20 @@ class MasterCore:
             self._senders.pop(worker_id, None)
         self._pump(now)
 
-    def register(self, message: Register, sender: Sender) -> None:
-        """Handle a REGISTER, sending its ack through ``sender`` before
-        any DISPATCH the new worker receives."""
-        now = self.clock()
-        ack = self._handle_register(message, sender, now)
-        sender(ack)
-        if ack.accepted:
-            self._pump(now)
+    def deliver(self, message: Message, sender: Sender) -> None:
+        """Process one inbound message and send every reply through
+        ``sender``; a REGISTER's ack goes out before any DISPATCH the new
+        worker receives."""
+        if isinstance(message, Register):
+            now = self.clock()
+            ack = self._handle_register(message, sender, now)
+            sender(ack)
+            if ack.accepted:
+                self._pump(now)
+            return
+        reply = self.handle(message, sender)
+        if reply is not None:
+            sender(reply)
 
     def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
         try:
@@ -251,25 +262,79 @@ class MasterCore:
 
 
 class _Connection:
-    def __init__(self, sock: socket.socket):
+    """One peer of the loop: a non-blocking socket, its framer and the
+    encoded bytes not yet sent."""
+
+    def __init__(self, sock: socket.socket, selector: selectors.BaseSelector):
+        sock.setblocking(False)
         self.sock = sock
-        self._write_lock = threading.Lock()
+        self.closed = False
+        self._framer = protocol.LineFramer()
+        self._unsent: deque[memoryview] = deque()
+        self._selector = selector
+        selector.register(sock, selectors.EVENT_READ, self)
 
     def send(self, message: Message) -> None:
-        data = protocol.encode(message)
-        with self._write_lock:
-            self.sock.sendall(data)
+        """Queue one message and send what the socket takes; never blocks."""
+        if self.closed:
+            raise ConnectionError("connection closed")
+        self._unsent.append(memoryview(protocol.encode(message)))
+        if len(self._unsent) == 1:
+            self.flush()
+
+    def flush(self) -> None:
+        """Send queued bytes until the socket would block; the rest
+        waits for EVENT_WRITE."""
+        try:
+            while self._unsent:
+                sent = self.sock.send(self._unsent[0])
+                self._unsent[0] = self._unsent[0][sent:]
+                if not self._unsent[0]:
+                    self._unsent.popleft()
+        except BlockingIOError:
+            pass
+        except OSError:
+            self.close()
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._unsent else 0)
+        if self._selector.get_key(self.sock).events != events:
+            self._selector.modify(self.sock, events, self)
+
+    def read(self, core: MasterCore) -> None:
+        """Receive one chunk and deliver each complete line to ``core``."""
+        try:
+            chunk = self.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self.close()
+            return
+        try:
+            for line in self._framer.feed(chunk):
+                try:
+                    message = protocol.decode(line)
+                except protocol.ProtocolError as exc:
+                    self.send(ErrorReply(code=exc.code, detail=exc.detail))
+                    continue
+                core.deliver(message, self.send)
+        except protocol.FramingError as exc:
+            self.send(ErrorReply(code=exc.code, detail=exc.detail))
+            self.close()
 
     def close(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.sock.close()
+        if not self.closed:
+            self.closed = True
+            self._unsent.clear()
+            self._selector.unregister(self.sock)
+            self.sock.close()
 
 
 class MasterServer:
-    """Threaded TCP shell around :class:`MasterCore`.
+    """TCP shell around :class:`MasterCore`: one selector loop on the
+    thread that calls :meth:`serve_forever` accepts, reads, runs the core
+    and its eviction tick, and writes.
 
     Raises OSError from the constructor when the listen address cannot
     be bound (the CLI maps that to exit code 2).
@@ -277,40 +342,61 @@ class MasterServer:
 
     def __init__(self, host: str, port: int, config: SchedulerConfig, **core_kwargs):
         self.core = MasterCore(config, **core_kwargs)
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        # Open connections, so shutdown can close them; under _conn_lock.
-        self._connections: set[_Connection] = set()
-        self._conn_lock = threading.Lock()
+        self._stop = False
         self._listener = socket.create_server((host, port), reuse_port=False)
-        self._listener.settimeout(0.2)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]
+        # shutdown() writes a byte here to wake the loop, which then sees
+        # _stop; the byte is never read.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
 
     @property
     def port(self) -> int:
         return self.address[1]
 
     def serve_forever(self) -> None:
-        """Accept connections until :meth:`shutdown`; blocks the caller."""
-        ticker = threading.Thread(target=self._tick_loop, name="master-tick", daemon=True)
-        ticker.start()
+        """Serve until :meth:`shutdown`; blocks the caller."""
+        selector = selectors.DefaultSelector()
+        selector.register(self._listener, selectors.EVENT_READ)
+        selector.register(self._wake_r, selectors.EVENT_READ)
+        interval_s = self.core.config.heartbeat_interval_ms / 1000.0
+        next_tick = time.monotonic() + interval_s
         logger.info("master listening on %s:%d", *self.address)
         try:
-            while not self._stop.is_set():
-                try:
-                    sock, peer = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                threading.Thread(
-                    target=self._serve_connection,
-                    args=(sock, peer),
-                    name=f"master-conn-{peer}",
-                    daemon=True,
-                ).start()
+            while not self._stop:
+                # A due tick waits for one more pass, so lines that arrived
+                # while the loop was busy (beats among them) count first.
+                wait_s = next_tick - time.monotonic()
+                for key, events in selector.select(max(wait_s, 0)):
+                    if key.fileobj is self._listener:
+                        # OSError: the peer gave up first, or no descriptor is left.
+                        with contextlib.suppress(OSError):
+                            _Connection(self._listener.accept()[0], selector)
+                    elif key.data is not None and not key.data.closed:
+                        self._serve(key.data, events)
+                if wait_s <= 0:
+                    # Re-armed first: a tick that raises cannot stop eviction.
+                    next_tick = time.monotonic() + interval_s
+                    try:
+                        self.core.tick()
+                    except Exception:
+                        logger.exception("eviction tick failed")
         finally:
-            self._listener.close()
+            for key in list(selector.get_map().values()):
+                (key.data or key.fileobj).close()  # connections, listener, wake-up
+            selector.close()
+            self._wake_w.close()
+
+    def _serve(self, conn: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_WRITE:
+                conn.flush()
+            if events & selectors.EVENT_READ:
+                conn.read(self.core)
+        except Exception:
+            logger.exception("connection handler failed")
+            conn.close()
 
     def start(self) -> threading.Thread:
         """Serve in a background thread (used by tests and the harness)."""
@@ -319,70 +405,16 @@ class MasterServer:
         return thread
 
     def shutdown(self) -> None:
-        """Stop accepting and close every open connection, which ends
-        the threads serving them."""
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            conn.close()
+        """Stop the loop, which then closes every open connection and the
+        listener. Safe from any thread and from a signal handler."""
+        self._stop = True
+        with contextlib.suppress(OSError):  # already awake, or the loop has exited
+            self._wake_w.send(b"\0")
 
     def dump_state(self, path: str) -> None:
-        with self._lock:
-            lines = list(self.core.state_dump_lines())
+        """Write the state dump; call it after :meth:`serve_forever` has
+        returned, as it reads the core without the loop."""
         with open(path, "wb") as fh:
-            for line in lines:
+            for line in self.core.state_dump_lines():
                 fh.write(line)
         logger.info("wrote state dump to %s", path)
-
-    def _tick_loop(self) -> None:
-        interval_s = self.core.config.heartbeat_interval_ms / 1000.0
-        while not self._stop.wait(interval_s):
-            with self._lock:
-                self.core.tick()
-
-    def _serve_connection(self, sock: socket.socket, peer) -> None:
-        conn = _Connection(sock)
-        logger.debug("connection from %s", peer)
-        # Registered before the _stop check below: a shutdown either
-        # closes this connection or is seen by that check.
-        with self._conn_lock:
-            self._connections.add(conn)
-        try:
-            framer = protocol.LineFramer()
-            while not self._stop.is_set():
-                try:
-                    chunk = sock.recv(65536)
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                try:
-                    lines = framer.feed(chunk)
-                except protocol.FramingError as exc:
-                    conn.send(ErrorReply(code=exc.code, detail=exc.detail))
-                    break
-                for line in lines:
-                    try:
-                        message = protocol.decode(line)
-                    except protocol.ProtocolError as exc:
-                        conn.send(ErrorReply(code=exc.code, detail=exc.detail))
-                        continue
-                    with self._lock:
-                        if isinstance(message, Register):
-                            self.core.register(message, conn.send)
-                            reply = None
-                        else:
-                            reply = self.core.handle(message, conn.send)
-                    if reply is not None:
-                        conn.send(reply)
-        except Exception:
-            logger.exception("connection handler failed for %s", peer)
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-            conn.close()

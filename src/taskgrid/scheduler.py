@@ -42,7 +42,6 @@ class SchedulerConfig:
     heartbeat_interval_ms: int = 2000
     liveness_misses: int = 3
     unschedulable_timeout_ms: int = 60000
-    listen_address: str = "127.0.0.1:7070"
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_ms <= 0:

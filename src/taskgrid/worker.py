@@ -231,6 +231,8 @@ class WorkerAgent:
             except RegistrationRejected:
                 raise
             except OSError as exc:
+                if self._stop.is_set():
+                    return  # stop() closed the socket
                 logger.warning(
                     "master unreachable (%s); retrying in %.0f s", exc, delay
                 )

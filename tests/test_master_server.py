@@ -115,20 +115,13 @@ def test_register_ack_precedes_first_dispatch(server):
 
 def test_shutdown_closes_open_connections():
     server = MasterServer("127.0.0.1", 0, SchedulerConfig())
-    server.start()
-    before = set(threading.enumerate())
+    serving = server.start()
     client = MasterClient("127.0.0.1", server.port)
     try:
         assert client.submit([make_task("noop", task_id="T1")], job_id="J1").accepted_count == 1
-        serving = [
-            thread
-            for thread in set(threading.enumerate()) - before
-            if thread.name.startswith("master-conn-")
-        ]
-        assert len(serving) == 1
         server.shutdown()
-        serving[0].join(5)
-        assert not serving[0].is_alive()
+        serving.join(5)
+        assert not serving.is_alive()
         # MasterUnreachable on EOF, or a reset while sending: both OSError.
         with pytest.raises(OSError):
             client.job_progress("J1")
@@ -283,21 +276,30 @@ def test_silent_worker_evicted_and_task_recovered(server):
     silent.close()
 
 
-def test_state_dump(server, tmp_path):
+def test_state_dump(tmp_path):
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=200))
+    server_thread = server.start()
     worker = FakeWorkerConn(server.port)
-    with MasterClient("127.0.0.1", server.port) as client:
-        client.submit([make_task("noop", requires_gpu=True, task_id="T1")], job_id="J1")
-        dispatch = worker.read()
-        worker.send(
-            Result(
-                task_id=dispatch.task_id,
-                worker_id=worker.worker_id,
-                status="OK",
-                exec_ms=1,
-                output_b64="",
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit([make_task("noop", requires_gpu=True, task_id="T1")], job_id="J1")
+            dispatch = worker.read()
+            worker.send(
+                Result(
+                    task_id=dispatch.task_id,
+                    worker_id=worker.worker_id,
+                    status="OK",
+                    exec_ms=1,
+                    output_b64="",
+                )
             )
-        )
-        client.wait_for_job("J1", timeout_s=5)
+            client.wait_for_job("J1", timeout_s=5)
+    finally:
+        # dump_state reads the core without the loop, so the loop must be done.
+        server.shutdown()
+        server_thread.join(5)
+        worker.close()
+    assert not server_thread.is_alive()
 
     path = tmp_path / "state.ndjson"
     server.dump_state(str(path))
@@ -307,7 +309,6 @@ def test_state_dump(server, tmp_path):
     assert isinstance(reply, JobStatusReply)
     assert reply.job_id == "J1"
     assert reply.tasks[0].state == "COMPLETED"
-    worker.close()
 
 
 def test_bind_conflict_raises():
@@ -360,3 +361,90 @@ def test_alternating_noop_stress_completes_every_task():
     failed = [task for task in reply.tasks if task.state != "COMPLETED"]
     assert len(reply.tasks) == 2000 and failed == []
     assert {task.worker_id for task in reply.tasks} == {"Wgpu", "Wcpu"}
+
+
+def test_a_worker_that_stops_reading_holds_up_only_its_own_connection():
+    # The worker registers, then keeps beating but never reads again, so
+    # its large DISPATCH cannot leave the master; the master must still
+    # answer everyone else. The default 6 s liveness window keeps a slow
+    # 32 MiB decode from evicting the worker.
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    serving = server.start()
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(5.0)
+    sock.connect(("127.0.0.1", server.port))
+    sock.sendall(protocol.encode(Register(worker_id="Wwedged", cpu_mhz=2400, has_gpu=True)))
+    framer = protocol.LineFramer()
+    lines = []
+    while not lines:
+        chunk = sock.recv(4096)
+        assert chunk, "master closed the connection"
+        lines.extend(framer.feed(chunk))
+    ack = protocol.decode(lines[0])
+    assert isinstance(ack, RegisterAck) and ack.accepted
+
+    stop = threading.Event()
+
+    def beat():
+        ts = 0
+        while not stop.wait(0.05):
+            ts += 1
+            try:
+                sock.sendall(
+                    protocol.encode(protocol.Heartbeat(worker_id="Wwedged", ts_ms=ts, busy=True))
+                )
+            except OSError:
+                return
+
+    beater = threading.Thread(target=beat, daemon=True)
+    beater.start()
+    try:
+        with MasterClient("127.0.0.1", server.port) as client, MasterClient(
+            "127.0.0.1", server.port
+        ) as other:
+            client._sock.settimeout(5.0)
+            other._sock.settimeout(5.0)
+            task = make_task("noop", payload=bytes(32 << 20), requires_gpu=True, task_id="T1")
+            assert client.submit([task], job_id="J1").accepted_count == 1
+            assert other.job_progress("J1").dispatched == 1
+    finally:
+        stop.set()
+        beater.join(5)
+        sock.close()
+        server.shutdown()
+        serving.join(5)
+
+
+def test_the_master_serves_every_peer_on_the_thread_start_returned():
+    before = set(threading.enumerate())
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=200))
+    serving = server.start()
+    agents = [
+        WorkerAgent(
+            WorkerConfig(
+                worker_id=wid, master_host="127.0.0.1", master_port=server.port, cpu_mhz=2000,
+                has_gpu=gpu,
+            )
+        )
+        for wid, gpu in (("Wgpu", True), ("Wcpu", False))
+    ]
+    threads = [threading.Thread(target=agent.run, daemon=True) for agent in agents]
+    for thread in threads:
+        thread.start()
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            tasks = [make_task("noop", requires_gpu=gpu) for gpu in (True, False)]
+            ack = client.submit(tasks, job_id="J1")
+            reply = client.wait_for_job(ack.job_id, timeout_s=10)
+            assert [task.state for task in reply.tasks] == ["COMPLETED"] * 2
+            new_threads = set(threading.enumerate()) - before
+            masters = [t for t in new_threads if t.name.startswith("master-")]
+            assert masters == [serving]
+    finally:
+        for agent in agents:
+            agent.stop()
+        server.shutdown()
+        for thread in threads + [serving]:
+            thread.join(10)
+    assert not any(thread.is_alive() for thread in threads + [serving])

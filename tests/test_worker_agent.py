@@ -1,3 +1,4 @@
+import logging
 import random
 import socket
 import sys
@@ -422,9 +423,10 @@ def test_agent_starts_no_heartbeat_thread(scripted):
     assert reader.name != "worker-heartbeat"
 
 
-def test_stop_during_the_beat_wait_returns_from_run():
+def test_stop_during_the_beat_wait_returns_from_run(caplog):
     # stop() lands anywhere in the reader's loop: waiting for input until
     # the next beat, sending a beat, or handling a line.
+    caplog.set_level(logging.WARNING, logger="taskgrid.worker")
     rng = random.Random(2024)
     for _ in range(20):
         master = ScriptedMaster()
@@ -455,6 +457,8 @@ def test_stop_during_the_beat_wait_returns_from_run():
         finally:
             agent.stop()
             master.close()
+    # A clean stop is not a lost master.
+    assert not [r for r in caplog.records if "master unreachable" in r.getMessage()]
 
 
 def test_agent_registers_again_after_the_master_drops_the_session(scripted, monkeypatch):
