@@ -68,45 +68,48 @@ class MasterCore:
         self.clock = clock
         self.scheduler = Scheduler(config, on_transition=on_transition)
         self.jobs: dict[str, list[str]] = {}
-        # task id -> the RESULT's output_b64, reported verbatim.
-        self.outputs: dict[str, str] = {}
         self._senders: dict[str, Sender] = {}
         self._on_assignment = on_assignment
 
     # -- event handling ------------------------------------------------------
 
-    def handle(self, message: Message, sender: Sender) -> Message | None:
-        """Process one inbound message; returns the direct reply, if any.
+    def deliver(self, message: Message, sender: Sender) -> None:
+        """Process one inbound message and send every reply through
+        ``sender``; a REGISTER's ack goes out before any DISPATCH the new
+        worker receives.
 
         ``sender`` must deliver a message back over the connection the
         inbound message arrived on; it is retained for workers so that
-        later dispatches can reach them. A REGISTER's ack is returned
-        after any DISPATCH its round already sent through ``sender``;
-        transports use :meth:`deliver`, which sends the ack first.
+        later dispatches can reach them.
         """
         if isinstance(message, Register):
             now = self.clock()
             ack = self._handle_register(message, sender, now)
+            sender(ack)
             if ack.accepted:
                 self._pump(now)
-            return ack
-        if isinstance(message, Heartbeat):
-            ok = self.scheduler.heartbeat(
-                message.worker_id, message.ts_ms, message.busy, self.clock()
-            )
-            return HeartbeatAck(
-                status=protocol.HEARTBEAT_OK if ok else protocol.HEARTBEAT_NOT_REGISTERED
-            )
-        if isinstance(message, Result):
+        elif isinstance(message, Heartbeat):
+            ok = self.scheduler.heartbeat(message.worker_id, message.ts_ms, self.clock())
+            status = protocol.HEARTBEAT_OK if ok else protocol.HEARTBEAT_NOT_REGISTERED
+            sender(HeartbeatAck(status=status))
+        elif isinstance(message, Result):
             self._handle_result(message)
-            return None
-        if isinstance(message, Submit):
-            return self._handle_submit(message)
-        if isinstance(message, JobProgress):
-            return self.job_progress_reply(message.job_id)
-        if isinstance(message, JobStatus):
-            return self.job_status_reply(message.job_id)
-        return ErrorReply(code="UNEXPECTED_MESSAGE", detail=type(message).__name__)
+        elif isinstance(message, Submit):
+            sender(self._handle_submit(message))
+        elif isinstance(message, JobProgress):
+            sender(self.job_progress_reply(message.job_id))
+        elif isinstance(message, JobStatus):
+            sender(self.job_status_reply(message.job_id))
+        else:
+            sender(ErrorReply(code="UNEXPECTED_MESSAGE", detail=type(message).__name__))
+
+    def handle(self, message: Message, sender: Sender) -> Message | None:
+        """:meth:`deliver` for callers that take the direct reply as a
+        return value: DISPATCHes still go through ``sender``, now or
+        later, and the reply, if any, is returned."""
+        replies: list[Message] = []
+        self.deliver(message, lambda m: sender(m) if isinstance(m, Dispatch) else replies.append(m))
+        return replies[0] if replies else None
 
     def tick(self) -> None:
         """Periodic eviction pass plus a scheduling round."""
@@ -114,21 +117,6 @@ class MasterCore:
         for worker_id in self.scheduler.evict_stale(now):
             self._senders.pop(worker_id, None)
         self._pump(now)
-
-    def deliver(self, message: Message, sender: Sender) -> None:
-        """Process one inbound message and send every reply through
-        ``sender``; a REGISTER's ack goes out before any DISPATCH the new
-        worker receives."""
-        if isinstance(message, Register):
-            now = self.clock()
-            ack = self._handle_register(message, sender, now)
-            sender(ack)
-            if ack.accepted:
-                self._pump(now)
-            return
-        reply = self.handle(message, sender)
-        if reply is not None:
-            sender(reply)
 
     def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
         try:
@@ -184,7 +172,7 @@ class MasterCore:
             error=message.error,
         )
         if recorded and ok:
-            self.outputs[message.task_id] = message.output_b64 or ""
+            self.scheduler.tasks[message.task_id].output_b64 = message.output_b64 or ""
         self._pump(now)
 
     def _pump(self, now_ms: int) -> None:
@@ -227,7 +215,7 @@ class MasterCore:
                     dispatched_ms=task.timing.dispatched_ms,
                     completed_ms=task.timing.completed_ms,
                     exec_ms=task.timing.exec_ms,
-                    output_b64=self.outputs.get(task_id),
+                    output_b64=task.output_b64,
                     error=task.error,
                 )
             )
@@ -343,6 +331,7 @@ class MasterServer:
     def __init__(self, host: str, port: int, config: SchedulerConfig, **core_kwargs):
         self.core = MasterCore(config, **core_kwargs)
         self._stop = False
+        self._serving = False
         self._listener = socket.create_server((host, port), reuse_port=False)
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]
@@ -357,13 +346,16 @@ class MasterServer:
 
     def serve_forever(self) -> None:
         """Serve until :meth:`shutdown`; blocks the caller."""
+        self._serving = True
         selector = selectors.DefaultSelector()
-        selector.register(self._listener, selectors.EVENT_READ)
-        selector.register(self._wake_r, selectors.EVENT_READ)
         interval_s = self.core.config.heartbeat_interval_ms / 1000.0
         next_tick = time.monotonic() + interval_s
-        logger.info("master listening on %s:%d", *self.address)
         try:
+            if self._stop:  # shutdown() came first and may have closed the sockets
+                return
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            logger.info("master listening on %s:%d", *self.address)
             while not self._stop:
                 # A due tick waits for one more pass, so lines that arrived
                 # while the loop was busy (beats among them) count first.
@@ -384,9 +376,14 @@ class MasterServer:
                         logger.exception("eviction tick failed")
         finally:
             for key in list(selector.get_map().values()):
-                (key.data or key.fileobj).close()  # connections, listener, wake-up
+                if key.data is not None:
+                    key.data.close()
             selector.close()
-            self._wake_w.close()
+            self._close_sockets()
+
+    def _close_sockets(self) -> None:
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()  # a second close is a no-op
 
     def _serve(self, conn: _Connection, events: int) -> None:
         try:
@@ -406,8 +403,14 @@ class MasterServer:
 
     def shutdown(self) -> None:
         """Stop the loop, which then closes every open connection and the
-        listener. Safe from any thread and from a signal handler."""
+        listener; a server that never served closes its sockets here.
+        Safe from any thread and from a signal handler."""
         self._stop = True
+        # Either serve_forever() has set _serving, or it will see _stop
+        # before it touches the sockets, so no lock is needed.
+        if not self._serving:
+            self._close_sockets()
+            return
         with contextlib.suppress(OSError):  # already awake, or the loop has exited
             self._wake_w.send(b"\0")
 

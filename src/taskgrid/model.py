@@ -89,7 +89,10 @@ class TaskDescriptor:
     """One unit of work as tracked by the master.
 
     ``payload_b64`` is the base64 text the task was submitted with; the
-    master forwards it verbatim and never decodes it.
+    master forwards it verbatim and never decodes it, and drops it once
+    the task is COMPLETED or FAILED, as no DISPATCH can follow either.
+    ``output_b64`` is the output of the RESULT that completed the task,
+    kept verbatim for status reports; it stays None otherwise.
     """
 
     task_id: str
@@ -98,6 +101,7 @@ class TaskDescriptor:
     requires_gpu: bool
     params: dict[str, str] = field(default_factory=dict)
     payload_b64: str = ""
+    output_b64: str | None = None
     state: TaskState = TaskState.QUEUED
     assigned_worker: str | None = None
     timing: TimingRecord = field(default_factory=TimingRecord)
@@ -114,6 +118,8 @@ class WorkerProfile:
     ``last_heartbeat_ms`` is on the master's clock and decides liveness;
     ``last_beat_ts_ms`` is the newest ``ts_ms`` the worker sent, on the
     worker's own clock, and only orders that worker's beats.
+    ``current_task`` is the task the master dispatched to the worker and
+    has not yet seen finish; ``busy`` is derived from it.
     """
 
     worker_id: str
@@ -123,8 +129,11 @@ class WorkerProfile:
     gpu_mem_mb: int | None = None
     last_heartbeat_ms: int = 0
     last_beat_ts_ms: int | None = None
-    busy: bool = False
     current_task: str | None = None
+
+    @property
+    def busy(self) -> bool:
+        return self.current_task is not None
 
     @classmethod
     def from_register(cls, message: Register) -> WorkerProfile:

@@ -203,26 +203,9 @@ _TYPE_NAMES: dict[type, str] = {
 }
 
 
-def _wire_value(value: Any) -> Any:
-    if isinstance(value, bool) or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, dict):
-        return {key: value[key] for key in sorted(value)}
-    if isinstance(value, tuple):
-        return [_wire_object(item) for item in value]
-    raise TypeError(f"cannot encode field value {value!r}")
-
-
-def _wire_object(obj: Any, type_name: str | None = None) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    if type_name is not None:
-        out["type"] = type_name
-    for name in sorted(f.name for f in fields(obj)):
-        value = getattr(obj, name)
-        if value is None:
-            continue
-        out[name] = _wire_value(value)
-    return out
+def _fields(obj: Any) -> dict[str, Any]:
+    """A message dataclass's set fields: its instance dict minus ``None``."""
+    return {name: value for name, value in vars(obj).items() if value is not None}
 
 
 def encode(message: Message) -> bytes:
@@ -230,8 +213,9 @@ def encode(message: Message) -> bytes:
     type_name = _TYPE_NAMES.get(type(message))
     if type_name is None:
         raise TypeError(f"not a wire message: {type(message).__name__}")
-    text = json.dumps(_wire_object(message, type_name), separators=(",", ":"))
-    return text.encode("utf-8") + b"\n"
+    # Every message has a field, so the object is never "{}".
+    text = json.dumps(_fields(message), sort_keys=True, separators=(",", ":"), default=_fields)
+    return f'{{"type":"{type_name}",{text[1:]}\n'.encode("utf-8")
 
 
 def _check_str(value: Any, name: str) -> str:

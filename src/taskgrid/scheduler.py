@@ -182,6 +182,8 @@ class Scheduler:
         if not validate_transition(from_state, to_state):
             raise AssertionError(f"illegal transition {from_state} -> {to_state} for {task.task_id}")
         task.state = to_state
+        if to_state is TaskState.COMPLETED or to_state is TaskState.FAILED:
+            task.payload_b64 = ""  # no DISPATCH can follow
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 
@@ -215,19 +217,18 @@ class Scheduler:
                 self._requeue(orphan, now_ms)
         profile.last_heartbeat_ms = now_ms
         profile.last_beat_ts_ms = None
-        profile.busy = False
         profile.current_task = None
         self.catalog.insert(profile)
 
-    def heartbeat(self, worker_id: str, ts_ms: int, busy: bool, now_ms: int) -> bool:
+    def heartbeat(self, worker_id: str, ts_ms: int, now_ms: int) -> bool:
         """Record liveness at ``now_ms``, the master's clock; returns False
         for unknown workers.
 
         ``ts_ms`` is on the worker's own clock, which is never compared
         with the master's: it only drops that worker's out-of-order
-        beats (older than the newest seen). The busy flag is
-        informational only; the catalog's busy state is maintained by
-        dispatch/completion bookkeeping.
+        beats (older than the newest seen). A worker is busy exactly
+        while it holds a dispatched task, so the beat's own busy flag is
+        not read.
         """
         profile = self.catalog.workers.get(worker_id)
         if profile is None:
@@ -313,9 +314,7 @@ class Scheduler:
                 continue
             task_id = queue.popleft()[2]
             task = self.tasks[task_id]
-            profile = workers[worker_id]
-            profile.busy = True
-            profile.current_task = task_id
+            workers[worker_id].current_task = task_id
             task.assigned_worker = worker_id
             task.timing.dispatched_ms = now_ms
             self._transition(task, TaskState.DISPATCHED, now_ms)
@@ -346,6 +345,5 @@ class Scheduler:
             self._transition(task, TaskState.FAILED, now_ms)
         profile = self.catalog.workers.get(worker_id)
         if profile is not None:
-            profile.busy = False
             profile.current_task = None
         return True

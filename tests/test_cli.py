@@ -41,9 +41,8 @@ def run_cli(*args, **kwargs):
 def spawn_cli(*args):
     return subprocess.Popen(
         [sys.executable, "-m", "taskgrid.cli", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
 
 

@@ -187,14 +187,14 @@ def test_one_beat_per_interval_of_the_latest_ack():
     # 1600) find no beat due and send nothing.
     cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=2000))
     beats = []
-    handle = cluster.core.handle
+    deliver = cluster.core.deliver
 
     def spy(message, sender):
         if isinstance(message, Heartbeat):
             beats.append(cluster.now_ms)
-        return handle(message, sender)
+        deliver(message, sender)
 
-    cluster.core.handle = spy
+    cluster.core.deliver = spy
     worker = cluster.add_worker("W1", cpu_mhz=2400)
     for at_ms, interval_ms in ((100, 500), (1300, 800)):
         cluster.advance(at_ms - cluster.now_ms)

@@ -1,7 +1,9 @@
+import gc
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -141,13 +143,13 @@ def test_unknown_job_is_an_error(server):
 def _record_request_types(server):
     """Names of the message types the master handles, in arrival order."""
     seen = []
-    handle = server.core.handle
+    deliver = server.core.deliver
 
     def recording(message, sender):
         seen.append(type(message).__name__)
-        return handle(message, sender)
+        deliver(message, sender)
 
-    server.core.handle = recording
+    server.core.deliver = recording
     return seen
 
 
@@ -318,6 +320,24 @@ def test_bind_conflict_raises():
             MasterServer("127.0.0.1", srv.port, SchedulerConfig())
     finally:
         srv.shutdown()
+
+
+def test_a_server_shut_down_before_serving_closes_its_sockets():
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    server.shutdown()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        del server
+        gc.collect()
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
+
+
+def test_serve_forever_after_shutdown_returns_at_once():
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    server.shutdown()
+    thread = server.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_alternating_noop_stress_completes_every_task():

@@ -115,6 +115,53 @@ def test_job_progress_golden_bytes():
     )
 
 
+def test_nested_messages_golden_bytes():
+    submit = Submit(
+        job_id="J1",
+        tasks=(
+            SubmitTask(
+                task_id="T2",
+                kind="sobel_par",
+                requires_gpu=True,
+                params={"zeta": "1", "alpha": "x", "mid": ""},
+                payload_b64="UDUK",
+            ),
+            SubmitTask(task_id="T1", kind="noop", requires_gpu=False),
+        ),
+    )
+    assert encode(submit) == (
+        b'{"type":"SUBMIT","job_id":"J1","tasks":[{"kind":"sobel_par",'
+        b'"params":{"alpha":"x","mid":"","zeta":"1"},"payload_b64":"UDUK",'
+        b'"requires_gpu":true,"task_id":"T2"},{"kind":"noop","params":{},'
+        b'"payload_b64":"","requires_gpu":false,"task_id":"T1"}]}\n'
+    )
+    reply = JobStatusReply(
+        job_id="J1",
+        tasks=(
+            TaskReport(
+                task_id="T1",
+                state="COMPLETED",
+                worker_id="W1",
+                submitted_ms=10,
+                completed_ms=30,
+                exec_ms=5,
+                output_b64="",
+            ),
+            TaskReport(task_id="T2", state="FAILED", error='bad "é"'),
+        ),
+    )
+    assert encode(reply) == (
+        b'{"type":"JOB_STATUS_REPLY","job_id":"J1","tasks":[{"completed_ms":30,'
+        b'"exec_ms":5,"output_b64":"","state":"COMPLETED","submitted_ms":10,'
+        b'"task_id":"T1","worker_id":"W1"},'
+        b'{"error":"bad \\"\\u00e9\\"","state":"FAILED","task_id":"T2"}]}\n'
+    )
+    assert encode(Submit(job_id="J3")) == b'{"type":"SUBMIT","job_id":"J3","tasks":[]}\n'
+    assert encode(JobStatusReply(job_id="J2", tasks=())) == (
+        b'{"type":"JOB_STATUS_REPLY","job_id":"J2","tasks":[]}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "line, match",
     [

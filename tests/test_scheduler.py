@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from taskgrid import protocol
 from taskgrid.master import MasterCore
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
-from taskgrid.protocol import Heartbeat, Register
+from taskgrid.protocol import Dispatch, Heartbeat, Register, Result, Submit, SubmitTask
 from taskgrid.scheduler import (
     DuplicateTaskError,
     RegistrationError,
@@ -96,21 +97,21 @@ def test_insertion_preserves_rotation_of_existing_workers():
 def test_heartbeat_updates_timestamp():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
-    assert s.heartbeat("W1", 5000, busy=False, now_ms=700)
+    assert s.heartbeat("W1", 5000, now_ms=700)
     assert s.catalog.workers["W1"].last_heartbeat_ms == 700
     assert s.catalog.workers["W1"].last_beat_ts_ms == 5000
 
 
 def test_heartbeat_unknown_worker():
     s = mk_scheduler()
-    assert not s.heartbeat("W9", 1000, busy=False, now_ms=1000)
+    assert not s.heartbeat("W9", 1000, now_ms=1000)
 
 
 def test_out_of_order_heartbeat_ignored():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
-    s.heartbeat("W1", 5000, False, now_ms=100)
-    s.heartbeat("W1", 4000, False, now_ms=200)
+    s.heartbeat("W1", 5000, now_ms=100)
+    s.heartbeat("W1", 4000, now_ms=200)
     assert s.catalog.workers["W1"].last_beat_ts_ms == 5000
     assert s.catalog.workers["W1"].last_heartbeat_ms == 100
     # replaying any permutation settles on the maximum
@@ -118,7 +119,7 @@ def test_out_of_order_heartbeat_ignored():
     stamps = list(range(5001, 5030))
     rng.shuffle(stamps)
     for now, ts in enumerate(stamps, start=300):
-        s.heartbeat("W1", ts, False, now_ms=now)
+        s.heartbeat("W1", ts, now_ms=now)
     assert s.catalog.workers["W1"].last_beat_ts_ms == 5029
 
 
@@ -144,6 +145,41 @@ def test_liveness_uses_master_clock_not_worker_clock():
     assert evicted_at == {"Wahead": 1_010_000}
 
 
+def test_a_finished_task_drops_its_payload_and_a_requeued_one_keeps_it():
+    clock = [0]
+    config = SchedulerConfig(heartbeat_interval_ms=100, liveness_misses=2, unschedulable_timeout_ms=500)
+    core = MasterCore(config, clock=lambda: clock[0])
+    sent = []
+    core.deliver(Register(worker_id="W1", cpu_mhz=2000, has_gpu=False), sent.append)
+    entries = [("ok", False, "AAEC"), ("bad", False, "AwQF"), ("gpu", True, "BgcI"), ("again", False, "CQoL")]
+    core.deliver(
+        Submit(
+            job_id="J",
+            tasks=tuple(
+                SubmitTask(task_id=tid, kind="noop", requires_gpu=gpu, payload_b64=payload)
+                for tid, gpu, payload in entries
+            ),
+        ),
+        sent.append,
+    )
+    tasks = core.scheduler.tasks
+    core.deliver(Result(task_id="ok", worker_id="W1", status="OK", exec_ms=1, output_b64="DA=="), None)
+    core.deliver(Result(task_id="bad", worker_id="W1", status="FAILED", exec_ms=1, error="boom"), None)
+    assert (tasks["ok"].state, tasks["bad"].state) == (TaskState.COMPLETED, TaskState.FAILED)
+    assert tasks["ok"].payload_b64 == tasks["bad"].payload_b64 == ""
+    # W1 holds "again" and goes silent: eviction re-queues it with its payload.
+    clock[0] = 600
+    core.tick()
+    assert tasks["gpu"].error == UNSCHEDULABLE_ERROR
+    assert (tasks["again"].state, tasks["gpu"].payload_b64) == (TaskState.QUEUED, "")
+    assert tasks["again"].payload_b64 == "CQoL"
+    core.deliver(Register(worker_id="W2", cpu_mhz=2000, has_gpu=False), sent.append)
+    first, second = [protocol.encode(m) for m in sent if isinstance(m, Dispatch) and m.task_id == "again"]
+    assert first == second
+    reports = {r.task_id: r for r in core.job_status_reply("J").tasks}
+    assert (reports["ok"].output_b64, reports["bad"].output_b64) == ("DA==", None)
+
+
 # -- eviction ---------------------------------------------------------------------
 
 
@@ -159,8 +195,8 @@ def test_fresh_workers_not_evicted():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
     s.register_worker(mk_profile("W2"), 0)
-    s.heartbeat("W1", 5000, False, now_ms=5000)
-    s.heartbeat("W2", 5500, False, now_ms=5500)
+    s.heartbeat("W1", 5000, now_ms=5000)
+    s.heartbeat("W2", 5500, now_ms=5500)
     assert s.evict_stale(7000) == []
     assert set(s.catalog.workers) == {"W1", "W2"}
 
@@ -446,9 +482,9 @@ def _run_random_trace(seed):
             wid = live_dispatched.pop(tid)
             s.complete_task(tid, wid, ok=rng.random() < 0.9, exec_ms=rng.randrange(100), now_ms=now)
         else:
-            for wid, profile in list(s.catalog.workers.items()):
+            for wid in list(s.catalog.workers):
                 if rng.random() < 0.3:
-                    s.heartbeat(wid, now, profile.busy, now_ms=now)
+                    s.heartbeat(wid, now, now_ms=now)
             for wid in s.evict_stale(now):
                 live_dispatched = {
                     tid: w for tid, w in live_dispatched.items() if w != wid

@@ -86,7 +86,6 @@ class ScanScheduler(Scheduler):
                 remaining.append(task_id)
                 continue
             profile = self.catalog.workers[worker_id]
-            profile.busy = True
             profile.current_task = task_id
             task.assigned_worker = worker_id
             task.timing.dispatched_ms = now_ms
@@ -127,7 +126,7 @@ class _Side:
             return None
         if name == "beat_and_evict":
             for worker_id in args:
-                s.heartbeat(worker_id, now, False, now_ms=now)
+                s.heartbeat(worker_id, now, now_ms=now)
             return s.evict_stale(now)
         if name == "round":
             return s.schedule_round(now)
