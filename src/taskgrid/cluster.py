@@ -17,6 +17,10 @@ time), but the RESULT is delivered after the executor-reported exec_ms
 of *logical* time, so tasks stay observably in flight. A task param
 ``sim_exec_ms`` overrides that logical duration (real agents ignore
 it); use it to hold a task in flight across heartbeat windows.
+
+Every task transition is recorded; each one into DISPATCHED is also
+recorded as an assignment, with the capabilities of the worker the task
+was assigned to.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable
 
 from . import protocol
 from .master import MasterCore
-from .model import TaskDescriptor, TaskState, WorkerProfile
+from .model import TaskDescriptor, TaskState
 from .protocol import (
     Dispatch,
     JobStatus,
@@ -98,7 +102,7 @@ class SimWorker:
             self.to_master.send(message)
 
     def start(self) -> None:
-        self._send(self.core.register)
+        self.core.register_when_idle(self._send)
 
     def on_message(self, message: Message) -> None:
         if not self.alive:
@@ -147,7 +151,6 @@ class InProcCluster:
             self.config,
             clock=lambda: self.now_ms,
             on_transition=self._record_transition,
-            on_assignment=self._record_assignment,
         )
         self.workers: dict[str, SimWorker] = {}
         self._client_channel = _Channel(
@@ -162,13 +165,13 @@ class InProcCluster:
         self, task: TaskDescriptor, from_state: TaskState, to_state: TaskState, at_ms: int
     ) -> None:
         self.transitions.append(TransitionEvent(task.task_id, from_state, to_state, at_ms))
-
-    def _record_assignment(self, task: TaskDescriptor, profile: WorkerProfile, at_ms: int) -> None:
-        self.assignments.append(
-            AssignmentEvent(
-                task.task_id, profile.worker_id, task.requires_gpu, profile.has_gpu, at_ms
+        if to_state is TaskState.DISPATCHED:
+            profile = self.core.scheduler.catalog.workers[task.assigned_worker]
+            self.assignments.append(
+                AssignmentEvent(
+                    task.task_id, profile.worker_id, task.requires_gpu, profile.has_gpu, at_ms
+                )
             )
-        )
 
     # -- wiring ----------------------------------------------------------------
 

@@ -51,7 +51,6 @@ from .scheduler import (
 logger = logging.getLogger(__name__)
 
 Sender = Callable[[Message], None]
-AssignmentHook = Callable[[TaskDescriptor, WorkerProfile, int], None]
 
 
 class MasterCore:
@@ -62,14 +61,11 @@ class MasterCore:
         config: SchedulerConfig,
         clock: Callable[[], int] = monotonic_ms,
         on_transition: TransitionHook | None = None,
-        on_assignment: AssignmentHook | None = None,
     ):
         self.config = config
         self.clock = clock
         self.scheduler = Scheduler(config, on_transition=on_transition)
         self.jobs: dict[str, list[str]] = {}
-        self._senders: dict[str, Sender] = {}
-        self._on_assignment = on_assignment
 
     # -- event handling ------------------------------------------------------
 
@@ -79,8 +75,8 @@ class MasterCore:
         worker receives.
 
         ``sender`` must deliver a message back over the connection the
-        inbound message arrived on; it is retained for workers so that
-        later dispatches can reach them.
+        inbound message arrived on; a REGISTER's is kept on the worker's
+        profile, so that later dispatches can reach it.
         """
         if isinstance(message, Register):
             now = self.clock()
@@ -114,13 +110,14 @@ class MasterCore:
     def tick(self) -> None:
         """Periodic eviction pass plus a scheduling round."""
         now = self.clock()
-        for worker_id in self.scheduler.evict_stale(now):
-            self._senders.pop(worker_id, None)
+        self.scheduler.evict_stale(now)
         self._pump(now)
 
     def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
+        profile = WorkerProfile.from_register(message)
+        profile.sender = sender
         try:
-            self.scheduler.register_worker(WorkerProfile.from_register(message), now)
+            self.scheduler.register_worker(profile, now)
         except RegistrationError as exc:
             logger.warning("rejected registration from %s: %s", message.worker_id, exc)
             return RegisterAck(
@@ -128,7 +125,6 @@ class MasterCore:
                 heartbeat_interval_ms=self.config.heartbeat_interval_ms,
                 reason=str(exc),
             )
-        self._senders[message.worker_id] = sender
         logger.info(
             "registered worker %s (%d MHz, %s)",
             message.worker_id,
@@ -179,8 +175,6 @@ class MasterCore:
         """Run a scheduling round and push DISPATCH messages out."""
         for task_id, worker_id in self.scheduler.schedule_round(now_ms):
             task = self.scheduler.tasks[task_id]
-            if self._on_assignment is not None:
-                self._on_assignment(task, self.scheduler.catalog.workers[worker_id], now_ms)
             dispatch = Dispatch(
                 task_id=task.task_id,
                 kind=task.kind,
@@ -188,14 +182,14 @@ class MasterCore:
                 params=dict(task.params),
                 payload_b64=task.payload_b64,
             )
-            sender = self._senders.get(worker_id)
-            if sender is None:
-                logger.error("no connection for worker %s; awaiting eviction", worker_id)
-                continue
             try:
-                sender(dispatch)
+                self.scheduler.catalog.workers[worker_id].sender(dispatch)
+            except ConnectionError as exc:
+                # Say, a worker that reconnected mid-task: the REGISTER it
+                # sends after its RESULT re-queues the task.
+                logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc)
             except Exception:
-                logger.exception("failed to send dispatch to %s; awaiting eviction", worker_id)
+                logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id)
 
     # -- reporting -------------------------------------------------------------
 

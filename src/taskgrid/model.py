@@ -14,10 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from .protocol import Register, TaskReport
+    from .protocol import Message, Register, TaskReport
 
 
 def monotonic_ms() -> int:
@@ -120,6 +120,8 @@ class WorkerProfile:
     worker's own clock, and only orders that worker's beats.
     ``current_task`` is the task the master dispatched to the worker and
     has not yet seen finish; ``busy`` is derived from it.
+    ``sender`` delivers a message over the connection the worker
+    registered on; the master sends its DISPATCHes through it.
     """
 
     worker_id: str
@@ -130,6 +132,7 @@ class WorkerProfile:
     last_heartbeat_ms: int = 0
     last_beat_ts_ms: int | None = None
     current_task: str | None = None
+    sender: Callable[[Message], None] | None = field(default=None, compare=False, repr=False)
 
     @property
     def busy(self) -> bool:

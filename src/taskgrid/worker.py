@@ -1,12 +1,13 @@
 """Worker: registers with a master, heartbeats, executes dispatches.
 
 :class:`WorkerCore` holds every rule of the single-slot worker, the
-heartbeat cadence included, free of any transport; :class:`WorkerAgent`
-drives it over TCP with two long-lived threads: the socket reader, which
-also sends each beat when it falls due (so beats go on mid-task), and
-one executor fed through a queue (so the reader keeps draining while a
-task runs: a master sending a large payload must never deadlock against
-a busy executor).
+heartbeat cadence and when to register included, free of any transport;
+:class:`WorkerAgent` drives it over TCP with two long-lived threads: the
+socket reader, which also sends each beat when it falls due (so beats go
+on mid-task), and one executor fed through a queue (so the reader keeps
+draining while a task runs: a master sending a large payload must never
+deadlock against a busy executor). One lock serialises every core call
+and every socket write; the executor only computes outside it.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ class WorkerCore:
     ``busy`` is the slot; ``beat_interval_ms`` is the cadence of the
     latest accepted REGISTER_ACK and ``next_beat_ms`` when the next beat
     falls due on ``clock``, both ``None`` until the first.
+    ``register_pending`` is a REGISTER deferred until the running task's
+    RESULT has gone out.
     """
 
     def __init__(
@@ -124,6 +127,7 @@ class WorkerCore:
         self.registry = registry
         self.clock = clock
         self.busy = False
+        self.register_pending = False
         self.beat_interval_ms: int | None = None
         self.next_beat_ms: int | None = None
 
@@ -144,7 +148,7 @@ class WorkerCore:
         elif isinstance(message, HeartbeatAck):
             if message.status == protocol.HEARTBEAT_NOT_REGISTERED:
                 logger.warning("master does not know us; re-registering")
-                send(self.register)
+                self.register_when_idle(send)
         elif isinstance(message, Dispatch):
             if self.busy:
                 # Master bug guard; a healthy master never double-dispatches.
@@ -166,11 +170,25 @@ class WorkerCore:
     def execute(self, dispatch: Dispatch) -> Result:
         return execute_dispatch(self.registry, dispatch, self.register.worker_id)
 
+    def register_when_idle(self, send: Sender) -> None:
+        """Send the REGISTER now if the slot is idle, else right after the
+        running task's RESULT: a master that sees a new registration
+        re-queues the task the worker held and may dispatch it straight
+        back into the busy slot."""
+        if self.busy:
+            self.register_pending = True
+            return
+        # Cleared first, so a send that raises cannot repeat it later.
+        self.register_pending = False
+        send(self.register)
+
     def finish(self, result: Result, send: Sender) -> None:
         # Free the slot before the RESULT goes out: the master may
         # dispatch the next task as soon as it reads it.
         self.busy = False
         send(result)
+        if self.register_pending:
+            self.register_when_idle(send)
 
     def heartbeat(self, ts_ms: int) -> Heartbeat:
         return Heartbeat(worker_id=self.register.worker_id, ts_ms=ts_ms, busy=self.busy)
@@ -188,7 +206,13 @@ class WorkerCore:
 
 
 class WorkerAgent:
-    """Long-running agent; ``run()`` blocks until stopped or rejected."""
+    """Long-running agent; ``run()`` blocks until stopped or rejected.
+
+    One lock serialises every :class:`WorkerCore` call (the reader's
+    ``handle`` and ``beat_if_due``, the REGISTER at session start and the
+    executor's ``finish``) and so every socket write; the executor runs
+    ``execute`` outside it.
+    """
 
     def __init__(self, config: WorkerConfig, registry: ExecutorRegistry | None = None):
         config.validate()
@@ -199,7 +223,7 @@ class WorkerAgent:
         )
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
-        self._sock_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._exec_thread: threading.Thread | None = None
         self._exec_queue: queue.SimpleQueue[Dispatch | None] = queue.SimpleQueue()
 
@@ -230,7 +254,8 @@ class WorkerAgent:
                 delay = RETRY_BASE_S
             except RegistrationRejected:
                 raise
-            except OSError as exc:
+            except (OSError, protocol.FramingError) as exc:
+                # An oversized line from the master loses the session too.
                 if self._stop.is_set():
                     return  # stop() closed the socket
                 logger.warning(
@@ -248,8 +273,9 @@ class WorkerAgent:
         address = (self.config.master_host, self.config.master_port)
         sock = socket.create_connection(address, timeout=10)
         sock.settimeout(None)
-        self._sock = sock
-        self._send(self.core.register)
+        with self._lock:
+            self._sock = sock
+            self.core.register_when_idle(self._send)
         logger.info("connected to master at %s:%d", *address)
         # Not sock.settimeout: the executor's sendall of a large RESULT
         # would share that timeout.
@@ -258,7 +284,8 @@ class WorkerAgent:
         framer = protocol.LineFramer()
         while not self._stop.is_set():
             # A beat that fails to send ends the session like a failed recv.
-            self.core.beat_if_due(self._send)
+            with self._lock:
+                self.core.beat_if_due(self._send)
             due = self.core.next_beat_ms
             if not poller.poll(None if due is None else max(due - self.core.clock(), 0)):
                 continue  # the next beat is due
@@ -271,7 +298,8 @@ class WorkerAgent:
                 except protocol.ProtocolError as exc:
                     logger.warning("dropping undecodable line from master: %s", exc)
                     continue
-                self.core.handle(message, self._send, self._start_task)
+                with self._lock:
+                    self.core.handle(message, self._send, self._start_task)
 
     def _start_task(self, dispatch: Dispatch) -> None:
         if self._exec_thread is None:
@@ -286,21 +314,22 @@ class WorkerAgent:
         # and is logged. ``stop()`` queues the None that ends it.
         while (dispatch := self._exec_queue.get()) is not None:
             try:
-                self.core.finish(self.core.execute(dispatch), self._send)
+                result = self.core.execute(dispatch)
+                with self._lock:
+                    self.core.finish(result, self._send)
             except BaseException:
                 logger.exception("failed to run or report %s", dispatch.task_id)
 
     # -- plumbing ---------------------------------------------------------------
 
     def _send(self, message: Message) -> None:
-        with self._sock_lock:
-            sock = self._sock
-            if sock is None:
-                raise ConnectionError("not connected")
-            sock.sendall(protocol.encode(message))
+        # Called with ``_lock`` held.
+        if self._sock is None:
+            raise ConnectionError("not connected")
+        self._sock.sendall(protocol.encode(message))
 
     def _close_socket(self) -> None:
-        with self._sock_lock:
+        with self._lock:
             if self._sock is not None:
                 try:
                     self._sock.close()

@@ -213,3 +213,19 @@ def test_executor_exit_fails_the_task():
     [report] = cluster.run_until_terminal().tasks
     assert (report.state, report.error) == ("FAILED", "SystemExit: 3")
     assert "W1" in cluster.core.scheduler.catalog.workers
+
+
+def test_a_worker_that_registers_again_mid_task_finishes_it_first():
+    # A REGISTER from a busy worker would make the master re-queue its task
+    # and dispatch it straight back, to be refused with BUSY.
+    cluster = InProcCluster()
+    worker = cluster.add_worker("W1", cpu_mhz=2400)
+    cluster.submit(
+        [make_task("sleep", params={"duration_ms": "0", "sim_exec_ms": "20000"}, task_id="T1")]
+    )
+    cluster.advance(1000)
+    worker.start()
+    [report] = cluster.run_until_terminal().tasks
+    assert report.state == "COMPLETED"
+    assert [a.task_id for a in cluster.assignments] == ["T1"]
+    assert cluster.core.scheduler.tasks["T1"].attempt == 0

@@ -1,4 +1,5 @@
 import gc
+import logging
 import socket
 import sys
 import threading
@@ -7,9 +8,10 @@ import warnings
 
 import pytest
 
+import taskgrid.worker as worker_mod
 from taskgrid import protocol
 from taskgrid.client import ClientError, MasterClient, make_task
-from taskgrid.master import MasterServer
+from taskgrid.master import MasterCore, MasterServer
 from taskgrid.protocol import (
     Dispatch,
     ErrorReply,
@@ -18,6 +20,7 @@ from taskgrid.protocol import (
     Register,
     RegisterAck,
     Result,
+    Submit,
 )
 from taskgrid.scheduler import SchedulerConfig
 from taskgrid.worker import WorkerAgent, WorkerConfig
@@ -276,6 +279,64 @@ def test_silent_worker_evicted_and_task_recovered(server):
         finally:
             agent.stop()
     silent.close()
+
+
+def test_a_worker_that_reconnects_mid_task_reports_it_before_registering(monkeypatch):
+    # Registering again at once would re-queue T1 and dispatch it back into
+    # the busy slot, where it would fail with BUSY.
+    monkeypatch.setattr(worker_mod, "RETRY_BASE_S", 0.05)
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=200))
+    server.start()
+    arrivals = []  # (message type, the sender of its connection)
+    deliver = server.core.deliver
+
+    def recording(message, sender):
+        arrivals.append((type(message).__name__, sender))
+        deliver(message, sender)
+
+    server.core.deliver = recording
+    config = WorkerConfig(
+        worker_id="W1", master_host="127.0.0.1", master_port=server.port, cpu_mhz=2400
+    )
+    agent = WorkerAgent(config)
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            task = make_task("sleep", params={"duration_ms": "1500"}, task_id="T1")
+            client.submit([task], job_id="J1")
+            deadline = time.monotonic() + 5
+            while not agent.busy and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)
+            agent._sock.shutdown(socket.SHUT_RDWR)
+            [report] = client.wait_for_job("J1", timeout_s=10).tasks
+    finally:
+        agent.stop()
+        thread.join(5)
+        server.shutdown()
+    assert report.state == "COMPLETED"
+    assert server.core.scheduler.tasks["T1"].attempt == 0
+    worker_messages = [(name, s) for name, s in arrivals if name in ("Register", "Result")]
+    assert worker_messages[0][0] == "Register"
+    first_connection = worker_messages[0][1]
+    assert [name for name, s in worker_messages if s != first_connection] == ["Result", "Register"]
+
+
+def test_a_dispatch_that_fails_to_send_is_one_warning_naming_task_and_worker(caplog):
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+
+    def sender(message):
+        if isinstance(message, Dispatch):
+            raise ConnectionError("connection closed")
+
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), sender)
+    caplog.set_level(logging.WARNING, logger="taskgrid.master")
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), sender)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.exc_info is None
+    assert "T1" in record.getMessage() and "W1" in record.getMessage()
 
 
 def test_state_dump(tmp_path):

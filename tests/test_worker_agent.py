@@ -471,3 +471,40 @@ def test_agent_registers_again_after_the_master_drops_the_session(scripted, monk
     assert master.read_until(Register) == Register(worker_id="W1", cpu_mhz=2400, has_gpu=False)
     master.send(RegisterAck(accepted=True, heartbeat_interval_ms=50))
     assert master.read_until(Heartbeat).worker_id == "W1"
+
+
+def test_an_oversized_line_from_the_master_loses_only_the_session(scripted, monkeypatch):
+    monkeypatch.setattr(worker_mod, "RETRY_BASE_S", 0.05)
+    master, start_agent = scripted
+    start_agent()
+    block = b"x" * 65536  # no LF anywhere: one line past the cap
+    try:
+        for _ in range(protocol.MAX_LINE_BYTES // len(block) + 1):
+            master.conn.sendall(block)
+    except OSError:
+        pass  # the agent dropped the session part-way
+    master.conn.close()
+    master.accept()  # the agent thread is still running and reconnects
+    assert master.read_until(Register) == Register(worker_id="W1", cpu_mhz=2400, has_gpu=False)
+
+
+def test_a_register_never_overtakes_the_result_of_a_running_task(scripted):
+    # NOT_REGISTERED lands just before, during or just after a short task,
+    # while the reader and the executor race for the slot: each REGISTER
+    # follows the RESULT of the task it overlapped, exactly once.
+    master, start_agent = scripted
+    start_agent()
+    rng = random.Random(12)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(100):
+            duration = str(rng.choice([0, 0, 1, 2]))
+            master.send(make_dispatch("sleep", params={"duration_ms": duration}, task_id=f"T{i}"))
+            time.sleep(rng.choice([0, 0.0005, 0.001]))
+            master.send(HeartbeatAck(status="NOT_REGISTERED"))
+            first, second = master.read(), master.read()
+            assert [type(first), type(second)] == [Result, Register]
+            assert first.task_id == f"T{i}"
+    finally:
+        sys.setswitchinterval(previous)

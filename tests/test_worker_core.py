@@ -34,7 +34,9 @@ _ROWS = {
     "beat-ok-idle": (BEAT_OK, False, [], [], None, None),
     "beat-ok-busy": (BEAT_OK, True, [], [], None, None),
     "not-registered-idle": (NOT_REGISTERED, False, [REGISTER], [], None, None),
-    "not-registered-busy": (NOT_REGISTERED, True, [REGISTER], [], None, None),
+    # Deferred until the RESULT: a REGISTER now would make the master
+    # re-queue the running task and dispatch it back into the busy slot.
+    "not-registered-busy": (NOT_REGISTERED, True, [], [], None, None),
     "dispatch-idle": (DISPATCH, False, [], [DISPATCH], None, None),
     "dispatch-busy": (DISPATCH, True, [BUSY], [], None, None),
     "unexpected-idle": (UNEXPECTED, False, [], [], None, None),
@@ -109,6 +111,52 @@ def test_slot_is_freed_when_execution_raises():
     core.finish(result, sent.append)
     assert sent == [result]
     assert not core.busy
+
+
+# -- when to register ----------------------------------------------------------------
+
+
+def test_an_idle_core_registers_at_once():
+    core = make_core()
+    sent = []
+    core.register_when_idle(sent.append)
+    assert sent == [REGISTER]
+    assert not core.register_pending
+
+
+def test_a_busy_core_registers_right_after_the_result():
+    core = make_core()
+    core.handle(DISPATCH, None, lambda dispatch: None)
+    sent = []
+    core.register_when_idle(sent.append)
+    core.handle(NOT_REGISTERED, sent.append, None)  # one pending REGISTER, not two
+    assert sent == []
+    first = core.execute(DISPATCH)
+    core.finish(first, sent.append)
+    assert sent == [first, REGISTER]
+    core.handle(DISPATCH, None, lambda dispatch: None)
+    second = core.execute(DISPATCH)
+    core.finish(second, sent.append)
+    assert sent == [first, REGISTER, second]
+
+
+@pytest.mark.parametrize("failing", ["Result", "Register"])
+def test_a_send_that_raises_in_finish_leaves_one_register_to_send(failing):
+    core = make_core()
+    core.handle(DISPATCH, None, lambda dispatch: None)
+    core.register_when_idle(None)
+
+    def send(message):
+        if type(message).__name__ == failing:
+            raise ConnectionError("gone")
+
+    with pytest.raises(ConnectionError):
+        core.finish(core.execute(DISPATCH), send)
+    sent = []
+    core.register_when_idle(sent.append)  # the next session's start
+    core.handle(DISPATCH, None, lambda dispatch: None)
+    core.finish(core.execute(DISPATCH), sent.append)
+    assert [type(message).__name__ for message in sent] == ["Register", "Result"]
 
 
 # -- heartbeat cadence, on a clock the test sets -----------------------------------
