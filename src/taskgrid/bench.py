@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import protocol
 from .client import MasterClient, make_task
 from .model import overhead_ms
 from .protocol import TaskReport
 from .sobel import parse_pgm
 
 CSV_HEADER = "label,m,n,seq_exec_ms,par_exec_ms,turnaround_ms,overhead_ms"
+TASK_TIMEOUT_S = 600.0
 
 
 class IntegrityError(RuntimeError):
@@ -104,7 +104,6 @@ def run_bench(
     images: list[tuple[str, bytes]],
     lane_count: int | None = None,
     repeat: int = 1,
-    task_timeout_s: float = 600.0,
 ) -> BenchReport:
     """Run seq and par tasks for every image; ``repeat`` runs each and
     reports the median-execution run. Aborts with :class:`IntegrityError`
@@ -116,11 +115,11 @@ def run_bench(
     for label, payload in images:
         img = parse_pgm(payload)
         seq_runs = [
-            _run_one(client, "sobel_seq", payload, False, {}, task_timeout_s)
+            _run_one(client, "sobel_seq", payload, False, {}, TASK_TIMEOUT_S)
             for _ in range(repeat)
         ]
         par_runs = [
-            _run_one(client, "sobel_par", payload, True, par_params, task_timeout_s)
+            _run_one(client, "sobel_par", payload, True, par_params, TASK_TIMEOUT_S)
             for _ in range(repeat)
         ]
         reference = seq_runs[0].output_b64
@@ -145,7 +144,3 @@ def run_bench(
             )
         )
     return BenchReport(rows)
-
-
-def output_bytes(report: TaskReport) -> bytes:
-    return protocol.from_b64(report.output_b64 or "")

@@ -1,11 +1,12 @@
 """Deterministic in-process cluster for integration testing.
 
-One :class:`MasterCore` and any number of simulated workers are wired
-through in-memory channels that carry the exact wire-protocol bytes
-(every message passes through encode -> framer -> decode). Each
-simulated worker runs the production :class:`WorkerCore`, heartbeat
-cadence included, like the TCP :class:`WorkerAgent`; the two differ only
-in transport, clock and when execution runs. A simulated worker wakes
+One :class:`MasterCore` serves the client and any number of simulated
+workers through the master's production :class:`Connection`, each over
+an in-memory socket that carries the exact wire-protocol bytes (every
+message passes through encode -> framer -> decode). Each simulated
+worker runs the production :class:`WorkerCore`, heartbeat cadence
+included, like the TCP :class:`WorkerAgent`; the two differ only in
+transport, clock and when execution runs. A simulated worker wakes
 when its core's next beat falls due, where the agent's reader stops
 waiting for input. Time is a logical clock advanced by the test script;
 heartbeats, eviction ticks and task completions are discrete events
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import protocol
-from .master import MasterCore
+from .master import Connection, MasterCore
 from .model import TaskDescriptor, TaskState
 from .protocol import (
     Dispatch,
@@ -71,21 +72,54 @@ class _Event:
     action: Callable[[], None] = field(compare=False)
 
 
-class _Channel:
-    """One direction of an in-memory duplex link carrying wire bytes."""
+class _Link:
+    """The master's end of one simulated peer's link: both the socket and
+    the selector of the :class:`Connection` that serves the peer.
+
+    Each send crosses in one event at delay 0. Bytes the master sends are
+    framed, decoded and handed to ``deliver`` on the peer's side (each
+    DISPATCH line is recorded as it arrives); bytes the peer :meth:`put`
+    land in the inbox, which the connection reads until it is empty.
+    """
 
     def __init__(self, cluster: InProcCluster, deliver: Callable[[Message], None]):
         self._cluster = cluster
         self._deliver = deliver
-        self._framer = protocol.LineFramer()
+        self._framer = protocol.LineFramer()  # the peer's
+        self._inbox = bytearray()
+        self.conn = Connection(self, self, cluster.core)
 
-    def send_bytes(self, data: bytes) -> None:
+    def put(self, data: bytes) -> None:
+        """The peer sends ``data`` to the master."""
+        self._cluster._schedule(0, lambda: self._arrive(data))
+
+    def _arrive(self, data: bytes) -> None:
+        self._inbox += data
+        while self._inbox and not self.conn.closed:
+            self.conn.read()
+
+    def recv(self, bufsize: int) -> bytes:
+        chunk = bytes(self._inbox[:bufsize])
+        del self._inbox[:bufsize]
+        return chunk
+
+    def send(self, data: memoryview) -> int:
+        chunk = bytes(data)
+        self._cluster._schedule(0, lambda: self._to_peer(chunk))
+        return len(chunk)
+
+    def _to_peer(self, data: bytes) -> None:
         for line in self._framer.feed(data):
             message = protocol.decode(line)
-            self._cluster._schedule(0, lambda m=message: self._deliver(m))
+            if isinstance(message, Dispatch):
+                self._cluster.dispatch_frames.append(line + b"\n")
+            self._deliver(message)
 
-    def send(self, message: Message) -> None:
-        self.send_bytes(protocol.encode(message))
+    def _ignore(self, *args: object) -> None:
+        """Sends never block and nothing is held open, so the selector
+        calls, ``setblocking`` and ``close`` change nothing."""
+
+    setblocking = register = modify = unregister = close = _ignore
 
 
 class SimWorker:
@@ -95,11 +129,11 @@ class SimWorker:
         self.cluster = cluster
         self.core = core
         self.alive = True
-        self.to_master: _Channel | None = None
+        self.link = _Link(cluster, self.on_message)
 
     def _send(self, message: Message) -> None:
-        if self.alive and self.to_master is not None:
-            self.to_master.send(message)
+        if self.alive:
+            self.link.put(protocol.encode(message))
 
     def start(self) -> None:
         self.core.register_when_idle(self._send)
@@ -153,10 +187,8 @@ class InProcCluster:
             on_transition=self._record_transition,
         )
         self.workers: dict[str, SimWorker] = {}
-        self._client_channel = _Channel(
-            self, lambda m: self.core.deliver(m, self._client_replies.append)
-        )
         self._client_replies: list[Message] = []
+        self._client = _Link(self, self._client_replies.append)
         self._schedule(self.config.heartbeat_interval_ms, self._master_tick)
 
     # -- recording -----------------------------------------------------------
@@ -182,17 +214,6 @@ class InProcCluster:
     def _master_tick(self) -> None:
         self.core.tick()
         self._schedule(self.config.heartbeat_interval_ms, self._master_tick)
-
-    def _attach_worker(self, worker: SimWorker) -> None:
-        to_worker = _Channel(self, worker.on_message)
-
-        def master_sender(message: Message) -> None:
-            data = protocol.encode(message)
-            if isinstance(message, Dispatch):
-                self.dispatch_frames.append(data)
-            to_worker.send_bytes(data)
-
-        worker.to_master = _Channel(self, lambda m: self.core.deliver(m, master_sender))
 
     # -- cluster control -----------------------------------------------------------
 
@@ -221,7 +242,6 @@ class InProcCluster:
         )
         registry = registry or built_in_registry(lane_count=lane_count, simulated_sleep=True)
         worker = SimWorker(self, WorkerCore(register, registry, clock=lambda: self.now_ms))
-        self._attach_worker(worker)
         self.workers[worker_id] = worker
         worker.start()
         self._drain_due_events()
@@ -233,14 +253,14 @@ class InProcCluster:
         self.workers[worker_id].alive = False
 
     def submit(self, tasks: list[SubmitTask], job_id: str = "job") -> SubmitAck:
-        self._client_channel.send(Submit(job_id=job_id, tasks=tuple(tasks)))
+        self._client.put(protocol.encode(Submit(job_id=job_id, tasks=tuple(tasks))))
         self._drain_due_events()
         reply = self._client_replies.pop(0)
         assert isinstance(reply, SubmitAck), reply
         return reply
 
     def job_status(self, job_id: str = "job") -> JobStatusReply:
-        self._client_channel.send(JobStatus(job_id=job_id))
+        self._client.put(protocol.encode(JobStatus(job_id=job_id)))
         self._drain_due_events()
         reply = self._client_replies.pop(0)
         assert isinstance(reply, JobStatusReply), reply

@@ -7,7 +7,8 @@ wraps it in a TCP server that runs on one thread: a selector loop
 accepts, reads, calls the core, runs its eviction tick and writes
 through per-connection queues that never block, so the master is one
 event loop and a peer that stops reading holds up only its own
-connection.
+connection. :class:`Connection` is that per-peer code; the in-process
+cluster drives the same class over an in-memory socket.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ class MasterCore:
         replies: list[Message] = []
         self.deliver(message, lambda m: sender(m) if isinstance(m, Dispatch) else replies.append(m))
         return replies[0] if replies else None
+
+    def connection_closed(self, sender: Sender) -> None:
+        """Forget the idle worker registered through ``sender``, whose
+        connection has closed. A busy one keeps its task until eviction:
+        its RESULT may still arrive on a new connection."""
+        for profile in list(self.scheduler.catalog.workers.values()):
+            if profile.sender == sender and not profile.busy:
+                self.scheduler.catalog.remove(profile.worker_id)
+                logger.info("worker %s closed its connection", profile.worker_id)
 
     def tick(self) -> None:
         """Periodic eviction pass plus a scheduling round."""
@@ -243,18 +253,22 @@ class MasterCore:
             yield protocol.encode(reply)
 
 
-class _Connection:
-    """One peer of the loop: a non-blocking socket, its framer and the
-    encoded bytes not yet sent."""
+class Connection:
+    """One peer of the master: a non-blocking socket, its framer and the
+    encoded bytes not yet sent. Every line read goes to ``core``, which
+    also hears when the connection closes; ``selector`` is told which
+    events the socket waits for."""
 
-    def __init__(self, sock: socket.socket, selector: selectors.BaseSelector):
+    def __init__(self, sock: socket.socket, selector: selectors.BaseSelector, core: MasterCore):
         sock.setblocking(False)
         self.sock = sock
         self.closed = False
+        self._core = core
         self._framer = protocol.LineFramer()
         self._unsent: deque[memoryview] = deque()
         self._selector = selector
-        selector.register(sock, selectors.EVENT_READ, self)
+        self._events = selectors.EVENT_READ
+        selector.register(sock, self._events, self)
 
     def send(self, message: Message) -> None:
         """Queue one message and send what the socket takes; never blocks."""
@@ -279,11 +293,12 @@ class _Connection:
             self.close()
             return
         events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._unsent else 0)
-        if self._selector.get_key(self.sock).events != events:
+        if self._events != events:
+            self._events = events
             self._selector.modify(self.sock, events, self)
 
-    def read(self, core: MasterCore) -> None:
-        """Receive one chunk and deliver each complete line to ``core``."""
+    def read(self) -> None:
+        """Receive one chunk and deliver each complete line to the core."""
         try:
             chunk = self.sock.recv(65536)
         except BlockingIOError:
@@ -300,7 +315,7 @@ class _Connection:
                 except protocol.ProtocolError as exc:
                     self.send(ErrorReply(code=exc.code, detail=exc.detail))
                     continue
-                core.deliver(message, self.send)
+                self._core.deliver(message, self.send)
         except protocol.FramingError as exc:
             self.send(ErrorReply(code=exc.code, detail=exc.detail))
             self.close()
@@ -311,6 +326,7 @@ class _Connection:
             self._unsent.clear()
             self._selector.unregister(self.sock)
             self.sock.close()
+            self._core.connection_closed(self.send)
 
 
 class MasterServer:
@@ -322,8 +338,8 @@ class MasterServer:
     be bound (the CLI maps that to exit code 2).
     """
 
-    def __init__(self, host: str, port: int, config: SchedulerConfig, **core_kwargs):
-        self.core = MasterCore(config, **core_kwargs)
+    def __init__(self, host: str, port: int, config: SchedulerConfig):
+        self.core = MasterCore(config)
         self._stop = False
         self._serving = False
         self._listener = socket.create_server((host, port), reuse_port=False)
@@ -358,7 +374,7 @@ class MasterServer:
                     if key.fileobj is self._listener:
                         # OSError: the peer gave up first, or no descriptor is left.
                         with contextlib.suppress(OSError):
-                            _Connection(self._listener.accept()[0], selector)
+                            Connection(self._listener.accept()[0], selector, self.core)
                     elif key.data is not None and not key.data.closed:
                         self._serve(key.data, events)
                 if wait_s <= 0:
@@ -379,12 +395,12 @@ class MasterServer:
         for sock in (self._listener, self._wake_r, self._wake_w):
             sock.close()  # a second close is a no-op
 
-    def _serve(self, conn: _Connection, events: int) -> None:
+    def _serve(self, conn: Connection, events: int) -> None:
         try:
             if events & selectors.EVENT_WRITE:
                 conn.flush()
             if events & selectors.EVENT_READ:
-                conn.read(self.core)
+                conn.read()
         except Exception:
             logger.exception("connection handler failed")
             conn.close()

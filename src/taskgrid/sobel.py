@@ -51,9 +51,6 @@ class GrayImage:
                 f"raster length {len(self.pixels)} does not match {self.width}x{self.height}"
             )
 
-    def at(self, x: int, y: int) -> int:
-        return self.pixels[y * self.width + x]
-
 
 class PgmError(ValueError):
     """PGM parse failure; ``code`` distinguishes the failure class."""

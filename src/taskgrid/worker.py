@@ -273,6 +273,10 @@ class WorkerAgent:
         address = (self.config.master_host, self.config.master_port)
         sock = socket.create_connection(address, timeout=10)
         sock.settimeout(None)
+        # A RESULT and the REGISTER deferred behind it are two small writes;
+        # Nagle's algorithm would hold the second until the master ACKs the
+        # first, which it delays, as it sends no reply to a RESULT.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self._lock:
             self._sock = sock
             self.core.register_when_idle(self._send)

@@ -1,13 +1,17 @@
 import random
+import selectors
 import sys
 
+import pytest
+
+import taskgrid.cluster as cluster_mod
 from conftest import random_image
 from oracle import brute_force_sobel
 from taskgrid import protocol
 from taskgrid.client import make_task
 from taskgrid.cluster import InProcCluster
 from taskgrid.model import TaskState
-from taskgrid.protocol import Dispatch, Heartbeat
+from taskgrid.protocol import Dispatch, ErrorReply, Heartbeat, Submit, SubmitAck
 from taskgrid.scheduler import SchedulerConfig
 from taskgrid.sobel import parse_pgm, write_pgm
 from taskgrid.workloads import built_in_registry
@@ -229,3 +233,95 @@ def test_a_worker_that_registers_again_mid_task_finishes_it_first():
     assert report.state == "COMPLETED"
     assert [a.task_id for a in cluster.assignments] == ["T1"]
     assert cluster.core.scheduler.tasks["T1"].attempt == 0
+
+
+def test_an_undecodable_line_is_answered_with_an_error_and_the_link_keeps_working():
+    cluster = InProcCluster()
+    replies = []
+    peer = cluster_mod._Link(cluster, replies.append)
+    peer.put(b"this is not json\n")
+    peer.put(protocol.encode(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),))))
+    cluster.advance(0)
+    error, ack = replies
+    assert isinstance(error, ErrorReply) and error.code == "PROTOCOL_ERROR"
+    assert isinstance(ack, SubmitAck) and ack.accepted_count == 1
+
+
+class _ChokedLink(cluster_mod._Link):
+    """A link whose every send either would block or takes 1-64 bytes, as
+    ``rng`` decides; a connection waiting to write is flushed again at
+    delay 0 for as long as it waits (level-triggered, like a selector)."""
+
+    rng = random.Random(0)
+    blocked = 0
+    writing = False
+
+    def send(self, data):
+        if self.rng.random() < 0.5:
+            type(self).blocked += 1
+            raise BlockingIOError
+        return super().send(data[: self.rng.randint(1, 64)])
+
+    def modify(self, sock, events, data):
+        self.writing = bool(events & selectors.EVENT_WRITE)
+        if self.writing:
+            self._cluster._schedule(0, self._writable)
+
+    def _writable(self):
+        self.conn.flush()
+        if self.writing:
+            self._cluster._schedule(0, self._writable)
+
+
+def _mixed_run(seed):
+    """Four workers, GPU and CPU tasks (sleeps and small Sobel images), one
+    worker killed mid-run and a fifth added late."""
+    rng = random.Random(seed)
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=500))
+    for worker_id, cpu_mhz, has_gpu in (
+        ("W1", 2400, True), ("W2", 2000, True), ("W3", 1800, False), ("W4", 1500, False)
+    ):
+        cluster.add_worker(worker_id, cpu_mhz=cpu_mhz, has_gpu=has_gpu)
+    tasks = []
+    for i in range(24):
+        gpu = rng.random() < 0.5
+        if i % 4 == 0:
+            # A Sobel task reports its wall-clock exec_ms; fix its logical one.
+            params = {"sim_exec_ms": str(rng.randrange(50, 900))}
+            payload = write_pgm(random_image(rng, 12, 9))
+            kind = "sobel_par" if gpu else "sobel_seq"
+            tasks.append(
+                make_task(kind, params=params, payload=payload, requires_gpu=gpu, task_id=f"T{i}")
+            )
+        else:
+            params = {"duration_ms": str(rng.randrange(50, 900))}
+            tasks.append(make_task("sleep", params=params, requires_gpu=gpu, task_id=f"T{i}"))
+    cluster.submit(tasks)
+    cluster.advance(rng.randrange(300, 2000))
+    cluster.kill_worker(rng.choice(["W1", "W2", "W3", "W4"]))
+    cluster.advance(rng.randrange(1000, 4000))
+    cluster.add_worker("W5", cpu_mhz=3000, has_gpu=rng.random() < 0.5)
+    reply = cluster.run_until_terminal(max_ms=600000)
+    logs = [repr(log) for log in (cluster.dispatch_frames, cluster.transitions, cluster.assignments)]
+    return cluster, reply, logs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_blocking_partial_sends_change_no_outcome_and_replay_exactly(seed, monkeypatch):
+    _, plain, _ = _mixed_run(seed)
+    monkeypatch.setattr(cluster_mod, "_Link", _ChokedLink)
+    runs = []
+    for _ in range(2):
+        monkeypatch.setattr(_ChokedLink, "rng", random.Random(seed))
+        monkeypatch.setattr(_ChokedLink, "blocked", 0)
+        runs.append((*_mixed_run(seed), _ChokedLink.blocked))
+    (cluster, choked, logs, blocked), (_, _, logs_again, blocked_again) = runs
+
+    assert blocked > 0
+    assert [(t.task_id, t.state, t.output_b64) for t in choked.tasks] == [
+        (t.task_id, "COMPLETED", t.output_b64) for t in plain.tasks
+    ]
+    assert all(a.worker_has_gpu for a in cluster.assignments if a.requires_gpu)
+    # Frames are recorded whole though they crossed in pieces.
+    assert all(protocol.encode(protocol.decode(f)) == f for f in cluster.dispatch_frames)
+    assert (logs, blocked) == (logs_again, blocked_again)

@@ -323,6 +323,40 @@ def test_a_worker_that_reconnects_mid_task_reports_it_before_registering(monkeyp
     assert [name for name, s in worker_messages if s != first_connection] == ["Result", "Register"]
 
 
+def test_an_idle_worker_that_closes_its_connection_leaves_at_once():
+    # Kept until its 3 s liveness window ran out, the worker would take the
+    # next task into its closed connection, where it would stay DISPATCHED.
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=1000))
+    server.start()
+    try:
+        FakeWorkerConn(server.port).close()
+        workers = server.core.scheduler.catalog.workers
+        deadline = time.monotonic() + 1.0  # one heartbeat interval
+        while "W1" in workers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert "W1" not in workers
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit([make_task("noop", requires_gpu=True, task_id="T1")], job_id="J1")
+            progress = client.job_progress("J1")
+        assert (progress.queued, progress.dispatched) == (1, 0)
+    finally:
+        server.shutdown()
+
+
+def test_a_closed_connection_removes_its_worker_only_when_idle():
+    # A busy worker stays, so that its task is re-queued if it never comes
+    # back, and completes if its RESULT arrives on a new connection.
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    busy, idle = [], []
+    core.deliver(Register(worker_id="Wbusy", cpu_mhz=2400, has_gpu=False), busy.append)
+    core.deliver(Register(worker_id="Widle", cpu_mhz=2000, has_gpu=False), idle.append)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), idle.append)
+    assert core.scheduler.tasks["T1"].assigned_worker == "Wbusy"
+    core.connection_closed(busy.append)
+    core.connection_closed(idle.append)
+    assert list(core.scheduler.catalog.workers) == ["Wbusy"]
+
+
 def test_a_dispatch_that_fails_to_send_is_one_warning_naming_task_and_worker(caplog):
     core = MasterCore(SchedulerConfig(), clock=lambda: 0)
 
