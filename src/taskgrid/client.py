@@ -1,9 +1,8 @@
-"""Client-side helpers: submit jobs to a master and poll for completion."""
+"""Client-side helpers: submit jobs to a master and wait for them to finish."""
 
 from __future__ import annotations
 
 import socket
-import time
 import uuid
 from typing import TypeVar
 
@@ -14,6 +13,7 @@ from .protocol import (
     JobProgressReply,
     JobStatus,
     JobStatusReply,
+    JobWait,
     Message,
     Submit,
     SubmitAck,
@@ -106,20 +106,15 @@ class MasterClient:
         timeout_s: float | None = None,
         poll_interval_s: float = 0.1,
     ) -> JobStatusReply:
-        """Poll JOB_PROGRESS until no task is queued or dispatched or the
-        timeout expires, then fetch JOB_STATUS once and return it; on
-        timeout that reply is not terminal.
+        """Send one JOB_WAIT, which the master answers once no task of the
+        job is queued or dispatched or once ``timeout_s`` has passed
+        (``None``: no deadline), then fetch JOB_STATUS once and return it;
+        on timeout that reply is not terminal. The outputs cross the wire
+        once.
 
-        Progress replies are constant-size, so polling costs the same
-        however many tasks and outputs the job has; the outputs cross
-        the wire once.
+        ``poll_interval_s`` is accepted for older callers and ignored: the
+        master pushes the answer, so nothing polls.
         """
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        while True:
-            progress = self.job_progress(job_id)
-            if progress.queued + progress.dispatched == 0:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            time.sleep(poll_interval_s)
+        timeout_ms = None if timeout_s is None else round(timeout_s * 1000)
+        self._request(JobWait(job_id=job_id, timeout_ms=timeout_ms), JobProgressReply)
         return self.job_status(job_id)

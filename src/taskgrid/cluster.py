@@ -14,10 +14,12 @@ processed in a deterministic (time, insertion) order, so identical
 scripts produce identical dispatch logs byte for byte.
 
 Execution semantics: a dispatch runs its executor immediately (in wall
-time), but the RESULT is delivered after the executor-reported exec_ms
-of *logical* time, so tasks stay observably in flight. A task param
-``sim_exec_ms`` overrides that logical duration (real agents ignore
-it); use it to hold a task in flight across heartbeat windows.
+time), but the RESULT is delivered after a *logical* duration derived
+from the dispatch alone, so tasks stay observably in flight and no
+wall-clock measurement reaches the schedule: the task param
+``sim_exec_ms`` if it is set (real agents ignore it; use it to hold a
+task in flight across heartbeat windows), else a ``sleep`` task's
+nominal duration, else 0.
 
 Every task transition is recorded; each one into DISPATCHED is also
 recorded as an assignment, with the capabilities of the worker the task
@@ -35,8 +37,10 @@ from .master import Connection, MasterCore
 from .model import TaskDescriptor, TaskState
 from .protocol import (
     Dispatch,
+    JobProgressReply,
     JobStatus,
     JobStatusReply,
+    JobWait,
     Message,
     Register,
     Submit,
@@ -115,6 +119,10 @@ class _Link:
                 self._cluster.dispatch_frames.append(line + b"\n")
             self._deliver(message)
 
+    def hang_up(self) -> None:
+        """The peer closes its end: the connection reads EOF."""
+        self._cluster._schedule(0, self.conn.read)
+
     def _ignore(self, *args: object) -> None:
         """Sends never block and nothing is held open, so the selector
         calls, ``setblocking`` and ``close`` change nothing."""
@@ -157,7 +165,10 @@ class SimWorker:
 
     def _run_task(self, dispatch: Dispatch) -> None:
         result = self.core.execute(dispatch)
-        logical_ms = int(dispatch.params.get("sim_exec_ms", result.exec_ms))
+        # The simulated sleep reports its nominal duration; every other
+        # executor may report wall-clock time, which must not steer the run.
+        nominal_ms = result.exec_ms if dispatch.kind == "sleep" else 0
+        logical_ms = int(dispatch.params.get("sim_exec_ms", nominal_ms))
 
         def finish() -> None:
             if self.alive:
@@ -266,6 +277,24 @@ class InProcCluster:
         assert isinstance(reply, JobStatusReply), reply
         return reply
 
+    def wait_job(
+        self, job_id: str = "job", timeout_ms: int | None = None, max_ms: int = 10 * 60 * 1000
+    ) -> JobProgressReply:
+        """Send JOB_WAIT and fire events until its reply arrives, at most
+        ``max_ms`` of logical time; ``now_ms`` is then the reply's arrival.
+        The master's expiry check runs when ``timeout_ms`` has passed."""
+        self._client.put(protocol.encode(JobWait(job_id=job_id, timeout_ms=timeout_ms)))
+        if timeout_ms is not None:
+            self._schedule(timeout_ms, self.core.expire_waits)
+        limit = self.now_ms + max_ms
+        while not self._client_replies:
+            if self._heap[0].at_ms > limit:
+                raise TimeoutError(f"no reply to JOB_WAIT {job_id} after {max_ms} logical ms")
+            self._fire_next()
+        reply = self._client_replies.pop(0)
+        assert isinstance(reply, JobProgressReply), reply
+        return reply
+
     # -- time -------------------------------------------------------------------------
 
     def _drain_due_events(self) -> None:
@@ -276,10 +305,13 @@ class InProcCluster:
         """Move logical time forward, firing due events in order."""
         target = self.now_ms + dt_ms
         while self._heap and self._heap[0].at_ms <= target:
-            event = heapq.heappop(self._heap)
-            self.now_ms = max(self.now_ms, event.at_ms)
-            event.action()
+            self._fire_next()
         self.now_ms = target
+
+    def _fire_next(self) -> None:
+        event = heapq.heappop(self._heap)
+        self.now_ms = max(self.now_ms, event.at_ms)
+        event.action()
 
     def run_until_terminal(
         self, job_id: str = "job", max_ms: int = 10 * 60 * 1000

@@ -9,18 +9,24 @@ through per-connection queues that never block, so the master is one
 event loop and a peer that stops reading holds up only its own
 connection. :class:`Connection` is that per-peer code; the in-process
 cluster drives the same class over an in-memory socket.
+
+A JOB_WAIT is parked on the core and answered with the job's
+JOB_PROGRESS_REPLY once the job is terminal, after the handler that made
+it so, or once its deadline passes; the server's loop sleeps no longer
+than the earliest deadline.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import logging
 import selectors
 import socket
 import threading
 import time
-from collections import Counter, deque
-from typing import Callable, Iterable
+from collections import deque
+from typing import Callable, Iterable, NamedTuple
 
 from . import protocol
 from .model import TaskDescriptor, TaskState, WorkerProfile, monotonic_ms
@@ -33,6 +39,7 @@ from .protocol import (
     JobProgressReply,
     JobStatus,
     JobStatusReply,
+    JobWait,
     Message,
     Register,
     RegisterAck,
@@ -54,8 +61,20 @@ logger = logging.getLogger(__name__)
 Sender = Callable[[Message], None]
 
 
+class _Wait(NamedTuple):
+    """A parked JOB_WAIT."""
+
+    job_id: str
+    sender: Sender
+    deadline_ms: int | None
+
+
 class MasterCore:
-    """Scheduler plus job bookkeeping, independent of any transport."""
+    """Scheduler plus job bookkeeping, independent of any transport.
+
+    Each job's task counts by state are kept as its tasks move, and
+    ``on_transition`` is called after each move is counted.
+    """
 
     def __init__(
         self,
@@ -65,8 +84,15 @@ class MasterCore:
     ):
         self.config = config
         self.clock = clock
-        self.scheduler = Scheduler(config, on_transition=on_transition)
+        self.scheduler = Scheduler(config, on_transition=self._count_transition)
+        self._on_transition = on_transition
         self.jobs: dict[str, list[str]] = {}
+        self.job_counts: dict[str, dict[TaskState, int]] = {}
+        # Parked waits by deadline, earliest first; those without one last.
+        self._waits: list[_Wait] = []
+        # Jobs made terminal, while waits were parked, by the handler
+        # that is running; their waits are answered when it returns.
+        self._finished: set[str] = set()
 
     # -- event handling ------------------------------------------------------
 
@@ -95,10 +121,13 @@ class MasterCore:
             sender(self._handle_submit(message))
         elif isinstance(message, JobProgress):
             sender(self.job_progress_reply(message.job_id))
+        elif isinstance(message, JobWait):
+            self._handle_wait(message, sender)
         elif isinstance(message, JobStatus):
             sender(self.job_status_reply(message.job_id))
         else:
             sender(ErrorReply(code="UNEXPECTED_MESSAGE", detail=type(message).__name__))
+        self._answer_finished()
 
     def handle(self, message: Message, sender: Sender) -> Message | None:
         """:meth:`deliver` for callers that take the direct reply as a
@@ -109,9 +138,11 @@ class MasterCore:
         return replies[0] if replies else None
 
     def connection_closed(self, sender: Sender) -> None:
-        """Forget the idle worker registered through ``sender``, whose
-        connection has closed. A busy one keeps its task until eviction:
-        its RESULT may still arrive on a new connection."""
+        """Forget the waits parked through ``sender``, whose connection
+        has closed, and the idle worker registered through it. A busy one
+        keeps its task until eviction: its RESULT may still arrive on a
+        new connection."""
+        self._waits = [wait for wait in self._waits if wait.sender != sender]
         for profile in list(self.scheduler.catalog.workers.values()):
             if profile.sender == sender and not profile.busy:
                 self.scheduler.catalog.remove(profile.worker_id)
@@ -122,6 +153,52 @@ class MasterCore:
         now = self.clock()
         self.scheduler.evict_stale(now)
         self._pump(now)
+        self._answer_finished()
+
+    def expire_waits(self) -> None:
+        """Answer each parked wait whose deadline has passed."""
+        now = self.clock()
+        self._release(lambda wait: wait.deadline_ms is not None and wait.deadline_ms <= now)
+
+    def next_wait_deadline_ms(self) -> int | None:
+        """The earliest deadline of a parked wait, on ``clock``."""
+        return self._waits[0].deadline_ms if self._waits else None
+
+    def _count_transition(
+        self, task: TaskDescriptor, from_state: TaskState, to_state: TaskState, now_ms: int
+    ) -> None:
+        counts = self.job_counts[task.job_id]
+        counts[from_state] -= 1
+        counts[to_state] += 1
+        if self._waits and self.job_is_terminal(task.job_id):
+            self._finished.add(task.job_id)
+        if self._on_transition is not None:
+            self._on_transition(task, from_state, to_state, now_ms)
+
+    def _handle_wait(self, message: JobWait, sender: Sender) -> None:
+        if self.job_is_terminal(message.job_id):  # an unknown job's reply is an error
+            sender(self.job_progress_reply(message.job_id))
+            return
+        deadline = None if message.timeout_ms is None else self.clock() + message.timeout_ms
+        wait = _Wait(message.job_id, sender, deadline)
+        bisect.insort(self._waits, wait, key=lambda w: (w.deadline_ms is None, w.deadline_ms or 0))
+
+    def _answer_finished(self) -> None:
+        if self._finished:
+            finished, self._finished = self._finished, set()
+            self._release(lambda wait: wait.job_id in finished)
+
+    def _release(self, selected: Callable[[_Wait], bool]) -> None:
+        """Answer and forget each parked wait that ``selected`` picks."""
+        waits, self._waits = self._waits, []
+        for wait in waits:
+            if not selected(wait):
+                self._waits.append(wait)
+                continue
+            try:
+                wait.sender(self.job_progress_reply(wait.job_id))
+            except ConnectionError:
+                pass  # the waiter has gone; its connection forgets it on close
 
     def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
         profile = WorkerProfile.from_register(message)
@@ -146,6 +223,7 @@ class MasterCore:
     def _handle_submit(self, message: Submit) -> SubmitAck:
         now = self.clock()
         task_ids = self.jobs.setdefault(message.job_id, [])
+        counts = self.job_counts.setdefault(message.job_id, dict.fromkeys(TaskState, 0))
         accepted = 0
         for entry in message.tasks:
             task = TaskDescriptor(
@@ -162,6 +240,7 @@ class MasterCore:
                 logger.warning("rejected duplicate task id %s", entry.task_id)
                 continue
             task_ids.append(entry.task_id)
+            counts[TaskState.QUEUED] += 1
             accepted += 1
         self._pump(now)
         return SubmitAck(job_id=message.job_id, accepted_count=accepted)
@@ -227,11 +306,9 @@ class MasterCore:
 
     def job_progress_reply(self, job_id: str) -> JobProgressReply | ErrorReply:
         """The job's task counts by state, without building task reports."""
-        task_ids = self.jobs.get(job_id)
-        if task_ids is None:
+        counts = self.job_counts.get(job_id)
+        if counts is None:
             return ErrorReply(code="UNKNOWN_JOB", detail=job_id)
-        tasks = self.scheduler.tasks
-        counts = Counter(tasks[tid].state for tid in task_ids)
         return JobProgressReply(
             job_id=job_id,
             queued=counts[TaskState.QUEUED],
@@ -243,8 +320,8 @@ class MasterCore:
     def job_is_terminal(self, job_id: str) -> bool:
         """True when no task of the job is queued or dispatched; an
         unknown job has none."""
-        progress = self.job_progress_reply(job_id)
-        return isinstance(progress, ErrorReply) or progress.queued + progress.dispatched == 0
+        counts = self.job_counts.get(job_id)
+        return counts is None or counts[TaskState.QUEUED] + counts[TaskState.DISPATCHED] == 0
 
     def state_dump_lines(self) -> Iterable[bytes]:
         """One canonical JOB_STATUS_REPLY line per job."""
@@ -370,13 +447,19 @@ class MasterServer:
                 # A due tick waits for one more pass, so lines that arrived
                 # while the loop was busy (beats among them) count first.
                 wait_s = next_tick - time.monotonic()
-                for key, events in selector.select(max(wait_s, 0)):
+                timeout_s = wait_s
+                deadline_ms = self.core.next_wait_deadline_ms()
+                if deadline_ms is not None:
+                    timeout_s = min(timeout_s, (deadline_ms - self.core.clock()) / 1000.0)
+                for key, events in selector.select(max(timeout_s, 0)):
                     if key.fileobj is self._listener:
                         # OSError: the peer gave up first, or no descriptor is left.
                         with contextlib.suppress(OSError):
                             Connection(self._listener.accept()[0], selector, self.core)
                     elif key.data is not None and not key.data.closed:
                         self._serve(key.data, events)
+                if deadline_ms is not None and deadline_ms <= self.core.clock():
+                    self.core.expire_waits()
                 if wait_s <= 0:
                     # Re-armed first: a tick that raises cannot stop eviction.
                     next_tick = time.monotonic() + interval_s

@@ -135,8 +135,19 @@ class JobProgress:
 
 
 @dataclass(frozen=True)
+class JobWait:
+    """Ask for the job's JOB_PROGRESS_REPLY once no task of it is queued
+    or dispatched, or once ``timeout_ms`` has passed; without a timeout
+    the wait has no deadline."""
+
+    job_id: str
+    timeout_ms: int | None = None
+
+
+@dataclass(frozen=True)
 class JobProgressReply:
-    """A job's task counts by state: a constant-size reply for polling."""
+    """A job's task counts by state: the constant-size reply to
+    JOB_PROGRESS and JOB_WAIT."""
 
     job_id: str
     queued: int
@@ -182,6 +193,7 @@ Message = (
     | JobStatus
     | JobStatusReply
     | JobProgress
+    | JobWait
     | JobProgressReply
     | ErrorReply
 )
@@ -198,6 +210,7 @@ _TYPE_NAMES: dict[type, str] = {
     JobStatus: "JOB_STATUS",
     JobStatusReply: "JOB_STATUS_REPLY",
     JobProgress: "JOB_PROGRESS",
+    JobWait: "JOB_WAIT",
     JobProgressReply: "JOB_PROGRESS_REPLY",
     ErrorReply: "ERROR",
 }

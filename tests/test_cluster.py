@@ -1,6 +1,9 @@
+import itertools
+import logging
 import random
 import selectors
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,7 +14,7 @@ from taskgrid import protocol
 from taskgrid.client import make_task
 from taskgrid.cluster import InProcCluster
 from taskgrid.model import TaskState
-from taskgrid.protocol import Dispatch, ErrorReply, Heartbeat, Submit, SubmitAck
+from taskgrid.protocol import Dispatch, ErrorReply, Heartbeat, JobWait, Submit, SubmitAck
 from taskgrid.scheduler import SchedulerConfig
 from taskgrid.sobel import parse_pgm, write_pgm
 from taskgrid.workloads import built_in_registry
@@ -325,3 +328,164 @@ def test_blocking_partial_sends_change_no_outcome_and_replay_exactly(seed, monke
     # Frames are recorded whole though they crossed in pieces.
     assert all(protocol.encode(protocol.decode(f)) == f for f in cluster.dispatch_frames)
     assert (logs, blocked) == (logs_again, blocked_again)
+
+
+def test_wall_clock_exec_ms_does_not_steer_the_logical_schedule():
+    # Like a Sobel executor's, the reported exec_ms differs on every call.
+    jitter = itertools.count(1)
+
+    def jittered(params, payload):
+        return b"", 37 * next(jitter)
+
+    def run():
+        registry = built_in_registry(simulated_sleep=True)
+        registry.register("jittered", jittered)
+        cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=500))
+        for worker_id, cpu_mhz in (("W1", 2400), ("W2", 2000)):
+            cluster.add_worker(worker_id, cpu_mhz=cpu_mhz, registry=registry)
+        rng = random.Random(7)
+        cluster.submit(
+            [
+                make_task(
+                    "jittered" if i % 2 else "sleep",
+                    params={"duration_ms": str(rng.randrange(50, 900))},
+                    task_id=f"T{i}",
+                )
+                for i in range(12)
+            ]
+        )
+        cluster.run_until_terminal()
+        return b"".join(cluster.dispatch_frames), repr(cluster.transitions).encode()
+
+    assert run() == run()
+
+
+def _sleeps(durations_ms, prefix="T", **params):
+    return [
+        make_task("sleep", params={"duration_ms": str(ms), **params}, task_id=f"{prefix}{i}")
+        for i, ms in enumerate(durations_ms)
+    ]
+
+
+def test_a_wait_is_answered_when_the_result_that_ends_the_job_arrives():
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=1000))
+    cluster.add_worker("W1", cpu_mhz=2400)
+    cluster.submit(_sleeps([300, 450, 700]))
+    reply = cluster.wait_job()
+    assert (reply.queued, reply.dispatched, reply.completed, reply.failed) == (0, 0, 3, 0)
+    # One worker runs the three in turn; the last RESULT lands between ticks.
+    last = cluster.transitions[-1]
+    assert (last.task_id, last.to_state, last.at_ms) == ("T2", TaskState.COMPLETED, 1450)
+    assert cluster.now_ms == 1450
+    # A job that is already terminal, or empty, is answered at once.
+    assert cluster.wait_job().completed == 3
+    cluster.submit([], job_id="empty")
+    assert cluster.wait_job("empty") == cluster.core.job_progress_reply("empty")
+    assert cluster.now_ms == 1450
+
+
+def test_a_wait_times_out_with_the_counts_of_that_moment():
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=1000))
+    cluster.add_worker("W1", cpu_mhz=2400)
+    cluster.submit(_sleeps([0, 0], sim_exec_ms="5000"))
+    cluster.advance(130)
+    reply = cluster.wait_job(timeout_ms=250)
+    assert cluster.now_ms == 380
+    assert (reply.queued, reply.dispatched, reply.completed) == (1, 1, 0)
+    assert cluster.core._waits == []
+
+
+def test_an_evicted_task_requeued_does_not_end_the_wait():
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=500))
+    cluster.add_worker("W1", cpu_mhz=2400)
+    cluster.add_worker("W2", cpu_mhz=2000)
+    cluster.submit(_sleeps([0], sim_exec_ms="20000"))  # to W1, the fastest
+    cluster.submit(_sleeps([0], prefix="U", sim_exec_ms="3000"), job_id="other")  # to W2
+    cluster.advance(100)
+    cluster.kill_worker("W1")
+    reply = cluster.wait_job()
+    _, requeue, again, done = [t for t in cluster.transitions if t.task_id == "T0"]
+    assert (requeue.from_state, requeue.to_state) == (TaskState.DISPATCHED, TaskState.QUEUED)
+    assert requeue.at_ms < 3000  # while W2 still held U0
+    assert (again.to_state, again.at_ms) == (TaskState.DISPATCHED, 3000)
+    assert (done.to_state, done.at_ms) == (TaskState.COMPLETED, 23000)
+    assert cluster.now_ms == 23000
+    assert (reply.queued, reply.dispatched, reply.completed) == (0, 0, 1)
+
+
+def test_an_unschedulable_failure_ends_the_wait():
+    cluster = InProcCluster(
+        SchedulerConfig(heartbeat_interval_ms=1000, unschedulable_timeout_ms=3000)
+    )
+    cluster.add_worker("Wcpu", cpu_mhz=2000)
+    cluster.submit([make_task("noop", requires_gpu=True, task_id="T1")])
+    reply = cluster.wait_job()
+    assert (reply.queued, reply.failed) == (0, 1)
+    [failed] = [t for t in cluster.transitions if t.to_state is TaskState.FAILED]
+    assert cluster.now_ms == failed.at_ms == 4000  # the first tick past the timeout
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_job_counts_match_a_count_over_each_jobs_tasks(seed):
+    # Differential check of the kept counts against a fresh count over the
+    # tasks, at every step of a run with re-queues, failures, duplicates
+    # and jobs that share a worker pool.
+    rng = random.Random(seed)
+    cluster = InProcCluster(
+        SchedulerConfig(heartbeat_interval_ms=500, unschedulable_timeout_ms=2500)
+    )
+    for worker_id, cpu_mhz in (("W1", 2400), ("W2", 2000), ("W3", 1800)):
+        cluster.add_worker(worker_id, cpu_mhz=cpu_mhz)
+    core = cluster.core
+
+    def check():
+        for job_id, task_ids in core.jobs.items():
+            by_tasks = Counter(core.scheduler.tasks[t].state for t in task_ids)
+            assert core.job_counts[job_id] == {s: by_tasks[s] for s in TaskState}
+
+    for j in range(4):
+        tasks = [
+            make_task(
+                rng.choice(["sleep", "sleep", "noop", "missing-kind"]),
+                params={"duration_ms": str(rng.randrange(50, 2000))},
+                requires_gpu=rng.random() < 0.25,
+                task_id=f"J{j}T{i}",
+            )
+            for i in range(0 if j == 1 else rng.randrange(4, 10))
+        ]
+        cluster.submit(tasks + tasks[:1], job_id=f"J{j}")  # one duplicate, if any
+        check()
+        cluster.advance(rng.randrange(0, 300))
+        check()
+    busy = sorted(w for w, profile in core.scheduler.catalog.workers.items() if profile.busy)
+    cluster.kill_worker(rng.choice(busy))
+    for step in range(120):
+        if step == 40:
+            cluster.add_worker("W4", cpu_mhz=3000, has_gpu=True)
+        cluster.advance(100)
+        check()
+    assert all(core.job_is_terminal(job_id) for job_id in core.jobs)
+    moves = {(t.from_state, t.to_state) for t in cluster.transitions}
+    assert (TaskState.DISPATCHED, TaskState.QUEUED) in moves  # the killed worker's task
+    assert (TaskState.DISPATCHED, TaskState.FAILED) in moves  # an unknown kind
+
+
+def test_a_peer_that_hangs_up_leaves_no_wait_and_no_idle_worker(caplog):
+    cluster = InProcCluster()
+    cluster.add_worker("W1", cpu_mhz=2400)
+    idle = cluster.add_worker("W2", cpu_mhz=2000)
+    cluster.submit(_sleeps([0], sim_exec_ms="5000"))  # W1 holds it
+    replies = []
+    client = cluster_mod._Link(cluster, replies.append)
+    client.put(protocol.encode(JobWait(job_id="job")))
+    cluster.advance(0)
+    assert len(cluster.core._waits) == 1
+    client.hang_up()
+    idle.link.hang_up()
+    cluster.advance(0)
+    assert cluster.core._waits == []
+    assert list(cluster.core.scheduler.catalog.workers) == ["W1"]
+    cluster.advance(6000)
+    assert replies == []
+    assert [t.state for t in cluster.job_status().tasks] == ["COMPLETED"]
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

@@ -16,7 +16,9 @@ from taskgrid.protocol import (
     Dispatch,
     ErrorReply,
     HeartbeatAck,
+    JobProgressReply,
     JobStatusReply,
+    JobWait,
     Register,
     RegisterAck,
     Result,
@@ -156,18 +158,17 @@ def _record_request_types(server):
     return seen
 
 
-def test_wait_for_job_polls_progress_and_fetches_status_once():
+def test_wait_for_job_sends_one_wait_and_fetches_status_once():
     # The default 6 s liveness window outlasts the test: the fake worker sends no beats.
     server = MasterServer("127.0.0.1", 0, SchedulerConfig())
     server.start()
     seen = _record_request_types(server)
 
     def check_wait(client, reply, state):
-        # Several progress polls, then exactly one status fetch, whose
-        # reply is what a direct job_status call returns.
-        requests = [name for name in seen if name in ("JobProgress", "JobStatus")]
-        assert requests.count("JobProgress") >= 2
-        assert requests[-1] == "JobStatus" and requests.count("JobStatus") == 1
+        # One wait, then one status fetch, whose reply is what a direct
+        # job_status call returns.
+        requests = [name for name in seen if name in ("JobProgress", "JobWait", "JobStatus")]
+        assert requests == ["JobWait", "JobStatus"]
         assert [task.state for task in reply.tasks] == [state]
         assert reply == client.job_status("J1")
         seen.clear()
@@ -188,7 +189,7 @@ def test_wait_for_job_polls_progress_and_fetches_status_once():
             reply = client.wait_for_job("J1", timeout_s=0.2, poll_interval_s=0.02)
             check_wait(client, reply, "QUEUED")
 
-            # Terminal path: T1's result arrives while the client polls.
+            # Terminal path: T1's result arrives while the client waits.
             worker.send(ok(held))
             timer = threading.Timer(0.15, lambda: worker.send(ok(worker.read())))
             timer.start()
@@ -199,6 +200,22 @@ def test_wait_for_job_polls_progress_and_fetches_status_once():
             check_wait(client, reply, "COMPLETED")
     finally:
         worker.close()
+        server.shutdown()
+
+
+def test_a_short_wait_returns_at_its_deadline_not_at_the_next_tick():
+    # The loop's next tick is 2 s away; the wait's 0.2 s deadline wakes it.
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    server.start()
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit([make_task("noop", task_id="T1")], job_id="J1")  # no worker
+            started = time.monotonic()
+            reply = client.wait_for_job("J1", timeout_s=0.2)
+            elapsed = time.monotonic() - started
+        assert [task.state for task in reply.tasks] == ["QUEUED"]
+        assert 0.15 <= elapsed < 1.0
+    finally:
         server.shutdown()
 
 
@@ -371,6 +388,24 @@ def test_a_dispatch_that_fails_to_send_is_one_warning_naming_task_and_worker(cap
     assert record.levelno == logging.WARNING
     assert record.exc_info is None
     assert "T1" in record.getMessage() and "W1" in record.getMessage()
+
+
+def test_a_waiter_that_cannot_be_answered_is_dropped_quietly(caplog):
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    worker, answered = [], []
+
+    def gone(message):
+        raise ConnectionError("connection closed")
+
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), worker.append)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), answered.append)
+    core.deliver(JobWait(job_id="J1"), gone)
+    core.deliver(JobWait(job_id="J1"), answered.append)
+    caplog.set_level(logging.DEBUG, logger="taskgrid.master")
+    core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64=""), worker.append)
+    assert caplog.records == []
+    assert answered[-1] == JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=1, failed=0)
+    assert core._waits == []
 
 
 def test_state_dump(tmp_path):

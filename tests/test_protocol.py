@@ -21,6 +21,7 @@ from taskgrid.protocol import (
     JobProgressReply,
     JobStatus,
     JobStatusReply,
+    JobWait,
     LineFramer,
     ProtocolError,
     Register,
@@ -89,6 +90,7 @@ messages = st.one_of(
     st.builds(JobStatus, job_id=ids),
     st.builds(JobStatusReply, job_id=ids, tasks=st.lists(task_reports, max_size=4).map(tuple)),
     st.builds(JobProgress, job_id=ids),
+    st.builds(JobWait, job_id=ids, timeout_ms=st.none() | st.integers(0, 10**9)),
     st.builds(
         JobProgressReply,
         job_id=ids,
@@ -112,6 +114,13 @@ def test_job_progress_golden_bytes():
     assert encode(reply) == (
         b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":1,"failed":0,'
         b'"job_id":"J1","queued":2}\n'
+    )
+
+
+def test_job_wait_golden_bytes():
+    assert encode(JobWait(job_id="J1")) == b'{"type":"JOB_WAIT","job_id":"J1"}\n'
+    assert encode(JobWait(job_id="J1", timeout_ms=200)) == (
+        b'{"type":"JOB_WAIT","job_id":"J1","timeout_ms":200}\n'
     )
 
 
@@ -501,6 +510,7 @@ _WIRE_FIELDS = {
     "JOB_STATUS": {"job_id": (_STR, True, "J1")},
     "JOB_STATUS_REPLY": {"job_id": (_STR, True, "J1"), "tasks": (_TASK_REPORT_FIELDS, True, None)},
     "JOB_PROGRESS": {"job_id": (_STR, True, "J1")},
+    "JOB_WAIT": {"job_id": (_STR, True, "J1"), "timeout_ms": (_INT, False, 200)},
     "JOB_PROGRESS_REPLY": {
         "job_id": (_STR, True, "J1"),
         "queued": (_INT, True, 2),
