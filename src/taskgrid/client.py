@@ -61,6 +61,9 @@ class MasterClient:
         except OSError as exc:
             raise MasterUnreachable(f"cannot reach master at {host}:{port}: {exc}") from exc
         self._sock.settimeout(None)
+        # A request's last part is small; it must not wait for the ACK of
+        # the body before it.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._framer = protocol.LineFramer()
         self._pending: list[Message] = []
 
@@ -82,7 +85,8 @@ class MasterClient:
         return self._pending.pop(0)
 
     def _request(self, message: Message, reply_type: type[R]) -> R:
-        self._sock.sendall(protocol.encode(message))
+        for part in protocol.encode_parts(message):
+            self._sock.sendall(part)
         reply = self._recv()
         if isinstance(reply, ErrorReply):
             raise ClientError(f"{reply.code}: {reply.detail}")

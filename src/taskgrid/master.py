@@ -323,18 +323,22 @@ class MasterCore:
         counts = self.job_counts.get(job_id)
         return counts is None or counts[TaskState.QUEUED] + counts[TaskState.DISPATCHED] == 0
 
-    def state_dump_lines(self) -> Iterable[bytes]:
-        """One canonical JOB_STATUS_REPLY line per job."""
+    def state_dump_lines(self) -> Iterable[list[bytes]]:
+        """One canonical JOB_STATUS_REPLY line per job, as its parts."""
         for job_id in self.jobs:
-            reply = self.job_status_reply(job_id)
-            yield protocol.encode(reply)
+            yield protocol.encode_parts(self.job_status_reply(job_id))
 
 
 class Connection:
     """One peer of the master: a non-blocking socket, its framer and the
     encoded bytes not yet sent. Every line read goes to ``core``, which
     also hears when the connection closes; ``selector`` is told which
-    events the socket waits for."""
+    events the socket waits for.
+
+    Each message is queued as its ``protocol.encode_parts``, one
+    ``memoryview`` per part, so a payload or output body is sent from
+    the one copy its part holds; each ``sock.send`` takes from one part.
+    """
 
     def __init__(self, sock: socket.socket, selector: selectors.BaseSelector, core: MasterCore):
         sock.setblocking(False)
@@ -351,8 +355,9 @@ class Connection:
         """Queue one message and send what the socket takes; never blocks."""
         if self.closed:
             raise ConnectionError("connection closed")
-        self._unsent.append(memoryview(protocol.encode(message)))
-        if len(self._unsent) == 1:
+        idle = not self._unsent
+        self._unsent.extend(map(memoryview, protocol.encode_parts(message)))
+        if idle:
             self.flush()
 
     def flush(self) -> None:
@@ -455,7 +460,11 @@ class MasterServer:
                     if key.fileobj is self._listener:
                         # OSError: the peer gave up first, or no descriptor is left.
                         with contextlib.suppress(OSError):
-                            Connection(self._listener.accept()[0], selector, self.core)
+                            sock = self._listener.accept()[0]
+                            # A line's small last part must not wait for
+                            # the peer's delayed ACK of its body.
+                            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                            Connection(sock, selector, self.core)
                     elif key.data is not None and not key.data.closed:
                         self._serve(key.data, events)
                 if deadline_ms is not None and deadline_ms <= self.core.clock():
@@ -511,6 +520,6 @@ class MasterServer:
         """Write the state dump; call it after :meth:`serve_forever` has
         returned, as it reads the core without the loop."""
         with open(path, "wb") as fh:
-            for line in self.core.state_dump_lines():
-                fh.write(line)
+            for parts in self.core.state_dump_lines():
+                fh.writelines(parts)
         logger.info("wrote state dump to %s", path)

@@ -6,6 +6,13 @@ comes first, every other key (at any nesting level) is sorted
 alphabetically, optional fields that are unset are omitted, and binary
 payloads travel as base64 strings. Decoders accept any field order.
 
+:func:`encode_parts` gives the same line as parts for the senders: each
+non-empty base64 body is a part of its own, copied once and never
+escaped, and the JSON around it is the rest of the line, so the bytes
+on the wire are those of :func:`encode`. The master, the client and
+the worker set ``TCP_NODELAY``, so a line's small last part is not held
+back for the peer's delayed ACK.
+
 ``decode`` checks every base64 field strictly, accepting exactly what
 ``from_b64`` accepts, but without decoding it: the master forwards
 payload and output text verbatim, and only the worker decodes a
@@ -221,14 +228,61 @@ def _fields(obj: Any) -> dict[str, Any]:
     return {name: value for name, value in vars(obj).items() if value is not None}
 
 
-def encode(message: Message) -> bytes:
-    """Canonical single-line encoding, LF terminated."""
+# A marked body's place in the JSON text. ``json.dumps`` writes a float NaN
+# as the bare token NaN, and no message has a float field, so ``"<name>":NaN``
+# is a B64 key followed by the marker: a string value can hold those
+# characters only with its quotes escaped.
+_MARK = float("nan")
+
+
+def encode_parts(message: Message) -> list[bytes]:
+    """The canonical line as parts whose concatenation is :func:`encode`.
+
+    Each non-empty :data:`B64` value is a part of its own, its ASCII text
+    copied once without a JSON escape scan. A message with no such value
+    is one ``json.dumps`` and one part.
+
+    Raises ValueError when a B64 value is not ASCII or holds a quote or
+    a backslash, which would end its JSON string early; ``to_b64`` and
+    ``decode`` admit neither.
+    """
     type_name = _TYPE_NAMES.get(type(message))
     if type_name is None:
         raise TypeError(f"not a wire message: {type(message).__name__}")
-    # Every message has a field, so the object is never "{}".
-    text = json.dumps(_fields(message), sort_keys=True, separators=(",", ":"), default=_fields)
-    return f'{{"type":"{type_name}",{text[1:]}\n'.encode("utf-8")
+    bodies: list[tuple[str, str]] = []
+
+    def fields_marking_bodies(obj: Any) -> dict[str, Any]:
+        # json.dumps calls this as it reaches each dataclass, so the
+        # bodies are listed in the order their markers appear.
+        values = _fields(obj)
+        for name in _B64_FIELDS.get(type(obj), ()):
+            if values.get(name):
+                bodies.append((name, values[name]))
+                values[name] = _MARK
+        return values
+
+    # Every message has a field, so the object is never "{}". A message is
+    # a tree, so json.dumps need not track containers to catch a cycle.
+    text = json.dumps(
+        message, sort_keys=True, separators=(",", ":"), check_circular=False, default=fields_marking_bodies
+    )
+    parts = []
+    head, start = f'{{"type":"{type_name}",', 1
+    for name, body in bodies:
+        data = body.encode("ascii")
+        if b'"' in data or b"\\" in data:
+            raise ValueError(f"field {name} holds a quote or a backslash")
+        key = f'"{name}":'
+        at = text.index(key + "NaN", start) + len(key)
+        parts += [f'{head}{text[start:at]}"'.encode("utf-8"), data]
+        head, start = '"', at + len("NaN")
+    parts.append(f"{head}{text[start:]}\n".encode("utf-8"))
+    return parts
+
+
+def encode(message: Message) -> bytes:
+    """Canonical single-line encoding, LF terminated."""
+    return b"".join(encode_parts(message))
 
 
 def _check_str(value: Any, name: str) -> str:
@@ -347,8 +401,13 @@ def _check_for(hint: Any) -> Callable[[Any, str], Any]:
     return _PLAIN_CHECKS[hint]
 
 
+# Each message class's B64 field names, recorded by _spec_of.
+_B64_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def _spec_of(cls: type) -> dict[str, tuple[Callable, bool]]:
-    """``cls``'s fields in declaration order, each as (check, required)."""
+    """``cls``'s fields in declaration order, each as (check, required);
+    also records its B64 fields in ``_B64_FIELDS``."""
     hints = get_type_hints(cls, include_extras=True)
     spec = {}
     for f in fields(cls):
@@ -357,6 +416,7 @@ def _spec_of(cls: type) -> dict[str, tuple[Callable, bool]]:
         if not required:
             (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
         spec[f.name] = (_check_for(hint), required)
+    _B64_FIELDS[cls] = tuple(name for name, (check, _) in spec.items() if check is _check_b64)
     return spec
 
 

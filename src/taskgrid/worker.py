@@ -330,7 +330,8 @@ class WorkerAgent:
         # Called with ``_lock`` held.
         if self._sock is None:
             raise ConnectionError("not connected")
-        self._sock.sendall(protocol.encode(message))
+        for part in protocol.encode_parts(message):
+            self._sock.sendall(part)
 
     def _close_socket(self) -> None:
         with self._lock:

@@ -566,6 +566,32 @@ def test_a_worker_that_stops_reading_holds_up_only_its_own_connection():
         serving.join(5)
 
 
+def test_a_32_mib_task_reaches_a_beating_worker_without_an_eviction(server, caplog):
+    # A 600 ms liveness window: the master's passes over the 44.7 MB
+    # SUBMIT and DISPATCH lines must leave the worker's beats counted in
+    # time, and the task must run on its first dispatch.
+    caplog.set_level(logging.WARNING, logger="taskgrid.scheduler")
+    agent = WorkerAgent(
+        WorkerConfig(
+            worker_id="Wbig", master_host="127.0.0.1", master_port=server.port, cpu_mhz=2400,
+            has_gpu=True,
+        )
+    )
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            task = make_task("noop", payload=bytes(32 << 20), requires_gpu=True, task_id="T1")
+            assert client.submit([task], job_id="J1").accepted_count == 1
+            del task
+            [report] = client.wait_for_job("J1", timeout_s=30).tasks
+    finally:
+        agent.stop()
+        thread.join(10)
+    assert (report.state, report.worker_id) == ("COMPLETED", "Wbig")
+    assert [r.getMessage() for r in caplog.records if "evicting" in r.getMessage()] == []
+
+
 def test_the_master_serves_every_peer_on_the_thread_start_returned():
     before = set(threading.enumerate())
     server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=200))

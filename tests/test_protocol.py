@@ -3,6 +3,7 @@ import binascii
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from typing import get_args, get_type_hints
 
 import pytest
@@ -246,6 +247,113 @@ def test_decode_tolerates_any_field_order(msg):
     obj = json.loads(encode(msg))
     reordered = json.dumps(dict(reversed(list(obj.items())))).encode() + b"\n"
     assert decode(reordered) == msg
+
+
+def _one_dumps_encode(message):
+    """The encoder before B64 bodies became parts of their own: the whole
+    line from one ``json.dumps``."""
+
+    def set_fields(obj):
+        return {name: value for name, value in vars(obj).items() if value is not None}
+
+    text = json.dumps(set_fields(message), sort_keys=True, separators=(",", ":"), default=set_fields)
+    return f'{{"type":"{protocol._TYPE_NAMES[type(message)]}",{text[1:]}\n'.encode("utf-8")
+
+
+def _bodies(message):
+    """The message's non-empty B64 values, in line order."""
+    objects = [message, *getattr(message, "tasks", ())]
+    return [value for obj in objects for name, value in vars(obj).items() if name.endswith("_b64") and value]
+
+
+_FORGERIES = {
+    "payload_b64": '"payload_b64":NaN',
+    "output_b64": "NaN",
+    "x": '\x00"é\\',
+    "y": '\\":NaN',
+}
+
+
+@given(messages)
+@settings(max_examples=300)
+@example(Dispatch(task_id="T\x00", kind='k"', requires_gpu=True, params=_FORGERIES, payload_b64="AQID"))
+@example(Dispatch(task_id="T1", kind="noop", requires_gpu=False, params={"payload_b64": "AQID"}))
+@example(Result(task_id="T1", worker_id='"output_b64":NaN', status="OK", exec_ms=0, output_b64="AQ=="))
+@example(Result(task_id="T1", worker_id="W1", status="FAILED", exec_ms=0, error='é\x00"output_b64":NaN'))
+@example(ErrorReply(code="E", detail='{"payload_b64":NaN}'))
+@example(
+    Submit(
+        job_id="J1",
+        tasks=(
+            SubmitTask(task_id="T1", kind="k", requires_gpu=True, params=_FORGERIES, payload_b64="AQID"),
+            SubmitTask(task_id="T2", kind="k", requires_gpu=False, params={"output_b64": "AQID"}),
+            SubmitTask(task_id="T3", kind="k", requires_gpu=False, payload_b64="AA=="),
+            SubmitTask(task_id='"payload_b64":NaN', kind="k", requires_gpu=False, payload_b64=""),
+        ),
+    )
+)
+@example(
+    JobStatusReply(
+        job_id="J1",
+        tasks=(
+            TaskReport(task_id="T1", state="COMPLETED", output_b64=""),
+            TaskReport(task_id="T2", state="COMPLETED", output_b64="AQID", error="\x00"),
+            TaskReport(task_id="T3", state="FAILED", error='"output_b64":NaN'),
+            TaskReport(task_id="T4", state="COMPLETED", worker_id="é", output_b64="AQIDBA=="),
+        ),
+    )
+)
+def test_parts_join_to_the_one_dumps_line(msg):
+    parts = protocol.encode_parts(msg)
+    assert b"".join(parts) == encode(msg) == _one_dumps_encode(msg)
+    # Each non-empty B64 value is a part of its own, between JSON parts.
+    bodies = _bodies(msg)
+    assert len(parts) == 2 * len(bodies) + 1
+    assert parts[1::2] == [body.encode("ascii") for body in bodies]
+
+
+@pytest.mark.parametrize("body", ['AAAA","kind":"sleep', "AQID\\", "AQ\u00e9D"])
+def test_a_b64_value_that_could_end_its_string_is_refused(body):
+    # Sent unescaped, the first would rewrite the task's kind on the wire.
+    task = SubmitTask(task_id="T1", kind="noop", requires_gpu=False, payload_b64=body)
+    with pytest.raises(ValueError):
+        protocol.encode_parts(Submit(job_id="J1", tasks=(task,)))
+    with pytest.raises(ValueError):
+        protocol.encode_parts(Dispatch(task_id="T1", kind="noop", requires_gpu=False, payload_b64=body))
+
+
+def _status_reply_of_four_3mib_outputs():
+    outputs = [protocol.to_b64(bytes([i]) * (3 << 20)) for i in range(4)]
+    tasks = tuple(
+        TaskReport(task_id=f"T{i}", state="COMPLETED", worker_id="W1", exec_ms=1, output_b64=output)
+        for i, output in enumerate(outputs)
+    )
+    return JobStatusReply(job_id="J1", tasks=tasks)
+
+
+def _dispatch_of_4mib():
+    return Dispatch(task_id="T1", kind="noop", requires_gpu=True, payload_b64=protocol.to_b64(bytes(4 << 20)))
+
+
+def _submit_of_4mib():
+    task = SubmitTask(task_id="T1", kind="noop", requires_gpu=True, payload_b64=protocol.to_b64(bytes(4 << 20)))
+    return Submit(job_id="J1", tasks=(task,))
+
+
+@pytest.mark.parametrize("make", [_status_reply_of_four_3mib_outputs, _dispatch_of_4mib, _submit_of_4mib])
+def test_encoding_copies_each_body_once(make):
+    # The one-dumps encoder peaked at 3x the bodies: the JSON str, the
+    # line str and the line bytes.
+    message = make()
+    body_bytes = sum(map(len, _bodies(message)))
+    tracemalloc.start()
+    try:
+        parts = protocol.encode_parts(message)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b"".join(parts) == _one_dumps_encode(message)
+    assert peak <= 1.5 * body_bytes, peak / body_bytes
 
 
 def test_unknown_type_rejected():
