@@ -116,7 +116,7 @@ class _Link:
         for line in self._framer.feed(data):
             message = protocol.decode(line)
             if isinstance(message, Dispatch):
-                self._cluster.dispatch_frames.append(line + b"\n")
+                self._cluster.dispatch_frames.append(b"%s\n" % line)
             self._deliver(message)
 
     def hang_up(self) -> None:

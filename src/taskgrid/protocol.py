@@ -16,8 +16,22 @@ back for the peer's delayed ACK.
 ``decode`` checks every base64 field strictly, accepting exactly what
 ``from_b64`` accepts, but without decoding it: the master forwards
 payload and output text verbatim, and only the worker decodes a
-payload, once. :class:`LineFramer` is linear in line length, so a
-multi-megabyte line costs the same however the stream is chunked.
+payload, once. It holds each body in memory once beside the line: it
+cuts every non-empty ``"payload_b64":"…"`` or ``"output_b64":"…"``
+string of strict base64 out of the raw line, checks it in 64 KiB
+pieces, parses the small JSON left with the token ``NaN`` in its place
+and puts each body back where it stood, as a ``str`` made straight
+from the line's bytes. A line with no non-empty body costs one regular
+expression search more than ``json.loads``; a line the cut does not
+fit, or one that is rejected, is decoded whole as before, so every
+error reads the same.
+
+:class:`LineFramer` is linear in line length, so a multi-megabyte line
+costs the same however the stream is chunked. ``feed`` returns
+bytes-like lines: a line that fills the framer's buffer from its first
+byte to its last, the usual case for a large one, is the buffer itself,
+a ``bytearray`` handed over without a copy; every other line is
+``bytes``.
 
 Each message's schema is its dataclass: ``decode`` derives its checks
 from the field annotations at import. A field is required unless its
@@ -28,6 +42,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass, field, fields
 from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
 
@@ -304,31 +319,38 @@ def _check_bool(value: Any, name: str) -> bool:
 
 
 _B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_PIECE = 64 * 1024
 
 
-def _is_strict_b64(text: str) -> bool:
-    """True iff ``from_b64`` would accept ``text``, found without decoding.
+def _is_strict_b64(data: bytes | bytearray, start: int, end: int) -> bool:
+    """True iff ``from_b64`` would accept ``data[start:end]``, found
+    without decoding it and copying at most 64 KiB of it at a time.
 
     Strict base64 is alphabet characters followed by a run of ``=``. A
     string without data takes no padding; with ``n`` data characters,
     ``n % 4`` must be 0 (any padding), 2 (exactly two ``=``) or 3
     (exactly one).
     """
-    if not text.isascii():
+    stop = data.find(b"=", start, end)
+    if stop < 0:
+        stop = end
+    n, pad = stop - start, end - stop
+    if n % 4 == 1 or n % 4 and pad != 4 - n % 4 or pad and not n:
         return False
-    data = text.encode("ascii")
-    pad = data.translate(None, _B64_ALPHABET)
-    if pad != b"=" * len(pad) or not data.endswith(pad):
+    if data.count(b"=", stop, end) != pad:
         return False
-    n = len(data) - len(pad)
-    if n % 4 == 0:
-        return n > 0 or not pad
-    return n % 4 > 1 and len(pad) == 4 - n % 4
+    view = memoryview(data)
+    return not any(
+        bytes(view[i : min(i + _PIECE, stop)]).translate(None, _B64_ALPHABET) for i in range(start, stop, _PIECE)
+    )
 
 
 def _check_b64(value: Any, name: str) -> str:
+    if isinstance(value, memoryview):
+        # A body that decode checked and cut from the line.
+        return str(value, "ascii")
     text = _check_str(value, name)
-    if not _is_strict_b64(text):
+    if text and not (text.isascii() and _is_strict_b64(text.encode("ascii"), 0, len(text))):
         raise ProtocolError(f"field {name} is not valid base64")
     return text
 
@@ -423,12 +445,47 @@ def _spec_of(cls: type) -> dict[str, tuple[Callable, bool]]:
 _SPECS = {name: (cls, _spec_of(cls)) for cls, name in _TYPE_NAMES.items()}
 
 
-def decode(line: bytes) -> Message:
-    """Parse one LF-terminated (or bare) message line."""
-    try:
-        obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed JSON: {exc}") from None
+# Every B64 field name ends in "_b64", so this finds each body that may
+# be cut: the end of its key, the quote that opens it and its first byte.
+_BODY_START = re.compile(rb'_b64":"[^"]')
+_BODY_KEYS = tuple({f'"{name}":"'.encode() for names in _B64_FIELDS.values() for name in names})
+
+
+def _cut_bodies(line: bytes | bytearray, match: re.Match[bytes]) -> tuple[bytes, list[memoryview]] | None:
+    """The line with the token ``NaN`` in place of each body that can be
+    cut from it, and those bodies in source order, each a ``memoryview``
+    of its bytes checked as strict base64; None when none can be cut.
+    ``match`` is the line's first ``_BODY_START``.
+
+    A body is cut where its key is a B64 field name whose leading quote
+    is not escaped, followed by ``:"`` and a non-empty string of strict
+    base64, so it holds no escape.
+    """
+    view = memoryview(line)
+    pieces: list[memoryview] = []
+    bodies: list[memoryview] = []
+    start = 0
+    while match:
+        body = match.end() - 1
+        end = line.find(b'"', body)
+        key = line.rfind(b'"', 0, match.start())
+        if (
+            end > body
+            and line[key:body] in _BODY_KEYS
+            and not line.endswith(b"\\", 0, key)
+            and _is_strict_b64(line, body, end)
+        ):
+            pieces.append(view[start : body - 1])
+            bodies.append(view[body:end])
+            start = body = end + 1
+        match = _BODY_START.search(line, body)
+    if not bodies:
+        return None
+    pieces.append(view[start:])
+    return b"NaN".join(pieces), bodies
+
+
+def _message(obj: Any) -> Message:
     if not isinstance(obj, dict):
         raise ProtocolError("message must be a JSON object")
     if "type" not in obj:
@@ -440,35 +497,77 @@ def decode(line: bytes) -> Message:
     return _build(cls, obj, spec, type_name)
 
 
+def decode(line: bytes | bytearray) -> Message:
+    """Parse one LF-terminated (or bare) message line.
+
+    Each body that can be cut is cut out of the line before the JSON is
+    parsed (see ``_cut_bodies``). The rest is parsed with ``NaN`` in place
+    of each cut string, and ``parse_constant`` gives the bodies back in
+    source order: a JSON string holds an unescaped quote only at its
+    ends, so each cut string was a value in its object, and ``NaN`` is a
+    value in the same place. Only the B64 check accepts a cut body, and
+    makes its ``str``. A line whose rest holds ``NaN`` or ``Infinity``
+    itself, and any line this rejects (a cut body in a ``params`` value
+    among them), is decoded whole, so every error is reported as the
+    whole line gives it.
+    """
+    match = _BODY_START.search(line)
+    cut = match and _cut_bodies(line, match)
+    if cut:
+        rest, bodies = cut
+        if rest.count(b"NaN") == len(bodies) and b"Infinity" not in rest:
+            values = iter(bodies)
+            try:
+                return _message(json.loads(rest.decode("utf-8"), parse_constant=lambda _: next(values)))
+            except (UnicodeDecodeError, json.JSONDecodeError, ProtocolError):
+                pass  # decoded whole below, for the error the whole line gives
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"malformed JSON: {exc}") from None
+    return _message(obj)
+
+
 class LineFramer:
     """Reassemble LF-terminated lines from an arbitrarily chunked stream.
 
     Work is linear in the bytes fed: each chunk is scanned for LF once,
     resuming where the previous scan stopped, and the consumed lines are
-    trimmed from the buffer once per call. A :class:`FramingError`
-    leaves the stream unusable; the caller drops the framer with its
-    connection.
+    trimmed from the buffer once per call. A line that fills the buffer
+    from its first byte to its last is not copied: the buffer itself is
+    handed over, and a fresh one started. That is the usual case for a
+    large line, as its sender then waits for a reply. A
+    :class:`FramingError` leaves the stream unusable; the caller drops
+    the framer with its connection.
     """
 
     def __init__(self, max_line_bytes: int = MAX_LINE_BYTES):
         self._buffer = bytearray()
         self._max = max_line_bytes
 
-    def feed(self, data: bytes) -> list[bytes]:
-        """Append a chunk; return the now-complete lines (LF stripped)."""
+    def feed(self, data: bytes) -> list[bytes | bytearray]:
+        """Append a chunk; return the now-complete lines (LF stripped),
+        each ``bytes`` or, for a line that was the whole buffer, the
+        ``bytearray``."""
         buffer = self._buffer
         # Everything already buffered was scanned by an earlier call and
         # holds no LF.
         pos = len(buffer)
         buffer.extend(data)
-        lines: list[bytes] = []
+        lines: list[bytes | bytearray] = []
         start = 0
         with memoryview(buffer) as view:
             while (idx := buffer.find(b"\n", pos)) >= 0:
                 if idx - start > self._max:
                     raise FramingError(f"line of {idx - start} bytes exceeds cap {self._max}")
+                if idx == len(buffer) - 1 and not start:
+                    break  # the line is the whole buffer
                 lines.append(view[start:idx].tobytes())
                 start = pos = idx + 1
+        if idx >= 0:
+            del buffer[idx]
+            self._buffer = bytearray()
+            return [buffer]
         del buffer[:start]
         if len(buffer) > self._max:
             raise FramingError(f"unterminated line exceeds cap {self._max}")

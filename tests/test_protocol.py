@@ -3,6 +3,8 @@ import binascii
 import dataclasses
 import itertools
 import json
+import re
+import sys
 import tracemalloc
 from typing import get_args, get_type_hints
 
@@ -356,6 +358,50 @@ def test_encoding_copies_each_body_once(make):
     assert peak <= 1.5 * body_bytes, peak / body_bytes
 
 
+def _result_of_4mib():
+    output = protocol.to_b64(bytes(4 << 20))
+    return Result(task_id="T1", worker_id="W1", status="OK", exec_ms=1, output_b64=output)
+
+
+@pytest.mark.parametrize("make", [_status_reply_of_four_3mib_outputs, _submit_of_4mib, _result_of_4mib])
+@pytest.mark.parametrize("as_framed", [bytes, bytearray])
+def test_decoding_copies_each_body_once(make, as_framed):
+    # Decoding the whole line as text peaked at 2x to 3x the bodies
+    # beyond the line: the line's str, the str bodies json.loads made
+    # from it and the ASCII copy of a body that the base64 check made.
+    message = make()
+    body_bytes = sum(map(len, _bodies(message)))
+    line = as_framed(encode(message))
+    tracemalloc.start()
+    try:
+        decoded = decode(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == message
+    assert peak <= 1.3 * body_bytes, peak / body_bytes
+
+
+def test_framer_hands_over_a_line_that_fills_its_buffer():
+    # Copying the line out of the buffer peaked at 2x the line.
+    stream = b"A" * (16 << 20) + b"\n"
+    framer = LineFramer()
+    lines = []
+    tracemalloc.start()
+    try:
+        for i in range(0, len(stream), 64 * 1024):
+            lines += framer.feed(stream[i : i + 64 * 1024])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == [stream[:-1]]
+    assert peak <= 1.2 * len(stream), peak / len(stream)
+    # Lines that share the buffer are still copied out of it, and the
+    # line handed over is not written again.
+    assert framer.feed(b"ab\ncd") == [b"ab"] and framer.feed(b"\n") == [b"cd"]
+    assert lines == [stream[:-1]]
+
+
 def test_unknown_type_rejected():
     with pytest.raises(ProtocolError, match="unknown message type"):
         decode(b'{"type":"NOPE"}\n')
@@ -396,12 +442,26 @@ def test_invalid_base64_rejected():
         decode(b'{"type":"DISPATCH","kind":"k","params":{},"payload_b64":"!!","requires_gpu":false,"task_id":"t"}\n')
 
 
+_QUAD = "[A-Za-z0-9+/]{4}"
+# Strict base64 as a regular expression: nothing; whole quads and any
+# padding; or whole quads, then two or three characters and the one
+# padding that completes their quad.
+_STRICT_B64 = re.compile(f"|(?:{_QUAD})+=*|(?:{_QUAD})*(?:[A-Za-z0-9+/]{{2}}==|[A-Za-z0-9+/]{{3}}=)")
+
+
 def _strict_b64_accepts(text):
-    try:
-        binascii.a2b_base64(text.encode("ascii"), strict_mode=True)
-    except (UnicodeEncodeError, binascii.Error):
-        return False
-    return True
+    """Whether strict base64 decoding accepts ``text``: the expression
+    above, checked on every call against ``binascii.a2b_base64`` with
+    ``strict_mode=True`` where Python has it (3.11 and later)."""
+    accepted = _STRICT_B64.fullmatch(text) is not None
+    if sys.version_info >= (3, 11):
+        try:
+            binascii.a2b_base64(text.encode("ascii"), strict_mode=True)
+        except (UnicodeEncodeError, binascii.Error):
+            assert not accepted, text
+        else:
+            assert accepted, text
+    return accepted
 
 
 def _check_b64_accepts(text):
@@ -436,6 +496,148 @@ def test_base64_check_matches_strict_decoder(text):
 def test_bool_is_not_an_int():
     with pytest.raises(ProtocolError, match="cpu_mhz"):
         decode(b'{"type":"REGISTER","cpu_mhz":true,"has_gpu":false,"worker_id":"W"}\n')
+
+
+# -- decoding with bodies cut out of the line, against the whole-line decoder --
+
+
+def _plain_decode(line):
+    """The decoder before bodies were cut out of the line: the whole line
+    through ``line.decode`` and ``json.loads``."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"malformed JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ProtocolError("message must be a JSON object")
+    if "type" not in obj:
+        raise ProtocolError("missing required field type")
+    type_name = obj.pop("type")
+    if not isinstance(type_name, str) or type_name not in protocol._SPECS:
+        raise ProtocolError(f"unknown message type {type_name!r}")
+    cls, spec = protocol._SPECS[type_name]
+    return protocol._build(cls, obj, spec, type_name)
+
+
+def _outcome(decoder, line):
+    """The decoded message, or the ProtocolError's detail."""
+    try:
+        return decoder(line)
+    except ProtocolError as exc:
+        return ("ProtocolError", exc.detail)
+
+
+def _assert_decodes_as_plain(line):
+    # A framed line is bytes, or the framer's bytearray. A body left as a
+    # memoryview would compare unequal to the plain decoder's str.
+    expected = _outcome(_plain_decode, bytes(line))
+    for framed in (bytes(line), bytearray(line)):
+        assert _outcome(decode, framed) == expected, framed
+
+
+_EDITS = [b'"', b"\\", b"=", b"N", b"\x00", b"\xc3\xa9", b"\xff", b"A", b":", b" ", b"", b"NaN", b"Infinity", b'_b64":"']
+
+
+@given(messages, st.lists(st.tuples(st.integers(0, 4096), st.integers(0, 2), st.sampled_from(_EDITS)), max_size=3))
+@settings(max_examples=600)
+def test_decode_matches_the_plain_decoder(msg, edits):
+    # Each edit replaces 0 to 2 bytes of the line at a position.
+    line = bytearray(encode(msg))
+    for at, width, text in edits:
+        at %= len(line) + 1
+        line[at : at + width] = text
+    _assert_decodes_as_plain(line)
+
+
+_DISPATCH = b'{"type":"DISPATCH","kind":"k","requires_gpu":false,"task_id":"T1",'
+_SUBMIT_HEAD = b'{"type":"SUBMIT","job_id":"J1","tasks":[{"kind":"k","requires_gpu":false,"task_id":'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # params keyed like a B64 field, with and without base64 values
+        _DISPATCH + b'"params":{"output_b64":"AA==","payload_b64":"AQID"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"payload_b64":"hello!"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"payload_b64":"AQI"},"payload_b64":""}',
+        _DISPATCH + b'"params":{"payload_b64":""},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"payload_b64":1},"payload_b64":"AQID"}',
+        # a key holding \"payload_b64":", and a quote after an escaped backslash
+        _DISPATCH + b'"params":{"a\\"payload_b64":"AQID"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"a\\\\":"x"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"a":"\\"payload_b64\\":\\"AQID\\""},"payload_b64":"AQID"}',
+        # NaN or Infinity in ids, in the body, and as bare tokens
+        b'{"type":"DISPATCH","kind":"Infinity","params":{},"payload_b64":"AQID","requires_gpu":false,"task_id":"NaN"}',
+        _DISPATCH + b'"params":{"-Infinity":"NaN"},"payload_b64":"NaNa"}',
+        _DISPATCH + b'"params":{"x":"NaN"},"payload_b64":"NaNa"}',
+        _DISPATCH + b'"params":{"payload_b64":"NaN"},"payload_b64":"NaNa"}',
+        b'{"type":"RESULT","exec_ms":NaN,"output_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W"}',
+        b'{"type":"RESULT","exec_ms":-Infinity,"output_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W"}',
+        b'{"type":"RESULT","exec_ms":1,"output_b64":"AQID"NaN,"status":"OK","task_id":"T1","worker_id":"W"}',
+        # other key orders and whitespace
+        b'{"task_id":"T1","payload_b64":"AQID","type":"DISPATCH","kind":"k","requires_gpu":false,"params":{}}',
+        _DISPATCH + b'"params":{}, "payload_b64" : "AQID" }',
+        _DISPATCH + b'"params":{},"payload_b64": "AQID"}',
+        _DISPATCH + b'"params":{},"payload_b64"\n:"AQID"}',
+        b' \t' + _DISPATCH + b'"params":{},"payload_b64":"AQID"}\r\n',
+        # escapes in a body
+        _DISPATCH + b'"params":{},"payload_b64":"\\u0041QID"}',
+        _DISPATCH + b'"params":{},"payload_b64":"AQI\\u0044"}',
+        _DISPATCH + b'"params":{},"payload_b64":"AQ\\/D"}',
+        _DISPATCH + b'"params":{},"payload_b64":"\\u00e9AAA"}',
+        # duplicate keys
+        _DISPATCH + b'"params":{},"payload_b64":"AAAA","payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{},"payload_b64":"!!","payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{},"payload_b64":"AQID","payload_b64":"!!"}',
+        _DISPATCH + b'"params":{"payload_b64":"AA=="},"payload_b64":"AQID","params":{}}',
+        # non-ASCII, control characters and bytes that are not UTF-8
+        _DISPATCH + b'"params":{"\xc3\xa9":"\xc3\xa9"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"x":"\x00"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{"x":"\xff"},"payload_b64":"AQID"}',
+        _DISPATCH + b'"params":{},"payload_b64":"AQ\x01D"}',
+        _DISPATCH + b'"params":{},"payload_b64":"AQ\xc3\xa9"}',
+        _DISPATCH + b'"params":{},"payload_b64":"AQI\xff"}',
+        # padding
+        *(
+            _DISPATCH + b'"params":{},"payload_b64":"%s"}' % body
+            for body in [b"AQI", b"AQ=", b"A===", b"AAAA=A", b"=", b"====", b"AAAA====", b"AA==", b"AAA=", b"A"]
+        ),
+        # bodies where the schema has none, or in the wrong type of value
+        b'{"type":"RESULT","exec_ms":1,"payload_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W"}',
+        b'{"type":"JOB_STATUS","job_id":{"output_b64":"AA=="}}',
+        b'{"type":"JOB_STATUS","job_id":"J1","x":[{"output_b64":"AA=="}]}',
+        b'{"output_b64":"AQID"}',
+        b'[{"output_b64":"AQID"}]',
+        b'{"type":{"output_b64":"AQID"}}',
+        # bodies before and after other invalid JSON
+        b'{"type":"RESULT","exec_ms":1,"output_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W",}',
+        b'{"type":"RESULT",,"exec_ms":1,"output_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W"}',
+        b'{"type":"RESULT","exec_ms":1,"output_b64":"AQID""status":"OK","task_id":"T1","worker_id":"W"}',
+        b'{"type":"RESULT","exec_ms":1,"output_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W"} x',
+        b'{"type":"RESULT","exec_ms":1,"output_b64":"AQID","status":"OK","task_id":"T1","worker_id":"W"}{}',
+        # several tasks, empty bodies among non-empty ones
+        _SUBMIT_HEAD + b'"T1","params":{},"payload_b64":""},{"kind":"k","params":{},"payload_b64":"AQID",'
+        b'"requires_gpu":true,"task_id":"T2"},{"kind":"k","params":{"payload_b64":"AA=="},"payload_b64":"AA==",'
+        b'"requires_gpu":true,"task_id":"T3"}]}',
+    ],
+)
+def test_decode_matches_the_plain_decoder_on_adversarial_lines(line):
+    _assert_decodes_as_plain(line)
+
+
+def test_decode_matches_the_plain_decoder_on_every_truncation():
+    line = encode(
+        Submit(
+            job_id="J1",
+            tasks=(
+                SubmitTask(task_id="T1", kind="k", requires_gpu=True, params={"output_b64": "AQ=="}, payload_b64="AQID"),
+                SubmitTask(task_id="T2", kind="k", requires_gpu=False, payload_b64=""),
+                SubmitTask(task_id="T3", kind="k", requires_gpu=False, payload_b64="AAAABB=="),
+            ),
+        )
+    )
+    for end in range(len(line) + 1):
+        _assert_decodes_as_plain(line[:end])
 
 
 # -- framing ----------------------------------------------------------------
