@@ -14,7 +14,7 @@ import signal
 import sys
 
 from . import protocol
-from .bench import IntegrityError, run_bench
+from .bench import BenchTaskFailed, IntegrityError, run_bench
 from .client import ClientError, MasterClient, MasterUnreachable, make_task, new_id
 from .master import MasterServer
 from .model import overhead_ms
@@ -180,6 +180,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     except ClientError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TASK_FAILED
+    except protocol.ProtocolError as exc:
+        return _bad_reply(exc)
 
     os.makedirs(args.outdir, exist_ok=True)
     all_completed = ack.accepted_count == len(tasks)
@@ -204,6 +206,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return EXIT_OK if all_completed else EXIT_TASK_FAILED
 
 
+def _bad_reply(exc: protocol.ProtocolError) -> int:
+    """A reply that does not decode, or is over the line cap."""
+    print(f"bad reply from master: {exc}", file=sys.stderr)
+    return EXIT_TASK_FAILED
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     images = []
     for path in args.images:
@@ -219,6 +227,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_TASK_FAILED
+    except (ClientError, BenchTaskFailed) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_TASK_FAILED
+    except protocol.ProtocolError as exc:
+        return _bad_reply(exc)
     print(report.render_table(), end="")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

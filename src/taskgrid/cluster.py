@@ -8,8 +8,10 @@ worker runs the production :class:`WorkerCore`, heartbeat cadence
 included, like the TCP :class:`WorkerAgent`; the two differ only in
 transport, clock and when execution runs. A simulated worker wakes
 when its core's next beat falls due, where the agent's reader stops
-waiting for input. Time is a logical clock advanced by the test script;
-heartbeats, eviction ticks and task completions are discrete events
+waiting for input; the master wakes when its core's next timer falls
+due (:meth:`MasterCore.next_due_ms`), where the TCP server's loop stops
+sleeping. Time is a logical clock advanced by the test script;
+heartbeats, master timers and task completions are discrete events
 processed in a deterministic (time, insertion) order, so identical
 scripts produce identical dispatch logs byte for byte.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import protocol
 from .master import Connection, MasterCore
@@ -50,6 +52,8 @@ from .protocol import (
 from .scheduler import SchedulerConfig
 from .worker import WorkerCore
 from .workloads import ExecutorRegistry, built_in_registry
+
+R = TypeVar("R", bound=Message)
 
 
 @dataclass
@@ -178,11 +182,7 @@ class SimWorker:
 
 
 class InProcCluster:
-    """Master plus simulated workers under a controllable logical clock.
-
-    Master eviction ticks run every ``heartbeat_interval_ms`` of logical
-    time starting at the first interval after construction.
-    """
+    """Master plus simulated workers under a controllable logical clock."""
 
     def __init__(self, config: SchedulerConfig | None = None):
         self.config = config or SchedulerConfig()
@@ -200,7 +200,8 @@ class InProcCluster:
         self.workers: dict[str, SimWorker] = {}
         self._client_replies: list[Message] = []
         self._client = _Link(self, self._client_replies.append)
-        self._schedule(self.config.heartbeat_interval_ms, self._master_tick)
+        self._master_due = self.core.next_due_ms()
+        self._schedule(self._master_due, self.core.run_due)
 
     # -- recording -----------------------------------------------------------
 
@@ -221,10 +222,6 @@ class InProcCluster:
     def _schedule(self, delay_ms: int, action: Callable[[], None]) -> None:
         self._seq += 1
         heapq.heappush(self._heap, _Event(self.now_ms + delay_ms, self._seq, action))
-
-    def _master_tick(self) -> None:
-        self.core.tick()
-        self._schedule(self.config.heartbeat_interval_ms, self._master_tick)
 
     # -- cluster control -----------------------------------------------------------
 
@@ -255,7 +252,7 @@ class InProcCluster:
         worker = SimWorker(self, WorkerCore(register, registry, clock=lambda: self.now_ms))
         self.workers[worker_id] = worker
         worker.start()
-        self._drain_due_events()
+        self.advance(0)
         return worker
 
     def kill_worker(self, worker_id: str) -> None:
@@ -264,17 +261,16 @@ class InProcCluster:
         self.workers[worker_id].alive = False
 
     def submit(self, tasks: list[SubmitTask], job_id: str = "job") -> SubmitAck:
-        self._client.put(protocol.encode(Submit(job_id=job_id, tasks=tuple(tasks))))
-        self._drain_due_events()
-        reply = self._client_replies.pop(0)
-        assert isinstance(reply, SubmitAck), reply
-        return reply
+        return self._request(Submit(job_id=job_id, tasks=tuple(tasks)), SubmitAck)
 
     def job_status(self, job_id: str = "job") -> JobStatusReply:
-        self._client.put(protocol.encode(JobStatus(job_id=job_id)))
-        self._drain_due_events()
+        return self._request(JobStatus(job_id=job_id), JobStatusReply)
+
+    def _request(self, message: Message, reply_type: type[R]) -> R:
+        self._client.put(protocol.encode(message))
+        self.advance(0)
         reply = self._client_replies.pop(0)
-        assert isinstance(reply, JobStatusReply), reply
+        assert isinstance(reply, reply_type), reply
         return reply
 
     def wait_job(
@@ -282,10 +278,9 @@ class InProcCluster:
     ) -> JobProgressReply:
         """Send JOB_WAIT and fire events until its reply arrives, at most
         ``max_ms`` of logical time; ``now_ms`` is then the reply's arrival.
-        The master's expiry check runs when ``timeout_ms`` has passed."""
+        The master answers it at the job's end or, by its timer rule, at
+        the wait's deadline."""
         self._client.put(protocol.encode(JobWait(job_id=job_id, timeout_ms=timeout_ms)))
-        if timeout_ms is not None:
-            self._schedule(timeout_ms, self.core.expire_waits)
         limit = self.now_ms + max_ms
         while not self._client_replies:
             if self._heap[0].at_ms > limit:
@@ -296,10 +291,6 @@ class InProcCluster:
         return reply
 
     # -- time -------------------------------------------------------------------------
-
-    def _drain_due_events(self) -> None:
-        while self._heap and self._heap[0].at_ms <= self.now_ms:
-            heapq.heappop(self._heap).action()
 
     def advance(self, dt_ms: int) -> None:
         """Move logical time forward, firing due events in order."""
@@ -312,16 +303,16 @@ class InProcCluster:
         event = heapq.heappop(self._heap)
         self.now_ms = max(self.now_ms, event.at_ms)
         event.action()
+        # Each move of the master's next due time arms a wake there; a wake
+        # armed before a later move finds nothing due and arms none.
+        if (due := self.core.next_due_ms()) != self._master_due:
+            self._master_due = due
+            self._schedule(due - self.now_ms, self.core.run_due)
 
     def run_until_terminal(
         self, job_id: str = "job", max_ms: int = 10 * 60 * 1000
     ) -> JobStatusReply:
-        """Advance in heartbeat-interval steps until the job settles."""
-        step = self.config.heartbeat_interval_ms
-        waited = 0
-        while waited <= max_ms:
-            if self.core.job_is_terminal(job_id):
-                return self.job_status(job_id)
-            self.advance(step)
-            waited += step
-        raise TimeoutError(f"job {job_id} not terminal after {max_ms} logical ms")
+        """Wait for the job to settle (:meth:`wait_job`, which leaves
+        ``now_ms`` at that instant), then fetch its status."""
+        self.wait_job(job_id, max_ms=max_ms)
+        return self.job_status(job_id)

@@ -1,10 +1,10 @@
 """Master node: membership, scheduling, and the client/worker endpoint.
 
 :class:`MasterCore` is the transport-free event handler — one message or
-tick in, replies and dispatches out — so the TCP server and the
+due timer in, replies and dispatches out — so the TCP server and the
 in-process test cluster drive identical logic. :class:`MasterServer`
 wraps it in a TCP server that runs on one thread: a selector loop
-accepts, reads, calls the core, runs its eviction tick and writes
+accepts, reads, calls the core, runs its due timers and writes
 through per-connection queues that never block, so the master is one
 event loop and a peer that stops reading holds up only its own
 connection. :class:`Connection` is that per-peer code; the in-process
@@ -12,8 +12,9 @@ cluster drives the same class over an in-memory socket.
 
 A JOB_WAIT is parked on the core and answered with the job's
 JOB_PROGRESS_REPLY once the job is terminal, after the handler that made
-it so, or once its deadline passes; the server's loop sleeps no longer
-than the earliest deadline.
+it so, or once its deadline passes. Those deadlines and the eviction
+tick are the core's one timer rule (``next_due_ms``, ``run_due``, on its
+clock); each driver only sleeps until the next is due.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import logging
 import selectors
 import socket
 import threading
-import time
 from collections import deque
 from typing import Callable, Iterable, NamedTuple
 
@@ -93,6 +93,7 @@ class MasterCore:
         # Jobs made terminal, while waits were parked, by the handler
         # that is running; their waits are answered when it returns.
         self._finished: set[str] = set()
+        self._next_tick_ms = clock() + config.heartbeat_interval_ms
 
     # -- event handling ------------------------------------------------------
 
@@ -148,21 +149,28 @@ class MasterCore:
                 self.scheduler.catalog.remove(profile.worker_id)
                 logger.info("worker %s closed its connection", profile.worker_id)
 
-    def tick(self) -> None:
-        """Periodic eviction pass plus a scheduling round."""
-        now = self.clock()
-        self.scheduler.evict_stale(now)
-        self._pump(now)
-        self._answer_finished()
+    def next_due_ms(self) -> int:
+        """When :meth:`run_due` next has work, on ``clock``: the earlier of
+        the next eviction tick and the earliest parked wait's deadline."""
+        deadline = self._waits[0].deadline_ms if self._waits else None
+        return self._next_tick_ms if deadline is None else min(self._next_tick_ms, deadline)
 
-    def expire_waits(self) -> None:
-        """Answer each parked wait whose deadline has passed."""
+    def run_due(self) -> bool:
+        """Answer each parked wait whose deadline has passed; then, if the
+        eviction tick is due, re-arm it first, so a tick that raises
+        cannot stop eviction, evict stale workers, run a scheduling round
+        and answer the waits of jobs that finished. Returns whether
+        anything was due."""
         now = self.clock()
+        if self.next_due_ms() > now:
+            return False
         self._release(lambda wait: wait.deadline_ms is not None and wait.deadline_ms <= now)
-
-    def next_wait_deadline_ms(self) -> int | None:
-        """The earliest deadline of a parked wait, on ``clock``."""
-        return self._waits[0].deadline_ms if self._waits else None
+        if self._next_tick_ms <= now:
+            self._next_tick_ms = now + self.config.heartbeat_interval_ms
+            self.scheduler.evict_stale(now)
+            self._pump(now)
+            self._answer_finished()
+        return True
 
     def _count_transition(
         self, task: TaskDescriptor, from_state: TaskState, to_state: TaskState, now_ms: int
@@ -392,6 +400,8 @@ class Connection:
             return
         try:
             for line in self._framer.feed(chunk):
+                if self.closed:  # a reply's send failed: no peer is left to serve
+                    break
                 try:
                     message = protocol.decode(line)
                 except protocol.ProtocolError as exc:
@@ -414,7 +424,7 @@ class Connection:
 class MasterServer:
     """TCP shell around :class:`MasterCore`: one selector loop on the
     thread that calls :meth:`serve_forever` accepts, reads, runs the core
-    and its eviction tick, and writes.
+    and its due timers, and writes.
 
     Raises OSError from the constructor when the listen address cannot
     be bound (the CLI maps that to exit code 2).
@@ -440,8 +450,6 @@ class MasterServer:
         """Serve until :meth:`shutdown`; blocks the caller."""
         self._serving = True
         selector = selectors.DefaultSelector()
-        interval_s = self.core.config.heartbeat_interval_ms / 1000.0
-        next_tick = time.monotonic() + interval_s
         try:
             if self._stop:  # shutdown() came first and may have closed the sockets
                 return
@@ -449,14 +457,10 @@ class MasterServer:
             selector.register(self._wake_r, selectors.EVENT_READ)
             logger.info("master listening on %s:%d", *self.address)
             while not self._stop:
-                # A due tick waits for one more pass, so lines that arrived
+                # A due timer waits for one more pass, so lines that arrived
                 # while the loop was busy (beats among them) count first.
-                wait_s = next_tick - time.monotonic()
-                timeout_s = wait_s
-                deadline_ms = self.core.next_wait_deadline_ms()
-                if deadline_ms is not None:
-                    timeout_s = min(timeout_s, (deadline_ms - self.core.clock()) / 1000.0)
-                for key, events in selector.select(max(timeout_s, 0)):
+                wait_ms = self.core.next_due_ms() - self.core.clock()
+                for key, events in selector.select(max(wait_ms, 0) / 1000.0):
                     if key.fileobj is self._listener:
                         # OSError: the peer gave up first, or no descriptor is left.
                         with contextlib.suppress(OSError):
@@ -467,13 +471,9 @@ class MasterServer:
                             Connection(sock, selector, self.core)
                     elif key.data is not None and not key.data.closed:
                         self._serve(key.data, events)
-                if deadline_ms is not None and deadline_ms <= self.core.clock():
-                    self.core.expire_waits()
-                if wait_s <= 0:
-                    # Re-armed first: a tick that raises cannot stop eviction.
-                    next_tick = time.monotonic() + interval_s
+                if wait_ms <= 0:
                     try:
-                        self.core.tick()
+                        self.core.run_due()
                     except Exception:
                         logger.exception("eviction tick failed")
         finally:

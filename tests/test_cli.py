@@ -1,13 +1,18 @@
+import contextlib
+import functools
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from taskgrid.cli import parse_address, parse_duration_ms
+from taskgrid import protocol
+from taskgrid.cli import main, parse_address, parse_duration_ms
+from taskgrid.protocol import ErrorReply, JobProgressReply, JobStatusReply, SubmitAck, TaskReport
 from taskgrid.sobel import GrayImage, sobel_sequential, parse_pgm, write_pgm
 
 
@@ -96,6 +101,81 @@ def test_submit_with_no_workers_times_out_queued(tmp_path):
     finally:
         master.terminate()
         master.wait(timeout=10)
+
+
+# -- a fake master ----------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def fake_master(*replies):
+    """A master on a thread that answers the n-th request line with the
+    n-th of ``replies``; yields its port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener, listener.accept()[0] as conn, contextlib.suppress(OSError):
+            framer, pending = protocol.LineFramer(), list(replies)
+            while pending and (chunk := conn.recv(65536)):
+                for _ in framer.feed(chunk):
+                    conn.sendall(pending.pop(0))
+            conn.recv(1)  # the client hangs up
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+ACK = protocol.encode(SubmitAck(job_id="J1", accepted_count=1))
+DONE = protocol.encode(JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=0, failed=1))
+
+
+def _failed_status(error):
+    report = TaskReport(
+        task_id="T1", state="FAILED", worker_id="W1", submitted_ms=0, dispatched_ms=1,
+        completed_ms=2, exec_ms=1, output_b64=None, error=error,
+    )
+    return protocol.encode(JobStatusReply(job_id="J1", tasks=(report,)))
+
+
+def _one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and text in err, err
+
+
+def test_submit_reports_an_undecodable_reply_in_one_line(capsys):
+    with fake_master(b"not json\n") as port:
+        assert main(["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop"]) == 1
+    _one_error_line(capsys, "bad reply from master: malformed JSON")
+
+
+def test_submit_reports_a_status_reply_over_the_line_cap_in_one_line(capsys, tmp_path, monkeypatch):
+    # A 4 KiB cap stands in for the 64 MiB one.
+    monkeypatch.setattr(protocol, "LineFramer", functools.partial(protocol.LineFramer, 4096))
+    big = _failed_status("x" * 8192)
+    with fake_master(ACK, DONE, big) as port:
+        code = main(["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop", "--outdir", str(tmp_path)])
+    assert code == 1
+    _one_error_line(capsys, "exceeds cap 4096")
+
+
+@pytest.mark.parametrize(
+    "replies, text",
+    [
+        ([b"not json\n"], "bad reply from master: malformed JSON"),
+        ([protocol.encode(ErrorReply(code="BUSY", detail="no room"))], "BUSY: no room"),
+        ([ACK, DONE, _failed_status("boom")], "sobel_seq task ended FAILED: boom"),
+    ],
+)
+def test_bench_reports_master_side_errors_in_one_line(replies, text, capsys, tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(write_pgm(GrayImage(4, 3, bytes(12))))
+    with fake_master(*replies) as port:
+        assert main(["bench", "--master", f"127.0.0.1:{port}", "--images", str(path)]) == 1
+    _one_error_line(capsys, text)
 
 
 # -- live cluster over subprocesses ----------------------------------------------

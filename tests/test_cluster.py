@@ -1,9 +1,13 @@
+import hashlib
 import itertools
 import logging
+import os
 import random
 import selectors
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +332,26 @@ def test_blocking_partial_sends_change_no_outcome_and_replay_exactly(seed, monke
     # Frames are recorded whole though they crossed in pieces.
     assert all(protocol.encode(protocol.decode(f)) == f for f in cluster.dispatch_frames)
     assert (logs, blocked) == (logs_again, blocked_again)
+
+
+def _log_digests(seeds):
+    return [hashlib.sha256("".join(_mixed_run(seed)[2]).encode()).hexdigest() for seed in seeds]
+
+
+def test_seeded_logs_replay_across_processes_and_hash_seeds():
+    # No set or dict order that follows str hashes may reach the logs.
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    code = "import test_cluster; print(*test_cluster._log_digests([1, 2]))"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        for hash_seed in ("0", "1")
+    ]
+    assert runs == [_log_digests([1, 2])] * 2
 
 
 def test_wall_clock_exec_ms_does_not_steer_the_logical_schedule():

@@ -11,10 +11,12 @@ import pytest
 import taskgrid.worker as worker_mod
 from taskgrid import protocol
 from taskgrid.client import ClientError, MasterClient, make_task
-from taskgrid.master import MasterCore, MasterServer
+from taskgrid.master import Connection, MasterCore, MasterServer
+from taskgrid.model import TaskState
 from taskgrid.protocol import (
     Dispatch,
     ErrorReply,
+    Heartbeat,
     HeartbeatAck,
     JobProgressReply,
     JobStatusReply,
@@ -406,6 +408,133 @@ def test_a_waiter_that_cannot_be_answered_is_dropped_quietly(caplog):
     assert caplog.records == []
     assert answered[-1] == JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=1, failed=0)
     assert core._waits == []
+
+
+class _ResetPeer:
+    """A peer that has reset its connection, so every send fails; it is
+    also the selector its :class:`Connection` registers with."""
+
+    def __init__(self, chunk=b""):
+        self._chunk = chunk
+
+    def recv(self, bufsize):
+        chunk, self._chunk = self._chunk, b""
+        return chunk
+
+    def send(self, data):
+        raise ConnectionResetError("connection reset by peer")
+
+    def _ignore(self, *args):
+        pass
+
+    setblocking = register = modify = unregister = close = _ignore
+
+
+def test_no_line_is_delivered_after_a_failed_reply_closes_the_connection():
+    # The HEARTBEAT's ack fails to send and closes the connection; the
+    # REGISTER read with it must not make a worker whose dispatches are lost.
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    chunk = protocol.encode(Heartbeat(worker_id="W1", ts_ms=0, busy=False)) + protocol.encode(
+        Register(worker_id="W1", cpu_mhz=2400, has_gpu=False)
+    )
+    conn = Connection(_ResetPeer(chunk), _ResetPeer(), core)
+    conn.read()
+    assert conn.closed
+    assert "W1" not in core.scheduler.catalog
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), lambda m: None)
+    assert core.scheduler.tasks["T1"].state is TaskState.QUEUED
+
+
+# -- the timer rule ---------------------------------------------------------------
+
+
+def _timed_core(clock, **config):
+    return MasterCore(SchedulerConfig(heartbeat_interval_ms=1000, **config), clock=lambda: clock[0])
+
+
+def test_next_due_is_the_earlier_of_the_tick_and_the_earliest_deadline():
+    clock = [0]
+    core = _timed_core(clock)
+    replies = []
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), replies.append)
+    assert core.next_due_ms() == 1000  # the first tick
+    core.deliver(JobWait(job_id="J1"), replies.append)  # no deadline
+    core.deliver(JobWait(job_id="J1", timeout_ms=1500), replies.append)
+    assert core.next_due_ms() == 1000
+    core.deliver(JobWait(job_id="J1", timeout_ms=400), replies.append)
+    assert core.next_due_ms() == 400
+    clock[0] = 399
+    assert not core.run_due()
+    assert len(replies) == 1  # the SUBMIT_ACK
+    clock[0] = 400
+    assert core.run_due()
+    assert replies[1:] == [JobProgressReply(job_id="J1", queued=1, dispatched=0, completed=0, failed=0)]
+    assert core.next_due_ms() == 1000
+    clock[0] = 1000
+    assert core.run_due()
+    assert core.next_due_ms() == 1500
+    clock[0] = 1500
+    assert core.run_due()
+    assert len(replies) == 3
+    assert core.next_due_ms() == 2000  # the wait with no deadline counts for nothing
+
+
+def test_a_tick_that_raises_has_already_been_re_armed():
+    clock = [0]
+    core = _timed_core(clock)
+    evicted_at = []
+
+    def evict_stale(now_ms):
+        evicted_at.append(now_ms)
+        raise RuntimeError("eviction failed")
+
+    core.scheduler.evict_stale = evict_stale
+    clock[0] = 1000
+    with pytest.raises(RuntimeError):
+        core.run_due()
+    assert core.next_due_ms() == 2000
+    clock[0] = 1999
+    assert not core.run_due()
+    clock[0] = 2000
+    with pytest.raises(RuntimeError):
+        core.run_due()
+    assert evicted_at == [1000, 2000]
+
+
+def test_a_deadline_and_a_tick_due_in_the_same_ms_are_served_by_one_call_waits_first():
+    clock = [0]
+    core = _timed_core(clock, unschedulable_timeout_ms=500)
+    replies = []
+    # No GPU worker: the tick at 1000 fails T1, which ends the job.
+    task = make_task("noop", requires_gpu=True, task_id="T1")
+    core.deliver(Submit(job_id="J1", tasks=(task,)), replies.append)
+    core.deliver(JobWait(job_id="J1", timeout_ms=1000), replies.append)
+    clock[0] = 1000
+    assert core.run_due()
+    # The deadline is answered with the counts from before the tick.
+    assert replies[1:] == [JobProgressReply(job_id="J1", queued=1, dispatched=0, completed=0, failed=0)]
+    assert core.scheduler.tasks["T1"].state is TaskState.FAILED
+    assert core.next_due_ms() == 2000
+
+
+def test_a_tick_that_raises_is_logged_and_the_loop_keeps_ticking(caplog):
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=20))
+    evicted = threading.Semaphore(0)
+
+    def evict_stale(now_ms):
+        evicted.release()
+        raise RuntimeError("eviction failed")
+
+    server.core.scheduler.evict_stale = evict_stale
+    serving = server.start()
+    try:
+        assert evicted.acquire(timeout=5) and evicted.acquire(timeout=5)
+    finally:
+        server.shutdown()
+        serving.join(10)
+    assert not serving.is_alive()
+    failures = [r for r in caplog.records if r.getMessage() == "eviction tick failed"]
+    assert len(failures) >= 2 and failures[0].exc_info is not None
 
 
 def test_state_dump(tmp_path):

@@ -137,7 +137,7 @@ def test_liveness_uses_master_clock_not_worker_clock():
         core.handle(Heartbeat(worker_id="Wbehind", ts_ms=now - 900_000, busy=False), None)
         if now == 1_002_000:
             core.handle(Heartbeat(worker_id="Wahead", ts_ms=now + 10**9, busy=False), None)
-        core.tick()
+        core.run_due()
         for wid in ("Wbehind", "Wahead"):
             if wid not in core.scheduler.catalog:
                 evicted_at.setdefault(wid, now)
@@ -169,7 +169,7 @@ def test_a_finished_task_drops_its_payload_and_a_requeued_one_keeps_it():
     assert tasks["ok"].payload_b64 == tasks["bad"].payload_b64 == ""
     # W1 holds "again" and goes silent: eviction re-queues it with its payload.
     clock[0] = 600
-    core.tick()
+    core.run_due()
     assert tasks["gpu"].error == UNSCHEDULABLE_ERROR
     assert (tasks["again"].state, tasks["gpu"].payload_b64) == (TaskState.QUEUED, "")
     assert tasks["again"].payload_b64 == "CQoL"
