@@ -6,12 +6,29 @@ comes first, every other key (at any nesting level) is sorted
 alphabetically, optional fields that are unset are omitted, and binary
 payloads travel as base64 strings. Decoders accept any field order.
 
-:func:`encode_parts` gives the same line as parts for the senders: each
-non-empty base64 body is a part of its own, copied once and never
-escaped, and the JSON around it is the rest of the line, so the bytes
-on the wire are those of :func:`encode`. The master, the client and
-the worker set ``TCP_NODELAY``, so a line's small last part is not held
-back for the peer's delayed ACK.
+Each message's schema is its dataclass, declared once. At import, one
+walk over each class's field annotations compiles a writer and a reader
+for it, the only encode and decode paths. A field is required unless
+its annotation admits ``None`` (it then defaults to ``None``), and
+:data:`B64` marks base64 text.
+
+The writer emits the canonical line directly: ``str`` values through
+``json.encoder.encode_basestring_ascii``, integers as ``int.__repr__``
+gives them, booleans as ``true`` and ``false``, ``params`` sorted. A
+value whose type is not its field's raises ``TypeError`` at the sender.
+:func:`encode_parts` gives the line as parts: each non-empty base64
+body is a part of its own, copied once and never escaped, and the JSON
+around it is the rest of the line, so the bytes on the wire are those
+of :func:`encode`. The master, the client and the worker set
+``TCP_NODELAY``, so a line's small last part is not held back for the
+peer's delayed ACK.
+
+The reader takes the object ``json.loads`` gives. It passes a ``str``,
+``int`` or ``bool`` field on an exact type test and runs a check on
+every other value and on every base64, ``params``, enum and array
+field. A rejection names the first bad or missing field in
+declaration order or, failing that, the alphabetically first unknown
+key. It builds the instance without running the frozen ``__init__``.
 
 ``decode`` checks every base64 field strictly, accepting exactly what
 ``from_b64`` accepts, but without decoding it: the master forwards
@@ -32,10 +49,6 @@ bytes-like lines: a line that fills the framer's buffer from its first
 byte to its last, the usual case for a large one, is the buffer itself,
 a ``bytearray`` handed over without a copy; every other line is
 ``bytes``.
-
-Each message's schema is its dataclass: ``decode`` derives its checks
-from the field annotations at import. A field is required unless its
-annotation admits ``None``, and :data:`B64` marks base64 text.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ import base64
 import json
 import re
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
 
 MAX_LINE_BYTES = 64 * 1024 * 1024
@@ -238,66 +252,11 @@ _TYPE_NAMES: dict[type, str] = {
 }
 
 
-def _fields(obj: Any) -> dict[str, Any]:
-    """A message dataclass's set fields: its instance dict minus ``None``."""
-    return {name: value for name, value in vars(obj).items() if value is not None}
-
-
-# A marked body's place in the JSON text. ``json.dumps`` writes a float NaN
-# as the bare token NaN, and no message has a float field, so ``"<name>":NaN``
-# is a B64 key followed by the marker: a string value can hold those
-# characters only with its quotes escaped.
-_MARK = float("nan")
-
-
-def encode_parts(message: Message) -> list[bytes]:
-    """The canonical line as parts whose concatenation is :func:`encode`.
-
-    Each non-empty :data:`B64` value is a part of its own, its ASCII text
-    copied once without a JSON escape scan. A message with no such value
-    is one ``json.dumps`` and one part.
-
-    Raises ValueError when a B64 value is not ASCII or holds a quote or
-    a backslash, which would end its JSON string early; ``to_b64`` and
-    ``decode`` admit neither.
-    """
-    type_name = _TYPE_NAMES.get(type(message))
-    if type_name is None:
-        raise TypeError(f"not a wire message: {type(message).__name__}")
-    bodies: list[tuple[str, str]] = []
-
-    def fields_marking_bodies(obj: Any) -> dict[str, Any]:
-        # json.dumps calls this as it reaches each dataclass, so the
-        # bodies are listed in the order their markers appear.
-        values = _fields(obj)
-        for name in _B64_FIELDS.get(type(obj), ()):
-            if values.get(name):
-                bodies.append((name, values[name]))
-                values[name] = _MARK
-        return values
-
-    # Every message has a field, so the object is never "{}". A message is
-    # a tree, so json.dumps need not track containers to catch a cycle.
-    text = json.dumps(
-        message, sort_keys=True, separators=(",", ":"), check_circular=False, default=fields_marking_bodies
-    )
-    parts = []
-    head, start = f'{{"type":"{type_name}",', 1
-    for name, body in bodies:
-        data = body.encode("ascii")
-        if b'"' in data or b"\\" in data:
-            raise ValueError(f"field {name} holds a quote or a backslash")
-        key = f'"{name}":'
-        at = text.index(key + "NaN", start) + len(key)
-        parts += [f'{head}{text[start:at]}"'.encode("utf-8"), data]
-        head, start = '"', at + len("NaN")
-    parts.append(f"{head}{text[start:]}\n".encode("utf-8"))
-    return parts
-
-
-def encode(message: Message) -> bytes:
-    """Canonical single-line encoding, LF terminated."""
-    return b"".join(encode_parts(message))
+# -- the reader's checks ------------------------------------------------------
+#
+# A reader passes a str, int or bool field's value on an exact type test;
+# these checks see every other value, and every B64, params, enum and array
+# value, and raise the ProtocolError that names the field.
 
 
 def _check_str(value: Any, name: str) -> str:
@@ -361,7 +320,7 @@ def _check_params(value: Any, name: str) -> dict[str, str]:
     for key, item in value.items():
         if not isinstance(key, str) or not isinstance(item, str):
             raise ProtocolError(f"field {name} must map strings to strings")
-    return dict(value)
+    return value
 
 
 def _check_enum(allowed: tuple[str, ...]) -> Callable[[Any, str], str]:
@@ -374,81 +333,232 @@ def _check_enum(allowed: tuple[str, ...]) -> Callable[[Any, str], str]:
     return check
 
 
-def _build(cls: type, obj: dict[str, Any], spec: dict[str, tuple[Callable, bool]], where: str) -> Any:
-    values: dict[str, Any] = {}
-    for name, (check, required) in spec.items():
-        if name in obj:
-            values[name] = check(obj[name], name)
-        elif required:
-            raise ProtocolError(f"missing required field {name} in {where}")
-    extras = set(obj) - set(spec)
-    if extras:
-        raise ProtocolError(f"unknown field {sorted(extras)[0]} in {where}")
-    return cls(**values)
-
-
 def _check_object(value: Any, name: str) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise ProtocolError(f"field {name} must be an object")
     return value
 
 
-_PLAIN_CHECKS: dict[Any, Callable[[Any, str], Any]] = {
-    str: _check_str,
-    int: _check_int,
-    bool: _check_bool,
-    B64: _check_b64,
-    dict[str, str]: _check_params,
-}
-
-
-def _check_array(cls: type) -> Callable[[Any, str], tuple]:
-    spec = _spec_of(cls)
-
+def _check_array(read_entry: Callable[[dict[str, Any], str], Any]) -> Callable[[Any, str], tuple]:
     def check(value: Any, name: str) -> tuple:
         if not isinstance(value, list):
             raise ProtocolError(f"field {name} must be an array")
         where = f"{name} entry"
-        return tuple(_build(cls, _check_object(item, name), spec, where) for item in value)
+        return tuple(read_entry(_check_object(item, name), where) for item in value)
 
     return check
 
 
-def _check_for(hint: Any) -> Callable[[Any, str], Any]:
+# -- the writer's pieces ------------------------------------------------------
+#
+# A value writer appends its value's JSON text to ``out`` as str pieces;
+# a non-empty B64 body goes in as ``bytes``, its index added to ``bodies``.
+# A value of the wrong type raises TypeError naming its field.
+
+_Out = list[Any]
+
+
+def _ill_typed(name: str, value: Any, expected: str) -> TypeError:
+    return TypeError(f"field {name} must be {expected}, not {type(value).__name__}")
+
+
+def _write_str(value: Any, name: str, out: _Out, bodies: list[int]) -> None:
+    if not isinstance(value, str):
+        raise _ill_typed(name, value, "a string")
+    out.append(encode_basestring_ascii(value))
+
+
+def _write_int(value: Any, name: str, out: _Out, bodies: list[int]) -> None:
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise _ill_typed(name, value, "an integer")
+    out.append(int.__repr__(value))
+
+
+def _write_bool(value: Any, name: str, out: _Out, bodies: list[int]) -> None:
+    if value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise _ill_typed(name, value, "a boolean")
+
+
+def _write_b64(value: Any, name: str, out: _Out, bodies: list[int]) -> None:
+    if not isinstance(value, str):
+        raise _ill_typed(name, value, "a string")
+    if not value:
+        out.append('""')
+        return
+    data = value.encode("ascii")
+    if b'"' in data or b"\\" in data:
+        raise ValueError(f"field {name} holds a quote or a backslash")
+    out.append('"')
+    bodies.append(len(out))
+    out += (data, '"')
+
+
+def _write_params(value: Any, name: str, out: _Out, bodies: list[int]) -> None:
+    if not isinstance(value, dict):
+        raise _ill_typed(name, value, "a dict")
+    if not value:
+        out.append("{}")
+        return
+    out.append("{")
+    for key, item in sorted(value.items()):
+        if not isinstance(key, str) or not isinstance(item, str):
+            raise TypeError(f"field {name} must map strings to strings")
+        out += (encode_basestring_ascii(key), ":", encode_basestring_ascii(item), ",")
+    out[-1] = "}"
+
+
+def _write_array(cls: type, write_entry: Callable[[Any, _Out, list[int]], None]) -> Callable:
+    def write(value: Any, name: str, out: _Out, bodies: list[int]) -> None:
+        if not isinstance(value, tuple):
+            raise _ill_typed(name, value, "a tuple")
+        if not value:
+            out.append("[]")
+            return
+        out.append("[")
+        for entry in value:
+            if type(entry) is not cls:
+                raise _ill_typed(f"{name} entry", entry, cls.__name__)
+            write_entry(entry, out, bodies)
+            out.append(",")
+        out[-1] = "]"
+
+    return write
+
+
+# -- one writer and one reader per message class ------------------------------
+
+# Each plain field type's value writer, the type its reader passes without
+# a check (None: it checks every value) and its check.
+_KINDS: dict[Any, tuple[Callable, type | None, Callable[[Any, str], Any]]] = {
+    str: (_write_str, str, _check_str),
+    int: (_write_int, int, _check_int),
+    bool: (_write_bool, bool, _check_bool),
+    B64: (_write_b64, None, _check_b64),
+    dict[str, str]: (_write_params, None, _check_params),
+}
+
+# Every B64 field name, recorded by _compile.
+_B64_NAMES: set[str] = set()
+
+
+def _kind_of(hint: Any) -> tuple[Callable, type | None, Callable[[Any, str], Any]]:
     origin = get_origin(hint)
     if origin is Literal:
-        return _check_enum(get_args(hint))
+        return _write_str, None, _check_enum(get_args(hint))
     if origin is tuple:
-        return _check_array(get_args(hint)[0])
-    return _PLAIN_CHECKS[hint]
+        cls = get_args(hint)[0]
+        write_entry, read_entry = _compile(cls, "{", "}")
+        return _write_array(cls, write_entry), None, _check_array(read_entry)
+    return _KINDS[hint]
 
 
-# Each message class's B64 field names, recorded by _spec_of.
-_B64_FIELDS: dict[type, tuple[str, ...]] = {}
+def _compile(cls: type, opening: str, closing: str) -> tuple[Callable, Callable]:
+    """``cls``'s writer and reader, derived from one walk over its fields.
 
-
-def _spec_of(cls: type) -> dict[str, tuple[Callable, bool]]:
-    """``cls``'s fields in declaration order, each as (check, required);
-    also records its B64 fields in ``_B64_FIELDS``."""
+    A field is required unless its annotation admits None; an optional
+    field defaults to None, which the writer omits and the reader gives
+    an absent field. The writer emits ``opening``, each set field as
+    ``"name":value`` in sorted key order, and ``closing``. The reader
+    checks a decoded JSON object's fields in declaration order, then
+    its unknown keys, and builds the instance without running the
+    frozen ``__init__``.
+    """
     hints = get_type_hints(cls, include_extras=True)
-    spec = {}
+    steps = []
     for f in fields(cls):
         hint = hints[f.name]
-        required = type(None) not in get_args(hint)
-        if not required:
+        optional = type(None) in get_args(hint)
+        if optional:
             (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-        spec[f.name] = (_check_for(hint), required)
-    _B64_FIELDS[cls] = tuple(name for name, (check, _) in spec.items() if check is _check_b64)
-    return spec
+            if f.default is not None:
+                raise TypeError(f"{cls.__name__}.{f.name} admits None, so it must default to None")
+        write, exact, check = _kind_of(hint)
+        if write is _write_b64:
+            _B64_NAMES.add(f.name)
+        steps.append((f.name, optional, write, exact, check))
+    writes = tuple((name, f'"{name}":', write, optional) for name, optional, write, _, _ in sorted(steps))
+    checks = tuple((name, exact, check, optional) for name, optional, _, exact, check in steps)
+    names = frozenset(name for name, *_ in steps)
+
+    def write(message: Any, out: _Out, bodies: list[int]) -> None:
+        values = message.__dict__
+        out.append(opening)
+        for name, key, write_value, optional in writes:
+            value = values[name]
+            if value is None and optional:
+                continue
+            out.append(key)
+            write_value(value, name, out, bodies)
+            out.append(",")
+        # Every message and entry class has a required field, so the last
+        # piece is the comma after a value.
+        out[-1] = closing
+
+    def read(obj: dict[str, Any], where: str) -> Any:
+        message = object.__new__(cls)
+        values = message.__dict__
+        for name, exact, check, optional in checks:
+            if name in obj:
+                value = obj[name]
+                if type(value) is not exact:
+                    value = check(value, name)
+            elif optional:
+                value = None
+            else:
+                raise ProtocolError(f"missing required field {name} in {where}")
+            values[name] = value
+        if not obj.keys() <= names:
+            raise ProtocolError(f"unknown field {min(obj.keys() - names)} in {where}")
+        return message
+
+    return write, read
 
 
-_SPECS = {name: (cls, _spec_of(cls)) for cls, name in _TYPE_NAMES.items()}
+_CODECS = {cls: _compile(cls, f'{{"type":"{name}",', "}\n") for cls, name in _TYPE_NAMES.items()}
+_WRITERS = {cls: write for cls, (write, _) in _CODECS.items()}
+_READERS = {_TYPE_NAMES[cls]: read for cls, (_, read) in _CODECS.items()}
+
+
+def encode_parts(message: Message) -> list[bytes]:
+    """The canonical line as parts whose concatenation is :func:`encode`.
+
+    The message's writer emits the line's JSON text and each non-empty
+    :data:`B64` value is a part of its own, its ASCII text copied once
+    without a JSON escape scan. A message with no such value is one part.
+
+    Raises TypeError when a field's value is not of its declared type,
+    and ValueError when a B64 value is not ASCII or holds a quote or a
+    backslash, which would end its JSON string early; ``to_b64`` and
+    ``decode`` admit neither.
+    """
+    write = _WRITERS.get(type(message))
+    if write is None:
+        raise TypeError(f"not a wire message: {type(message).__name__}")
+    out: _Out = []
+    bodies: list[int] = []
+    write(message, out, bodies)
+    parts = []
+    start = 0
+    for at in bodies:
+        parts += ("".join(out[start:at]).encode("ascii"), out[at])
+        start = at + 1
+    parts.append("".join(out[start:]).encode("ascii"))
+    return parts
+
+
+def encode(message: Message) -> bytes:
+    """Canonical single-line encoding, LF terminated."""
+    return b"".join(encode_parts(message))
 
 
 # Every B64 field name ends in "_b64", so this finds each body that may
 # be cut: the end of its key, the quote that opens it and its first byte.
 _BODY_START = re.compile(rb'_b64":"[^"]')
-_BODY_KEYS = tuple({f'"{name}":"'.encode() for names in _B64_FIELDS.values() for name in names})
+_BODY_KEYS = tuple({f'"{name}":"'.encode() for name in _B64_NAMES})
 
 
 def _cut_bodies(line: bytes | bytearray, match: re.Match[bytes]) -> tuple[bytes, list[memoryview]] | None:
@@ -491,10 +601,9 @@ def _message(obj: Any) -> Message:
     if "type" not in obj:
         raise ProtocolError("missing required field type")
     type_name = obj.pop("type")
-    if not isinstance(type_name, str) or type_name not in _SPECS:
+    if not isinstance(type_name, str) or type_name not in _READERS:
         raise ProtocolError(f"unknown message type {type_name!r}")
-    cls, spec = _SPECS[type_name]
-    return _build(cls, obj, spec, type_name)
+    return _READERS[type_name](obj, type_name)
 
 
 def decode(line: bytes | bytearray) -> Message:

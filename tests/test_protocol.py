@@ -6,7 +6,7 @@ import json
 import re
 import sys
 import tracemalloc
-from typing import get_args, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
@@ -324,6 +324,92 @@ def test_a_b64_value_that_could_end_its_string_is_refused(body):
         protocol.encode_parts(Dispatch(task_id="T1", kind="noop", requires_gpu=False, payload_b64=body))
 
 
+@pytest.mark.parametrize(
+    "message, name",
+    [
+        # json.dumps wrote true here and int.__repr__ writes True, which is
+        # not JSON; only the receiver rejected either.
+        (Result(task_id="T1", worker_id="W1", status="OK", exec_ms=True), "exec_ms"),
+        (Result(task_id="T1", worker_id="W1", status="OK", exec_ms=1.5), "exec_ms"),
+        (Heartbeat(worker_id="W1", ts_ms=5000, busy=1), "busy"),
+        (Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, gpu_cores="384"), "gpu_cores"),
+        (JobStatus(job_id=7), "job_id"),
+        (JobStatus(job_id=None), "job_id"),
+        (HeartbeatAck(status=b"OK"), "status"),
+        (Result(task_id="T1", worker_id="W1", status="OK", exec_ms=1, output_b64=b"AQID"), "output_b64"),
+        (Dispatch(task_id="T1", kind="noop", requires_gpu=False, params={"k": 1}), "params"),
+        (Dispatch(task_id="T1", kind="noop", requires_gpu=False, params=[("k", "v")]), "params"),
+        (Submit(job_id="J1", tasks=[]), "tasks"),
+        (Submit(job_id="J1", tasks=(JobStatus(job_id="J1"),)), "tasks entry"),
+        (Submit(job_id="J1", tasks=(SubmitTask(task_id="T1", kind="k", requires_gpu=0),)), "requires_gpu"),
+        (JobStatusReply(job_id="J1", tasks=(TaskReport(task_id="T1", state="QUEUED", error=3),)), "error"),
+    ],
+)
+def test_an_ill_typed_value_raises_at_encode(message, name):
+    with pytest.raises(TypeError, match=f"^field {name} must "):
+        encode(message)
+
+
+_DEFAULTED = [
+    Register(worker_id="W1", cpu_mhz=2400, has_gpu=False),
+    RegisterAck(accepted=False, heartbeat_interval_ms=2000),
+    Heartbeat(worker_id="W1", ts_ms=5000, busy=True),
+    HeartbeatAck(status="NOT_REGISTERED"),
+    Dispatch(task_id="T1", kind="noop", requires_gpu=False),
+    Result(task_id="T1", worker_id="W1", status="FAILED", exec_ms=0),
+    Submit(job_id="J1"),
+    Submit(job_id="J1", tasks=(SubmitTask(task_id="T1", kind="noop", requires_gpu=True),)),
+    SubmitAck(job_id="J1", accepted_count=0),
+    JobStatus(job_id="J1"),
+    JobStatusReply(job_id="J1"),
+    JobStatusReply(job_id="J1", tasks=(TaskReport(task_id="T1", state="QUEUED"),)),
+    JobProgress(job_id="J1"),
+    JobWait(job_id="J1"),
+    JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=0, failed=0),
+    ErrorReply(code="E", detail=""),
+]
+
+
+def test_defaulted_examples_cover_every_message_class():
+    assert {type(message) for message in _DEFAULTED} == set(protocol._TYPE_NAMES)
+
+
+def _all_vars(message):
+    """The message's instance dict, with each entry's in place of it."""
+    values = dict(vars(message))
+    if "tasks" in values:
+        values["tasks"] = [vars(entry) for entry in values["tasks"]]
+    return values
+
+
+@pytest.mark.parametrize("message", _DEFAULTED, ids=lambda message: type(message).__name__)
+def test_the_reader_builds_what_the_constructor_builds(message):
+    # The reader builds the instance without the dataclass __init__, so
+    # every field, defaults included, must be filled in as __init__ would.
+    decoded = decode(encode(message))
+    assert type(decoded) is type(message)
+    assert _all_vars(decoded) == _all_vars(message)
+
+
+def test_decoded_dispatches_get_their_own_params():
+    line = encode(Dispatch(task_id="T1", kind="noop", requires_gpu=False))
+    first, second = decode(line), decode(line)
+    assert first.params == second.params == {}
+    assert first.params is not second.params
+
+
+def test_an_optional_field_must_default_to_none():
+    # The writer omits None and the reader gives an absent field None, so
+    # any other default would not survive a round trip.
+    @dataclasses.dataclass(frozen=True)
+    class Poll:
+        job_id: str
+        limit: int | None = 5
+
+    with pytest.raises(TypeError, match="Poll.limit"):
+        protocol._compile(Poll, "{", "}")
+
+
 def _status_reply_of_four_3mib_outputs():
     outputs = [protocol.to_b64(bytes([i]) * (3 << 20)) for i in range(4)]
     tasks = tuple(
@@ -502,8 +588,10 @@ def test_bool_is_not_an_int():
 
 
 def _plain_decode(line):
-    """The decoder before bodies were cut out of the line: the whole line
-    through ``line.decode`` and ``json.loads``."""
+    """The decoder before bodies were cut out of the line and before each
+    schema was compiled into a reader: the whole line through
+    ``line.decode`` and ``json.loads``, then one generic check per field,
+    read off the message dataclass's annotations on every call."""
     try:
         obj = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -513,10 +601,64 @@ def _plain_decode(line):
     if "type" not in obj:
         raise ProtocolError("missing required field type")
     type_name = obj.pop("type")
-    if not isinstance(type_name, str) or type_name not in protocol._SPECS:
+    classes = {name: cls for cls, name in protocol._TYPE_NAMES.items()}
+    if not isinstance(type_name, str) or type_name not in classes:
         raise ProtocolError(f"unknown message type {type_name!r}")
-    cls, spec = protocol._SPECS[type_name]
-    return protocol._build(cls, obj, spec, type_name)
+    return _plain_build(classes[type_name], obj, type_name)
+
+
+def _plain_build(cls, obj, where):
+    """``cls`` from a JSON object: each field checked in declaration
+    order, absent ones reported as missing in turn, then unknown keys."""
+    hints = get_type_hints(cls, include_extras=True)
+    values = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        required = type(None) not in get_args(hint)
+        if not required:
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        if f.name in obj:
+            values[f.name] = _plain_check(hint, obj[f.name], f.name)
+        elif required:
+            raise ProtocolError(f"missing required field {f.name} in {where}")
+    extras = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if extras:
+        raise ProtocolError(f"unknown field {sorted(extras)[0]} in {where}")
+    return cls(**values)
+
+
+def _plain_check(hint, value, name):
+    """The value of a field annotated ``hint``, or the ProtocolError."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ProtocolError(f"field {name} must be an array")
+        entries = []
+        for item in value:
+            if not isinstance(item, dict):
+                raise ProtocolError(f"field {name} must be an object")
+            entries.append(_plain_build(get_args(hint)[0], item, f"{name} entry"))
+        return tuple(entries)
+    if hint == dict[str, str]:
+        if not isinstance(value, dict):
+            raise ProtocolError(f"field {name} must be an object")
+        if not all(isinstance(key, str) and isinstance(item, str) for key, item in value.items()):
+            raise ProtocolError(f"field {name} must map strings to strings")
+        return dict(value)
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise ProtocolError(f"field {name} must be a boolean")
+        return value
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ProtocolError(f"field {name} must be an integer")
+        return value
+    if not isinstance(value, str):
+        raise ProtocolError(f"field {name} must be a string")
+    if get_origin(hint) is Literal and value not in get_args(hint):
+        raise ProtocolError(f"field {name} must be one of {', '.join(get_args(hint))}")
+    if hint == protocol.B64 and not _strict_b64_accepts(value):
+        raise ProtocolError(f"field {name} is not valid base64")
+    return value
 
 
 def _outcome(decoder, line):
