@@ -81,6 +81,10 @@ def execute_dispatch(
     try:
         payload = protocol.from_b64(dispatch.payload_b64)
         output, exec_ms = registry.execute(dispatch.kind, dispatch.params, payload)
+        # Checked here, not when the RESULT is encoded: by then the slot
+        # is free and the task would never be reported.
+        if type(exec_ms) is not int:
+            raise TypeError(f"exec_ms must be an int, not {type(exec_ms).__name__}")
         return Result(
             task_id=dispatch.task_id,
             worker_id=worker_id,

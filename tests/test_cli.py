@@ -178,6 +178,77 @@ def test_bench_reports_master_side_errors_in_one_line(replies, text, capsys, tmp
     _one_error_line(capsys, text)
 
 
+def _exit_code(argv):
+    # A usage error leaves main through parser.error's SystemExit.
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _usage_error(capsys, argv, text):
+    assert _exit_code(argv) == 2
+    _one_error_line(capsys, text)
+
+
+NOWHERE = "127.0.0.1:1"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["submit", "--master", NOWHERE, "--kind", "noop", "--param", "foo"],
+         "argument --param: expected KEY=VALUE, got 'foo'"),
+        (["submit", "--master", NOWHERE, "--kind", "noop", "--count", "0"],
+         "argument --count: expected a positive integer, got '0'"),
+        (["bench", "--master", NOWHERE, "--images", "{image}", "--repeat", "0"],
+         "argument --repeat: expected a positive integer, got '0'"),
+        (["master", "--heartbeat-ms", "0"],
+         "argument --heartbeat-ms: expected a positive integer, got '0'"),
+        (["submit", "--master", NOWHERE, "--kind", "noop", "--in", "{missing}"],
+         "No such file or directory"),
+        (["bench", "--master", NOWHERE, "--images", "{missing}"],
+         "No such file or directory"),
+    ],
+)
+def test_a_malformed_input_exits_2_in_one_line(argv, text, capsys, tmp_path):
+    image = tmp_path / "img.pgm"
+    image.write_bytes(write_pgm(GrayImage(4, 3, bytes(12))))
+    argv = [arg.format(image=image, missing=tmp_path / "missing.pgm") for arg in argv]
+    _usage_error(capsys, argv, text)
+
+
+def test_bench_refuses_a_non_pgm_image_in_one_line(capsys, tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"GIF89a")
+    with fake_master() as port:
+        argv = ["bench", "--master", f"127.0.0.1:{port}", "--images", str(path)]
+        _usage_error(capsys, argv, "not a PGM image: UNSUPPORTED_FORMAT")
+
+
+def test_submit_into_an_outdir_that_cannot_be_made_exits_2(capsys, tmp_path):
+    outdir = tmp_path / "taken"
+    outdir.write_bytes(b"")
+    with fake_master(ACK, DONE, _failed_status("boom")) as port:
+        argv = ["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop", "--outdir", str(outdir)]
+        _usage_error(capsys, argv, "File exists")
+
+
+def test_submit_exits_3_when_the_master_drops_the_link_mid_request(capsys):
+    # The fake master hangs up after the SUBMIT_ACK, mid JOB_WAIT.
+    with fake_master(ACK) as port:
+        assert main(["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop"]) == 3
+    # Either a clean close or a reset, as the fake master hangs up unread.
+    _one_error_line(capsys, "")
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # The master and submit run from this module alone; only the worker
+    # and bench commands import the Sobel code.
+    code = 'import sys, taskgrid.cli; sys.exit("numpy" in sys.modules)'
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
 # -- live cluster over subprocesses ----------------------------------------------
 
 
@@ -215,6 +286,16 @@ def test_submit_noop_tasks(live_cluster, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("COMPLETED") == 3
+
+
+def test_submit_passes_params_to_the_executor(live_cluster, tmp_path):
+    port, _, _ = live_cluster
+    result = run_cli(
+        "submit", "--master", f"127.0.0.1:{port}", "--kind", "sleep",
+        "--param", "duration_ms=50", "--outdir", str(tmp_path), "--timeout", "30s",
+    )
+    assert result.returncode == 0, result.stderr
+    assert "COMPLETED" in result.stdout and "exec=50ms" in result.stdout
 
 
 def test_submit_sobel_writes_output(live_cluster, tmp_path):

@@ -226,6 +226,22 @@ def test_executor_exit_fails_the_task():
     assert "W1" in cluster.core.scheduler.catalog.workers
 
 
+@pytest.mark.parametrize("exec_ms, type_name", [(1.5, "float"), (True, "bool")])
+def test_a_non_integer_exec_ms_fails_the_task_and_frees_the_worker(exec_ms, type_name):
+    # A float from time arithmetic would only fail when the RESULT is
+    # encoded, after the slot is freed, leaving the task unreported.
+    registry = built_in_registry(simulated_sleep=True)
+    registry.register("odd_ms", lambda params, payload: (b"", exec_ms))
+    cluster = InProcCluster()
+    cluster.add_worker("W1", cpu_mhz=2400, registry=registry)
+    cluster.submit([make_task("odd_ms", task_id="T1")], job_id="J1")
+    [report] = cluster.run_until_terminal("J1").tasks
+    assert (report.state, report.error) == ("FAILED", f"TypeError: exec_ms must be an int, not {type_name}")
+    cluster.submit([make_task("noop", task_id="T2")], job_id="J2")
+    [report] = cluster.run_until_terminal("J2").tasks
+    assert (report.state, report.worker_id) == ("COMPLETED", "W1")
+
+
 def test_a_worker_that_registers_again_mid_task_finishes_it_first():
     # A REGISTER from a busy worker would make the master re-queue its task
     # and dispatch it straight back, to be refused with BUSY.
