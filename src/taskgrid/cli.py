@@ -29,8 +29,8 @@ EXIT_UNREACHABLE = 3
 
 def parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with PORT in 0-65535, got {text!r}")
     return host or "0.0.0.0", int(port)
 
 

@@ -11,15 +11,15 @@ connection. :class:`Connection` is that per-peer code; the in-process
 cluster drives the same class over an in-memory socket.
 
 A JOB_WAIT is parked on the core and answered with the job's
-JOB_PROGRESS_REPLY once the job is terminal, after the handler that made
-it so, or once its deadline passes. Those deadlines and the eviction
-tick are the core's one timer rule (``next_due_ms``, ``run_due``, on its
-clock); each driver only sleeps until the next is due.
+JOB_PROGRESS_REPLY once the job is terminal, which the core checks
+after each handler and each tick, or once its deadline passes. Those
+deadlines and the eviction tick are the core's one timer rule
+(``next_due_ms``, ``run_due``, on its clock); each driver only sleeps
+until the next is due.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import logging
 import selectors
@@ -88,11 +88,7 @@ class MasterCore:
         self._on_transition = on_transition
         self.jobs: dict[str, list[str]] = {}
         self.job_counts: dict[str, dict[TaskState, int]] = {}
-        # Parked waits by deadline, earliest first; those without one last.
-        self._waits: list[_Wait] = []
-        # Jobs made terminal, while waits were parked, by the handler
-        # that is running; their waits are answered when it returns.
-        self._finished: set[str] = set()
+        self._waits: list[_Wait] = []  # parked, in arrival order
         self._next_tick_ms = clock() + config.heartbeat_interval_ms
 
     # -- event handling ------------------------------------------------------
@@ -128,7 +124,7 @@ class MasterCore:
             sender(self.job_status_reply(message.job_id))
         else:
             sender(ErrorReply(code="UNEXPECTED_MESSAGE", detail=type(message).__name__))
-        self._answer_finished()
+        self._answer_waits()
 
     def handle(self, message: Message, sender: Sender) -> Message | None:
         """:meth:`deliver` for callers that take the direct reply as a
@@ -152,24 +148,24 @@ class MasterCore:
     def next_due_ms(self) -> int:
         """When :meth:`run_due` next has work, on ``clock``: the earlier of
         the next eviction tick and the earliest parked wait's deadline."""
-        deadline = self._waits[0].deadline_ms if self._waits else None
-        return self._next_tick_ms if deadline is None else min(self._next_tick_ms, deadline)
+        deadlines = (wait.deadline_ms for wait in self._waits if wait.deadline_ms is not None)
+        return min([self._next_tick_ms, *deadlines])
 
     def run_due(self) -> bool:
         """Answer each parked wait whose deadline has passed; then, if the
         eviction tick is due, re-arm it first, so a tick that raises
         cannot stop eviction, evict stale workers, run a scheduling round
-        and answer the waits of jobs that finished. Returns whether
-        anything was due."""
+        and answer the waits of jobs that are now terminal. Returns
+        whether anything was due."""
         now = self.clock()
         if self.next_due_ms() > now:
             return False
-        self._release(lambda wait: wait.deadline_ms is not None and wait.deadline_ms <= now)
+        self._answer_waits(now)
         if self._next_tick_ms <= now:
             self._next_tick_ms = now + self.config.heartbeat_interval_ms
             self.scheduler.evict_stale(now)
             self._pump(now)
-            self._answer_finished()
+            self._answer_waits()
         return True
 
     def _count_transition(
@@ -178,8 +174,6 @@ class MasterCore:
         counts = self.job_counts[task.job_id]
         counts[from_state] -= 1
         counts[to_state] += 1
-        if self._waits and self.job_is_terminal(task.job_id):
-            self._finished.add(task.job_id)
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 
@@ -188,19 +182,17 @@ class MasterCore:
             sender(self.job_progress_reply(message.job_id))
             return
         deadline = None if message.timeout_ms is None else self.clock() + message.timeout_ms
-        wait = _Wait(message.job_id, sender, deadline)
-        bisect.insort(self._waits, wait, key=lambda w: (w.deadline_ms is None, w.deadline_ms or 0))
+        self._waits.append(_Wait(message.job_id, sender, deadline))
 
-    def _answer_finished(self) -> None:
-        if self._finished:
-            finished, self._finished = self._finished, set()
-            self._release(lambda wait: wait.job_id in finished)
-
-    def _release(self, selected: Callable[[_Wait], bool]) -> None:
-        """Answer and forget each parked wait that ``selected`` picks."""
+    def _answer_waits(self, now_ms: int | None = None) -> None:
+        """Answer and forget, in the order they were parked, the waits
+        whose job is terminal and, given ``now_ms``, those whose deadline
+        is not after it."""
         waits, self._waits = self._waits, []
         for wait in waits:
-            if not selected(wait):
+            deadline = wait.deadline_ms
+            expired = now_ms is not None and deadline is not None and deadline <= now_ms
+            if not (expired or self.job_is_terminal(wait.job_id)):
                 self._waits.append(wait)
                 continue
             try:
@@ -302,10 +294,10 @@ class MasterCore:
                     task_id=task_id,
                     state=task.state.value,
                     worker_id=task.assigned_worker,
-                    submitted_ms=task.timing.submitted_ms,
-                    dispatched_ms=task.timing.dispatched_ms,
-                    completed_ms=task.timing.completed_ms,
-                    exec_ms=task.timing.exec_ms,
+                    submitted_ms=task.submitted_ms,
+                    dispatched_ms=task.dispatched_ms,
+                    completed_ms=task.completed_ms,
+                    exec_ms=task.exec_ms,
                     output_b64=task.output_b64,
                     error=task.error,
                 )
@@ -498,7 +490,8 @@ class MasterServer:
             conn.close()
 
     def start(self) -> threading.Thread:
-        """Serve in a background thread (used by tests and the harness)."""
+        """Serve in a background thread; the tests use it to run a
+        master in process."""
         thread = threading.Thread(target=self.serve_forever, name="master-serve", daemon=True)
         thread.start()
         return thread

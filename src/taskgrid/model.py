@@ -50,38 +50,22 @@ def validate_transition(from_state: TaskState, to_state: TaskState) -> bool:
     return (from_state, to_state) in _LEGAL_TRANSITIONS
 
 
-@dataclass
-class TimingRecord:
-    """Per-task timestamps, all in milliseconds.
-
-    ``submitted_ms``/``dispatched_ms``/``completed_ms`` come from the
-    master's monotonic clock; ``exec_ms`` is the duration the worker
-    reported for the executor run alone. Clocks are never compared
-    across processes.
-    """
-
-    submitted_ms: int | None = None
-    dispatched_ms: int | None = None
-    completed_ms: int | None = None
-    exec_ms: int | None = None
-
-
 class MissingTimingError(ValueError):
     """A timing computation needed a timestamp that was never recorded."""
 
 
-def overhead_ms(timing: TimingRecord | TaskReport) -> int:
+def overhead_ms(record: TaskDescriptor | TaskReport) -> int:
     """Framework overhead: turnaround minus worker-side execution time.
 
     Reads the three timestamps by name, so a master's
-    :class:`TimingRecord` and a client's ``TaskReport`` both work.
+    :class:`TaskDescriptor` and a client's ``TaskReport`` both work.
     Requires ``submitted_ms``, ``completed_ms`` and ``exec_ms`` to be
     present; raises :class:`MissingTimingError` otherwise.
     """
     for name in ("submitted_ms", "completed_ms", "exec_ms"):
-        if getattr(timing, name) is None:
+        if getattr(record, name) is None:
             raise MissingTimingError(f"timing field {name} is not set")
-    return (timing.completed_ms - timing.submitted_ms) - timing.exec_ms
+    return (record.completed_ms - record.submitted_ms) - record.exec_ms
 
 
 @dataclass
@@ -93,6 +77,12 @@ class TaskDescriptor:
     the task is COMPLETED or FAILED, as no DISPATCH can follow either.
     ``output_b64`` is the output of the RESULT that completed the task,
     kept verbatim for status reports; it stays None otherwise.
+
+    Timestamps are in milliseconds. ``submitted_ms``/``dispatched_ms``/
+    ``completed_ms`` come from the master's monotonic clock; ``exec_ms``
+    is the duration the worker reported for the executor run alone.
+    Clocks are never compared across processes. ``seq`` is the task's
+    enqueue order on its master, which breaks ``submitted_ms`` ties.
     """
 
     task_id: str
@@ -104,7 +94,11 @@ class TaskDescriptor:
     output_b64: str | None = None
     state: TaskState = TaskState.QUEUED
     assigned_worker: str | None = None
-    timing: TimingRecord = field(default_factory=TimingRecord)
+    submitted_ms: int | None = None
+    dispatched_ms: int | None = None
+    completed_ms: int | None = None
+    exec_ms: int | None = None
+    seq: int = 0
     attempt: int = 0
     error: str | None = None
 

@@ -125,27 +125,32 @@ class MembershipCatalog:
         return worker_id in self.workers
 
 
-class ClassQueues:
-    """Queued task ids as one FCFS deque per task class.
+def _fcfs_key(task: TaskDescriptor) -> tuple[int, int]:
+    """A queued task's FCFS slot: submission time, then enqueue order."""
+    return (task.submitted_ms, task.seq)
 
-    Entries are ``(submitted_ms, enqueue seq, task_id)`` kept in
-    ascending order, so each deque's head is its class's oldest task.
-    Iterating yields the task ids of both classes merged in that order,
-    and the queue compares equal to the list of them; ``len`` is O(1).
+
+class ClassQueues:
+    """Queued tasks as one FCFS deque per task class.
+
+    Each deque holds task records in ascending ``_fcfs_key`` order,
+    so its head is its class's oldest task. Iterating yields the task
+    ids of both classes merged in that order, and the queue compares
+    equal to the list of them; ``len`` is O(1).
     """
 
     def __init__(self) -> None:
-        self.gpu: deque[tuple[int, int, str]] = deque()
-        self.cpu: deque[tuple[int, int, str]] = deque()
+        self.gpu: deque[TaskDescriptor] = deque()
+        self.cpu: deque[TaskDescriptor] = deque()
 
-    def of(self, requires_gpu: bool) -> deque[tuple[int, int, str]]:
+    def of(self, requires_gpu: bool) -> deque[TaskDescriptor]:
         return self.gpu if requires_gpu else self.cpu
 
     def __len__(self) -> int:
         return len(self.gpu) + len(self.cpu)
 
     def __iter__(self) -> Iterator[str]:
-        return (task_id for _, _, task_id in sorted([*self.gpu, *self.cpu]))
+        return (task.task_id for task in sorted([*self.gpu, *self.cpu], key=_fcfs_key))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ClassQueues):
@@ -171,7 +176,6 @@ class Scheduler:
         self.catalog = MembershipCatalog()
         self.tasks: dict[str, TaskDescriptor] = {}
         self.queue = ClassQueues()
-        self._enqueue_seq: dict[str, int] = {}
         self._next_seq = 0
         self._on_transition = on_transition
 
@@ -190,11 +194,10 @@ class Scheduler:
     def _requeue(self, task: TaskDescriptor, now_ms: int) -> None:
         """Return an orphaned task to the queue at its original FCFS slot."""
         task.assigned_worker = None
-        task.timing.dispatched_ms = None
+        task.dispatched_ms = None
         task.attempt += 1
         self._transition(task, TaskState.QUEUED, now_ms)
-        entry = (task.timing.submitted_ms, self._enqueue_seq[task.task_id], task.task_id)
-        bisect.insort(self.queue.of(task.requires_gpu), entry)
+        bisect.insort(self.queue.of(task.requires_gpu), task, key=_fcfs_key)
 
     # -- membership --------------------------------------------------------
 
@@ -261,12 +264,11 @@ class Scheduler:
             raise DuplicateTaskError(task.task_id)
         if task.state is not TaskState.QUEUED:
             raise ValueError(f"task {task.task_id} submitted in state {task.state}")
-        task.timing.submitted_ms = now_ms
-        seq = self._next_seq
+        task.submitted_ms = now_ms
+        task.seq = self._next_seq
         self._next_seq += 1
-        self._enqueue_seq[task.task_id] = seq
         self.tasks[task.task_id] = task
-        self.queue.of(task.requires_gpu).append((now_ms, seq, task.task_id))
+        self.queue.of(task.requires_gpu).append(task)
 
     def schedule_round(self, now_ms: int) -> list[tuple[str, str]]:
         """One FCFS pass over the queue; returns (task_id, worker_id)
@@ -293,18 +295,19 @@ class Scheduler:
         expired_before = now_ms - self.config.unschedulable_timeout_ms
         blocked: set[_Ring] = set()  # rings with no idle worker left
         while True:
-            gpu_ready = bool(gpu_queue) and (
-                gpu_queue[0][0] < expired_before if gpu_ring is None else gpu_ring not in blocked
-            )
+            if gpu_ring is None:
+                gpu_ready = bool(gpu_queue) and gpu_queue[0].submitted_ms < expired_before
+            else:
+                gpu_ready = bool(gpu_queue) and gpu_ring not in blocked
             cpu_ready = bool(cpu_queue) and cpu_ring is not None and cpu_ring not in blocked
-            if gpu_ready and not (cpu_ready and cpu_queue[0] < gpu_queue[0]):
+            if gpu_ready and not (cpu_ready and _fcfs_key(cpu_queue[0]) < _fcfs_key(gpu_queue[0])):
                 queue, ring = gpu_queue, gpu_ring
             elif cpu_ready:
                 queue, ring = cpu_queue, cpu_ring
             else:
                 return assignments
             if ring is None:
-                task = self.tasks[queue.popleft()[2]]
+                task = queue.popleft()
                 task.error = UNSCHEDULABLE_ERROR
                 self._transition(task, TaskState.FAILED, now_ms)
                 continue
@@ -312,13 +315,12 @@ class Scheduler:
             if worker_id is None:
                 blocked.add(ring)
                 continue
-            task_id = queue.popleft()[2]
-            task = self.tasks[task_id]
-            workers[worker_id].current_task = task_id
+            task = queue.popleft()
+            workers[worker_id].current_task = task.task_id
             task.assigned_worker = worker_id
-            task.timing.dispatched_ms = now_ms
+            task.dispatched_ms = now_ms
             self._transition(task, TaskState.DISPATCHED, now_ms)
-            assignments.append((task_id, worker_id))
+            assignments.append((task.task_id, worker_id))
 
     def complete_task(
         self,
@@ -336,8 +338,8 @@ class Scheduler:
         if task is None or task.state is not TaskState.DISPATCHED or task.assigned_worker != worker_id:
             logger.warning("ignoring stale result for %s from %s", task_id, worker_id)
             return False
-        task.timing.completed_ms = now_ms
-        task.timing.exec_ms = exec_ms
+        task.completed_ms = now_ms
+        task.exec_ms = exec_ms
         if ok:
             self._transition(task, TaskState.COMPLETED, now_ms)
         else:

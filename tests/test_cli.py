@@ -218,6 +218,24 @@ def test_a_malformed_input_exits_2_in_one_line(argv, text, capsys, tmp_path):
     _usage_error(capsys, argv, text)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["master", "--listen", "127.0.0.1:99999"],
+        ["submit", "--master", "127.0.0.1:70000", "--kind", "noop"],
+        ["worker", "--master", "127.0.0.1:70000", "--id", "W1", "--mhz", "2400"],
+    ],
+)
+def test_a_port_out_of_range_exits_2_in_one_line(argv):
+    # A subprocess with a deadline: a worker given such a port would
+    # otherwise retry its connection for ever.
+    result = run_cli(*argv, timeout=20)
+    assert result.returncode == 2
+    [line] = result.stderr.splitlines()
+    assert "with PORT in 0-65535, got '127.0.0.1:" in line
+    assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+
+
 def test_bench_refuses_a_non_pgm_image_in_one_line(capsys, tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"GIF89a")

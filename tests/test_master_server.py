@@ -479,6 +479,31 @@ def test_next_due_is_the_earlier_of_the_tick_and_the_earliest_deadline():
     assert core.next_due_ms() == 2000  # the wait with no deadline counts for nothing
 
 
+def test_a_result_answers_only_the_waits_on_the_job_it_ends():
+    clock = [0]
+    core = _timed_core(clock)
+    worker, submitter, on_j1, on_j2, late = [], [], [], [], []
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), worker.append)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), submitter.append)
+    core.deliver(Submit(job_id="J2", tasks=(make_task("noop", task_id="T2"),)), submitter.append)
+    core.deliver(JobWait(job_id="J1"), on_j1.append)
+    core.deliver(JobWait(job_id="J2", timeout_ms=800), on_j2.append)
+    assert on_j1 == on_j2 == []
+    clock[0] = 100
+    core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64=""), worker.append)
+    assert on_j1 == [JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=1, failed=0)]
+    assert on_j2 == []
+    assert core.next_due_ms() == 800
+    # A wait on a job that is already terminal is not parked.
+    core.deliver(JobWait(job_id="J1", timeout_ms=50), late.append)
+    assert late == on_j1
+    assert core.next_due_ms() == 800
+    clock[0] = 800
+    assert core.run_due()
+    assert on_j2 == [JobProgressReply(job_id="J2", queued=0, dispatched=1, completed=0, failed=0)]
+    assert core.next_due_ms() == 1000
+
+
 def test_a_tick_that_raises_has_already_been_re_armed():
     clock = [0]
     core = _timed_core(clock)

@@ -4,8 +4,8 @@ import pytest
 
 from taskgrid.model import (
     MissingTimingError,
+    TaskDescriptor,
     TaskState,
-    TimingRecord,
     WorkerProfile,
     overhead_ms,
     validate_profile,
@@ -38,25 +38,29 @@ def test_terminal_states_have_no_exits():
             assert not validate_transition(terminal, to_state)
 
 
+def _record(**timestamps):
+    return TaskDescriptor(task_id="T1", job_id="J1", kind="noop", requires_gpu=False, **timestamps)
+
+
 def test_overhead_constant_case():
     # turnaround 2887 ms with 887 ms of execution leaves 2000 ms overhead
-    timing = TimingRecord(submitted_ms=0, dispatched_ms=1900, completed_ms=2887, exec_ms=887)
+    timing = _record(submitted_ms=0, dispatched_ms=1900, completed_ms=2887, exec_ms=887)
     assert overhead_ms(timing) == 2000
 
 
 def test_overhead_zero_case():
-    timing = TimingRecord(submitted_ms=0, dispatched_ms=0, completed_ms=5, exec_ms=5)
+    timing = _record(submitted_ms=0, dispatched_ms=0, completed_ms=5, exec_ms=5)
     assert overhead_ms(timing) == 0
 
 
 def test_overhead_arithmetic():
-    timing = TimingRecord(submitted_ms=10, dispatched_ms=20, completed_ms=130, exec_ms=60)
+    timing = _record(submitted_ms=10, dispatched_ms=20, completed_ms=130, exec_ms=60)
     assert overhead_ms(timing) == (130 - 10) - 60 == 60
 
 
 @pytest.mark.parametrize("missing", ["submitted_ms", "completed_ms", "exec_ms"])
 def test_overhead_missing_fields(missing):
-    timing = TimingRecord(submitted_ms=0, dispatched_ms=1, completed_ms=2, exec_ms=1)
+    timing = _record(submitted_ms=0, dispatched_ms=1, completed_ms=2, exec_ms=1)
     setattr(timing, missing, None)
     with pytest.raises(MissingTimingError, match=missing):
         overhead_ms(timing)

@@ -215,6 +215,19 @@ def test_orphan_requeues_at_original_fcfs_slot():
     assert t7.attempt == 1
 
 
+def test_a_requeue_within_one_millisecond_keeps_enqueue_order():
+    # All three share submitted_ms, so only the enqueue order puts T1 first.
+    s = mk_scheduler()
+    s.register_worker(mk_profile("W1"), 0)
+    for task_id in ("T1", "T2", "T3"):
+        s.enqueue_task(mk_task(task_id), 100)
+    assert s.schedule_round(100) == [("T1", "W1")]
+    assert s.evict_stale(7000) == ["W1"]
+    assert list(s.queue) == ["T1", "T2", "T3"]
+    s.register_worker(mk_profile("W2"), 7000)
+    assert s.schedule_round(7000) == [("T1", "W2")]
+
+
 # -- enqueue ------------------------------------------------------------------------
 
 
@@ -352,8 +365,8 @@ def test_ok_completion():
     assert s.complete_task("T1", "W1", ok=True, exec_ms=42, now_ms=100)
     task = s.tasks["T1"]
     assert task.state is TaskState.COMPLETED
-    assert task.timing.exec_ms == 42
-    assert task.timing.completed_ms == 100
+    assert task.exec_ms == 42
+    assert task.completed_ms == 100
     assert not s.catalog.workers["W1"].busy
 
 

@@ -33,11 +33,11 @@ class ScanScheduler(Scheduler):
 
     def _queue_key(self, task_id):
         task = self.tasks[task_id]
-        return (task.timing.submitted_ms or 0, self._enqueue_seq[task_id])
+        return (task.submitted_ms or 0, task.seq)
 
     def _requeue(self, task, now_ms):
         task.assigned_worker = None
-        task.timing.dispatched_ms = None
+        task.dispatched_ms = None
         task.attempt += 1
         self._transition(task, TaskState.QUEUED, now_ms)
         bisect.insort(self.queue, task.task_id, key=self._queue_key)
@@ -47,9 +47,9 @@ class ScanScheduler(Scheduler):
             raise DuplicateTaskError(task.task_id)
         if task.state is not TaskState.QUEUED:
             raise ValueError(f"task {task.task_id} submitted in state {task.state}")
-        task.timing.submitted_ms = now_ms
+        task.submitted_ms = now_ms
         self._seen_task_ids.add(task.task_id)
-        self._enqueue_seq[task.task_id] = self._next_seq
+        task.seq = self._next_seq
         self._next_seq += 1
         self.tasks[task.task_id] = task
         self.queue.append(task.task_id)
@@ -63,7 +63,7 @@ class ScanScheduler(Scheduler):
             if task.requires_gpu:
                 ring = self.catalog.gpu_ring
                 if not ring.ids:
-                    age = now_ms - (task.timing.submitted_ms or 0)
+                    age = now_ms - (task.submitted_ms or 0)
                     if age > self.config.unschedulable_timeout_ms:
                         task.error = UNSCHEDULABLE_ERROR
                         self._transition(task, TaskState.FAILED, now_ms)
@@ -88,7 +88,7 @@ class ScanScheduler(Scheduler):
             profile = self.catalog.workers[worker_id]
             profile.current_task = task_id
             task.assigned_worker = worker_id
-            task.timing.dispatched_ms = now_ms
+            task.dispatched_ms = now_ms
             self._transition(task, TaskState.DISPATCHED, now_ms)
             assignments.append((task_id, worker_id))
         self.queue = remaining
