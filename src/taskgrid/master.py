@@ -11,17 +11,19 @@ connection. :class:`Connection` is that per-peer code; the in-process
 cluster drives the same class over an in-memory socket.
 
 A JOB_WAIT is parked on the core and answered with the job's
-JOB_PROGRESS_REPLY once the job is terminal, which the core checks
-after each handler and each tick, or once its deadline passes. Those
-deadlines and the eviction tick are the core's one timer rule
-(``next_due_ms``, ``run_due``, on its clock); each driver only sleeps
-until the next is due.
+JOB_PROGRESS_REPLY once the job is terminal, after the handler that made
+it so, or once its deadline passes. Those deadlines and the eviction
+tick are the core's one timer rule (``next_due_ms``, ``run_due``, on its
+clock); each driver only sleeps until the next is due.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import logging
+import math
 import selectors
 import socket
 import threading
@@ -62,11 +64,13 @@ Sender = Callable[[Message], None]
 
 
 class _Wait(NamedTuple):
-    """A parked JOB_WAIT."""
+    """A parked JOB_WAIT; waits order by deadline (``math.inf`` for
+    none), then by ``seq``, their parking order."""
 
+    deadline_ms: float
+    seq: int
     job_id: str
     sender: Sender
-    deadline_ms: int | None
 
 
 class MasterCore:
@@ -88,7 +92,10 @@ class MasterCore:
         self._on_transition = on_transition
         self.jobs: dict[str, list[str]] = {}
         self.job_counts: dict[str, dict[TaskState, int]] = {}
-        self._waits: list[_Wait] = []  # parked, in arrival order
+        self._waits: list[_Wait] = []  # parked, sorted
+        self._job_waits: dict[str, dict[int, _Wait]] = {}  # parked, by job and seq
+        self._wait_seq = itertools.count()
+        self._due: list[_Wait] = []  # unparked by the running handler or tick
         self._next_tick_ms = clock() + config.heartbeat_interval_ms
 
     # -- event handling ------------------------------------------------------
@@ -124,7 +131,7 @@ class MasterCore:
             sender(self.job_status_reply(message.job_id))
         else:
             sender(ErrorReply(code="UNEXPECTED_MESSAGE", detail=type(message).__name__))
-        self._answer_waits()
+        self._answer_due()
 
     def handle(self, message: Message, sender: Sender) -> Message | None:
         """:meth:`deliver` for callers that take the direct reply as a
@@ -139,7 +146,8 @@ class MasterCore:
         has closed, and the idle worker registered through it. A busy one
         keeps its task until eviction: its RESULT may still arrive on a
         new connection."""
-        self._waits = [wait for wait in self._waits if wait.sender != sender]
+        for wait in [wait for wait in self._waits if wait.sender == sender]:
+            self._unpark(wait)
         for profile in list(self.scheduler.catalog.workers.values()):
             if profile.sender == sender and not profile.busy:
                 self.scheduler.catalog.remove(profile.worker_id)
@@ -148,24 +156,25 @@ class MasterCore:
     def next_due_ms(self) -> int:
         """When :meth:`run_due` next has work, on ``clock``: the earlier of
         the next eviction tick and the earliest parked wait's deadline."""
-        deadlines = (wait.deadline_ms for wait in self._waits if wait.deadline_ms is not None)
-        return min([self._next_tick_ms, *deadlines])
+        return min(self._next_tick_ms, self._waits[0].deadline_ms if self._waits else math.inf)
 
     def run_due(self) -> bool:
         """Answer each parked wait whose deadline has passed; then, if the
         eviction tick is due, re-arm it first, so a tick that raises
         cannot stop eviction, evict stale workers, run a scheduling round
-        and answer the waits of jobs that are now terminal. Returns
-        whether anything was due."""
+        and answer the waits of jobs that finished. Returns whether
+        anything was due."""
         now = self.clock()
         if self.next_due_ms() > now:
             return False
-        self._answer_waits(now)
+        while self._waits and self._waits[0].deadline_ms <= now:
+            self._due.append(self._unpark(self._waits[0]))
+        self._answer_due()
         if self._next_tick_ms <= now:
             self._next_tick_ms = now + self.config.heartbeat_interval_ms
             self.scheduler.evict_stale(now)
             self._pump(now)
-            self._answer_waits()
+            self._answer_due()
         return True
 
     def _count_transition(
@@ -174,6 +183,8 @@ class MasterCore:
         counts = self.job_counts[task.job_id]
         counts[from_state] -= 1
         counts[to_state] += 1
+        if task.job_id in self._job_waits and self.job_is_terminal(task.job_id):
+            self._due.extend(map(self._unpark, list(self._job_waits[task.job_id].values())))
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 
@@ -181,20 +192,23 @@ class MasterCore:
         if self.job_is_terminal(message.job_id):  # an unknown job's reply is an error
             sender(self.job_progress_reply(message.job_id))
             return
-        deadline = None if message.timeout_ms is None else self.clock() + message.timeout_ms
-        self._waits.append(_Wait(message.job_id, sender, deadline))
+        deadline = math.inf if message.timeout_ms is None else self.clock() + message.timeout_ms
+        wait = _Wait(deadline, next(self._wait_seq), message.job_id, sender)
+        bisect.insort(self._waits, wait)
+        self._job_waits.setdefault(wait.job_id, {})[wait.seq] = wait
 
-    def _answer_waits(self, now_ms: int | None = None) -> None:
-        """Answer and forget, in the order they were parked, the waits
-        whose job is terminal and, given ``now_ms``, those whose deadline
-        is not after it."""
-        waits, self._waits = self._waits, []
-        for wait in waits:
-            deadline = wait.deadline_ms
-            expired = now_ms is not None and deadline is not None and deadline <= now_ms
-            if not (expired or self.job_is_terminal(wait.job_id)):
-                self._waits.append(wait)
-                continue
+    def _unpark(self, wait: _Wait) -> _Wait:
+        del self._waits[bisect.bisect_left(self._waits, wait)]
+        job_waits = self._job_waits[wait.job_id]
+        del job_waits[wait.seq]
+        if not job_waits:
+            del self._job_waits[wait.job_id]
+        return wait
+
+    def _answer_due(self) -> None:
+        """Answer the unparked waits in the order they were parked."""
+        due, self._due = sorted(self._due, key=lambda wait: wait.seq), []
+        for wait in due:
             try:
                 wait.sender(self.job_progress_reply(wait.job_id))
             except ConnectionError:
@@ -490,8 +504,7 @@ class MasterServer:
             conn.close()
 
     def start(self) -> threading.Thread:
-        """Serve in a background thread; the tests use it to run a
-        master in process."""
+        """Serve in a background thread; tests use it to run a master in process."""
         thread = threading.Thread(target=self.serve_forever, name="master-serve", daemon=True)
         thread.start()
         return thread

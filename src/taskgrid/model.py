@@ -82,7 +82,7 @@ class TaskDescriptor:
     ``completed_ms`` come from the master's monotonic clock; ``exec_ms``
     is the duration the worker reported for the executor run alone.
     Clocks are never compared across processes. ``seq`` is the task's
-    enqueue order on its master, which breaks ``submitted_ms`` ties.
+    enqueue order on its master, which is its FCFS slot.
     """
 
     task_id: str

@@ -125,15 +125,10 @@ class MembershipCatalog:
         return worker_id in self.workers
 
 
-def _fcfs_key(task: TaskDescriptor) -> tuple[int, int]:
-    """A queued task's FCFS slot: submission time, then enqueue order."""
-    return (task.submitted_ms, task.seq)
-
-
 class ClassQueues:
     """Queued tasks as one FCFS deque per task class.
 
-    Each deque holds task records in ascending ``_fcfs_key`` order,
+    Each deque holds task records in ascending ``seq`` (enqueue) order,
     so its head is its class's oldest task. Iterating yields the task
     ids of both classes merged in that order, and the queue compares
     equal to the list of them; ``len`` is O(1).
@@ -150,7 +145,7 @@ class ClassQueues:
         return len(self.gpu) + len(self.cpu)
 
     def __iter__(self) -> Iterator[str]:
-        return (task.task_id for task in sorted([*self.gpu, *self.cpu], key=_fcfs_key))
+        return (task.task_id for task in sorted([*self.gpu, *self.cpu], key=lambda task: task.seq))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ClassQueues):
@@ -197,7 +192,7 @@ class Scheduler:
         task.dispatched_ms = None
         task.attempt += 1
         self._transition(task, TaskState.QUEUED, now_ms)
-        bisect.insort(self.queue.of(task.requires_gpu), task, key=_fcfs_key)
+        bisect.insort(self.queue.of(task.requires_gpu), task, key=lambda task: task.seq)
 
     # -- membership --------------------------------------------------------
 
@@ -260,6 +255,9 @@ class Scheduler:
     # -- tasks ---------------------------------------------------------------
 
     def enqueue_task(self, task: TaskDescriptor, now_ms: int) -> None:
+        """Queue a task behind every task enqueued before it. ``now_ms``
+        must not decrease from call to call, so that enqueue order is
+        also ``submitted_ms`` order."""
         if task.task_id in self.tasks:
             raise DuplicateTaskError(task.task_id)
         if task.state is not TaskState.QUEUED:
@@ -295,12 +293,11 @@ class Scheduler:
         expired_before = now_ms - self.config.unschedulable_timeout_ms
         blocked: set[_Ring] = set()  # rings with no idle worker left
         while True:
-            if gpu_ring is None:
-                gpu_ready = bool(gpu_queue) and gpu_queue[0].submitted_ms < expired_before
-            else:
-                gpu_ready = bool(gpu_queue) and gpu_ring not in blocked
+            gpu_ready = bool(gpu_queue) and (
+                gpu_queue[0].submitted_ms < expired_before if gpu_ring is None else gpu_ring not in blocked
+            )
             cpu_ready = bool(cpu_queue) and cpu_ring is not None and cpu_ring not in blocked
-            if gpu_ready and not (cpu_ready and _fcfs_key(cpu_queue[0]) < _fcfs_key(gpu_queue[0])):
+            if gpu_ready and not (cpu_ready and cpu_queue[0].seq < gpu_queue[0].seq):
                 queue, ring = gpu_queue, gpu_ring
             elif cpu_ready:
                 queue, ring = cpu_queue, cpu_ring

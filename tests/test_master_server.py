@@ -504,6 +504,24 @@ def test_a_result_answers_only_the_waits_on_the_job_it_ends():
     assert core.next_due_ms() == 1000
 
 
+def test_waits_answered_in_one_pass_go_out_in_parking_order():
+    clock = [0]
+    core = _timed_core(clock)
+    answered = []
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), lambda m: None)
+    core.deliver(Submit(job_id="J2", tasks=(make_task("noop", task_id="T2"),)), lambda m: None)
+    for name, job_id, timeout_ms in [("a", "J1", 600), ("b", "J2", 300), ("c", "J1", None), ("d", "J2", 500)]:
+        core.deliver(JobWait(job_id=job_id, timeout_ms=timeout_ms), lambda m, name=name: answered.append(name))
+    clock[0] = 600
+    assert core.run_due()  # a, b and d expire together; c has no deadline
+    assert answered == ["a", "b", "d"]
+    assert core.next_due_ms() == 1000
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), lambda m: None)
+    core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64=""), lambda m: None)
+    assert answered == ["a", "b", "d", "c"]
+    assert core._waits == []
+
+
 def test_a_tick_that_raises_has_already_been_re_armed():
     clock = [0]
     core = _timed_core(clock)
