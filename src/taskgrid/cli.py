@@ -3,6 +3,14 @@
 Exit codes are fixed for scripting: 0 success, 1 task failure or bad
 reply, 2 usage error (a malformed flag, a file that cannot be read or
 written, a port that cannot be bound), 3 master unreachable or lost.
+
+This module imports no other taskgrid module at load; each ``cmd_*``
+imports what it runs, and :func:`main` imports the errors it maps to
+exit codes. The rule is load-bearing: a worker runs as
+``python -m taskgrid.cli worker``, and every lane process that
+:func:`taskgrid.sobel.sobel_parallel` spawns re-imports this module as
+its main module. A module-level import here would be paid again in
+every lane process of every large Sobel task.
 """
 
 from __future__ import annotations
@@ -14,12 +22,6 @@ import re
 import signal
 import sys
 from pathlib import Path
-
-from . import protocol
-from .client import ClientError, MasterClient, make_task, new_id
-from .master import MasterServer
-from .model import overhead_ms
-from .scheduler import SchedulerConfig
 
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
@@ -121,6 +123,9 @@ def _fail(code: int, message: object) -> int:
 
 
 def cmd_master(args: argparse.Namespace) -> int:
+    from .master import MasterServer
+    from .scheduler import SchedulerConfig
+
     host, port = args.listen
     config = SchedulerConfig(
         heartbeat_interval_ms=args.heartbeat_ms,
@@ -143,7 +148,6 @@ def cmd_master(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    # Imported here: the Sobel code loads numpy, which master and submit never need.
     from .worker import RegistrationRejected, WorkerAgent, WorkerConfig
 
     if not args.gpu and (args.gpu_cores is not None or args.gpu_mem_mb is not None):
@@ -174,6 +178,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from . import protocol
+    from .client import MasterClient, make_task, new_id
+    from .model import overhead_ms
+
     payload = b"" if args.input_path is None else Path(args.input_path).read_bytes()
     params = dict(args.param)
     tasks = [
@@ -210,8 +218,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here: the Sobel code loads numpy, which master and submit never need.
     from .bench import BenchTaskFailed, IntegrityError, run_bench
+    from .client import MasterClient
     from .sobel import PgmError
 
     images = [(os.path.basename(path), Path(path).read_bytes()) for path in args.images]
@@ -233,6 +241,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .client import ClientError
+    from .protocol import ProtocolError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -247,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     except ClientError as exc:
         return _fail(EXIT_TASK_FAILED, exc)
-    except protocol.ProtocolError as exc:  # a reply that does not decode, or is over the line cap
+    except ProtocolError as exc:  # a reply that does not decode, or is over the line cap
         return _fail(EXIT_TASK_FAILED, f"bad reply from master: {exc}")
 
 

@@ -12,6 +12,12 @@ Two executors produce byte-identical output for every input:
 Fixed rules (both executors and any oracle must agree on these):
 out-of-bounds neighbors replicate the nearest edge pixel, and the
 gradient magnitude is rounded half-up before clamping to [0, 255].
+
+The spawned lane processes re-import the parent's main module, which
+for a worker is ``taskgrid.cli``. That module therefore imports no
+other taskgrid module at load, and this one imports only numpy and the
+standard library: whatever either loads at import, every lane process
+of every large task loads again before it computes a row.
 """
 
 from __future__ import annotations
@@ -197,6 +203,14 @@ def sobel_sequential(img: GrayImage) -> GrayImage:
     return GrayImage(w, h, bytes(out))
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def lane_bounds(total: int, lane_count: int) -> list[tuple[int, int]]:
     """Contiguous index ranges: lane j owns [j*K//L, (j+1)*K//L)."""
     return [
@@ -240,7 +254,7 @@ def _run_lane(job: tuple[np.ndarray, int]) -> np.ndarray:
 
 def sobel_parallel(img: GrayImage, lane_count: int) -> GrayImage:
     """Data-parallel filter: K = width*height pixel computations split
-    across ``lane_count`` lanes.
+    across ``lane_count`` lanes, at most one lane per image row.
 
     Byte-identical to :func:`sobel_sequential` for every input and lane
     count. Lanes of large images run in a spawned process pool; small
@@ -250,13 +264,14 @@ def sobel_parallel(img: GrayImage, lane_count: int) -> GrayImage:
         raise ValueError(f"lane_count must be >= 1, got {lane_count}")
     w, h = img.width, img.height
     total = w * h
+    # Each lane costs a halo copy of at least three rows, so more lanes
+    # than rows only burn memory; with total >= lanes no lane is empty.
+    lane_count = min(lane_count, h)
     arr = np.frombuffer(img.pixels, dtype=np.uint8).reshape(h, w)
 
     jobs: list[tuple[np.ndarray, int]] = []
     metas: list[tuple[int, int, int]] = []
     for start, end in lane_bounds(total, lane_count):
-        if start >= end:
-            continue
         r0 = start // w
         r1 = (end - 1) // w
         halo_rows = np.clip(np.arange(r0 - 1, r1 + 2), 0, h - 1)
@@ -264,7 +279,7 @@ def sobel_parallel(img: GrayImage, lane_count: int) -> GrayImage:
         metas.append((start, end, r0))
 
     if total >= _PROCESS_LANES_MIN_PIXELS and len(jobs) > 1:
-        pool_size = min(len(jobs), max(2, os.cpu_count() or 2))
+        pool_size = min(len(jobs), max(2, usable_cpu_count()))
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=pool_size) as pool:
             blocks = pool.map(_run_lane, jobs)

@@ -13,7 +13,6 @@ and every socket write; the executor only computes outside it.
 from __future__ import annotations
 
 import logging
-import os
 import queue
 import select
 import socket
@@ -24,6 +23,7 @@ from typing import Callable
 from . import protocol
 from .model import WorkerProfile, monotonic_ms, validate_profile
 from .protocol import Dispatch, Heartbeat, HeartbeatAck, Message, Register, RegisterAck, Result
+from .sobel import usable_cpu_count
 from .workloads import ExecutorRegistry, UnknownKindError, built_in_registry
 
 logger = logging.getLogger(__name__)
@@ -45,11 +45,11 @@ class WorkerConfig:
     has_gpu: bool = False
     gpu_cores: int | None = None
     gpu_mem_mb: int | None = None
-    lane_count: int = 0  # 0 -> use available hardware parallelism
+    lane_count: int = 0  # 0 -> one lane per CPU this process may run on
 
     def __post_init__(self) -> None:
         if self.lane_count == 0:
-            self.lane_count = os.cpu_count() or 1
+            self.lane_count = usable_cpu_count()
 
     def validate(self) -> None:
         reason = validate_profile(WorkerProfile.from_register(self.register_message()))

@@ -258,11 +258,17 @@ def test_submit_exits_3_when_the_master_drops_the_link_mid_request(capsys):
     _one_error_line(capsys, "")
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # The master and submit run from this module alone; only the worker
-    # and bench commands import the Sobel code.
-    code = 'import sys, taskgrid.cli; sys.exit("numpy" in sys.modules)'
-    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+def test_importing_the_cli_loads_no_other_taskgrid_module_and_no_numpy():
+    # Every spawned Sobel lane process of a worker re-imports taskgrid.cli
+    # as its main module, so each command imports what it runs.
+    code = (
+        "import sys, taskgrid.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "    if m.split('.')[0] == 'numpy' or m.startswith('taskgrid.'))))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["taskgrid.cli"]
 
 
 # -- live cluster over subprocesses ----------------------------------------------

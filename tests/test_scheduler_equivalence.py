@@ -1,11 +1,15 @@
 """The per-class queue scheduler against the scan-based one it replaced.
 
 ``ScanScheduler`` is a frozen copy of the earlier queue: one list in
-FCFS order that every round walks and rebuilds. Both schedulers are
-driven through the same seeded random traces (multi-task submits,
-registration and re-registration, eviction, CPU->GPU fallback, a short
-unschedulable timeout, OK and FAILED completions) and must agree on
-every assignment, every transition and the queue after every operation.
+FCFS order that every round walks and rebuilds. It picks workers
+through ``FrozenRing``, a frozen copy of the cyclic-scan dispatch ring,
+so a change in which worker the production ring picks shows here too.
+Both schedulers are driven through the same seeded random traces
+(multi-task submits, registration and re-registration, eviction,
+CPU->GPU fallback, a short unschedulable timeout, OK and FAILED
+completions; some traces over pools of up to ~50 workers) and must
+agree on every assignment, every transition and the queue after every
+operation.
 """
 
 import bisect
@@ -23,11 +27,51 @@ from taskgrid.scheduler import (
 )
 
 
+class FrozenRing:
+    """The dispatch ring as it was: worker ids ordered by descending
+    cpu_mhz (ties: ascending id), picked by a cyclic scan from a cursor."""
+
+    def __init__(self):
+        self.ids = []
+        self.cursor = 0
+
+    @staticmethod
+    def _key(profile):
+        return (-profile.cpu_mhz, profile.worker_id)
+
+    def insert(self, profile, profiles):
+        pos = bisect.bisect_left(self.ids, self._key(profile), key=lambda wid: self._key(profiles[wid]))
+        self.ids.insert(pos, profile.worker_id)
+        if len(self.ids) > 1 and pos <= self.cursor:
+            self.cursor += 1
+
+    def remove(self, worker_id):
+        pos = self.ids.index(worker_id)
+        self.ids.pop(pos)
+        if not self.ids:
+            self.cursor = 0
+        elif pos < self.cursor:
+            self.cursor -= 1
+        elif self.cursor >= len(self.ids):
+            self.cursor = 0
+
+    def take_idle(self, profiles):
+        count = len(self.ids)
+        for step in range(count):
+            pos = (self.cursor + step) % count
+            wid = self.ids[pos]
+            if not profiles[wid].busy:
+                self.cursor = (pos + 1) % count
+                return wid
+        return None
+
+
 class ScanScheduler(Scheduler):
     """The scan-based queue and round, as they were before per-class queues."""
 
     def __init__(self, config, on_transition=None):
         super().__init__(config, on_transition=on_transition)
+        self.catalog.gpu_ring, self.catalog.cpu_ring = FrozenRing(), FrozenRing()
         self.queue = []  # task_ids, FCFS order
         self._seen_task_ids = set()
 
@@ -143,7 +187,7 @@ class _Side:
         return {t.task_id: (t.state, t.assigned_worker, t.attempt, t.error) for t in self.s.tasks.values()}
 
 
-def _random_op(rng, now, state):
+def _random_op(rng, now, state, max_batch=5):
     """Draw one operation from the trace's own view of the cluster."""
     roll = rng.random()
     if roll < 0.12:
@@ -156,7 +200,7 @@ def _random_op(rng, now, state):
         return ("register", now, (worker_id, rng.choice((1000, 2000, 3000)), rng.random() < 0.5))
     if roll < 0.35:
         batch = []
-        for _ in range(rng.randrange(1, 6)):
+        for _ in range(rng.randrange(1, max_batch + 1)):
             if state["next_task"] and rng.random() < 0.05:
                 task_id = f"T{rng.randrange(state['next_task'])}"  # a duplicate id
             else:
@@ -178,21 +222,34 @@ def _random_op(rng, now, state):
     return ("round", now, None)
 
 
-def _run_trace(seed, ops=250):
+def _run_trace(seed, ops=250, pool=0):
+    """One trace; ``pool`` workers register before the random ops, and
+    submits then come in batches of up to ``pool`` tasks."""
     rng = random.Random(seed)
     scan, merged = _Side(ScanScheduler), _Side(Scheduler)
     state = {"workers": set(), "next_task": 0, "dispatched": {}}
     seen = Counter()
     now = logged = 0
-    for step in range(ops):
-        now += rng.choice((0, 1, 5, 20, 60))
-        op = _random_op(rng, now, state)
+    opening = [
+        ("register", 0, (f"W{i}", rng.choice((1000, 2000, 3000)), rng.random() < 0.5))
+        for i in range(pool)
+    ]
+    state["workers"].update(f"W{i}" for i in range(pool))
+    for step in range(len(opening) + ops):
+        if step < len(opening):
+            op = opening[step]
+        else:
+            now += rng.choice((0, 1, 5, 20, 60))
+            op = _random_op(rng, now, state, max_batch=max(5, pool))
         expected, got = scan.apply(op), merged.apply(op)
         assert got == expected, (seed, step, op)
         assert merged.log[logged:] == scan.log[logged:], (seed, step, op)
         logged = len(scan.log)
         assert len(merged.log) == logged
         assert merged.snapshot() == scan.snapshot(), (seed, step, op)
+        seen["max_workers"] = max(seen["max_workers"], len(scan.s.catalog.workers))
+        busy = sum(profile.busy for profile in scan.s.catalog.workers.values())
+        seen["max_busy"] = max(seen["max_busy"], busy)
         if op[0] == "round":
             for task_id, worker_id in got:
                 state["dispatched"][task_id] = worker_id
@@ -226,3 +283,13 @@ def test_per_class_queues_match_scan_scheduler(block):
     # The traces must actually exercise every path being compared.
     for path in ("cpu_on_gpu_fallback", "requeue", "unschedulable", "ok", "failed"):
         assert seen[path] > 0, (path, seen)
+
+
+@pytest.mark.parametrize("pool", [20, 50])
+def test_per_class_queues_match_scan_scheduler_over_large_pools(pool):
+    traces = [_run_trace(seed, pool=pool) for seed in range(1000, 1020)]
+    # The pool is really that large, and the scan really skips busy workers.
+    assert max(seen["max_workers"] for seen in traces) >= pool
+    assert max(seen["max_busy"] for seen in traces) >= pool // 2
+    for path in ("requeue", "ok", "failed"):
+        assert sum(seen[path] for seen in traces) > 0, path

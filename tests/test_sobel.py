@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_image
 from oracle import brute_force_sobel
+import taskgrid.sobel as sobel
 from taskgrid.sobel import (
     GrayImage,
     PgmError,
@@ -15,6 +17,7 @@ from taskgrid.sobel import (
     sobel_parallel,
     sobel_pixel,
     sobel_sequential,
+    usable_cpu_count,
     write_pgm,
 )
 
@@ -171,6 +174,24 @@ def test_parallel_lane_edge_cases():
     seq = sobel_sequential(img)
     for lanes in (1, 7, 25, 26):
         assert sobel_parallel(img, lanes).pixels == seq.pixels
+
+
+def test_parallel_runs_at_most_one_lane_per_row(monkeypatch):
+    # A huge lane_count must not build one halo copy per requested lane.
+    calls = []
+    run_lane = sobel._run_lane
+    monkeypatch.setattr(sobel, "_run_lane", lambda job: calls.append(job) or run_lane(job))
+    img = random_image(random.Random(5), 5, 5)
+    assert sobel_parallel(img, 26).pixels == sobel_sequential(img).pixels
+    assert 0 < len(calls) <= 5
+
+
+def test_usable_cpu_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpu_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpu_count() == 64
 
 
 def test_parallel_process_pool_path():

@@ -1,4 +1,5 @@
 import logging
+import os
 import random
 import socket
 import sys
@@ -284,6 +285,14 @@ def test_worker_config_validation():
         WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=0).validate()
     config = WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=1)
     assert config.lane_count >= 1
+
+
+def test_default_lane_count_is_the_cpus_the_worker_may_run_on(monkeypatch):
+    # Pinned to one CPU of a 64-CPU host, a worker runs one lane, not 64.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    config = WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=1)
+    assert config.lane_count == 1
 
 
 @pytest.mark.parametrize("gpu", [{"gpu_cores": 0}, {"gpu_mem_mb": -1}])
