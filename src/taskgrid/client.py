@@ -9,7 +9,6 @@ from typing import TypeVar
 from . import protocol
 from .protocol import (
     ErrorReply,
-    JobProgress,
     JobProgressReply,
     JobStatus,
     JobStatusReply,
@@ -102,7 +101,8 @@ class MasterClient:
         return self._request(JobStatus(job_id=job_id), JobStatusReply)
 
     def job_progress(self, job_id: str) -> JobProgressReply:
-        return self._request(JobProgress(job_id=job_id), JobProgressReply)
+        """The job's counts now: a JOB_WAIT whose deadline has passed."""
+        return self._request(JobWait(job_id=job_id, timeout_ms=0), JobProgressReply)
 
     def wait_for_job(
         self,

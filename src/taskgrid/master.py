@@ -12,9 +12,11 @@ cluster drives the same class over an in-memory socket.
 
 A JOB_WAIT is parked on the core and answered with the job's
 JOB_PROGRESS_REPLY once the job is terminal, after the handler that made
-it so, or once its deadline passes. Those deadlines and the eviction
-tick are the core's one timer rule (``next_due_ms``, ``run_due``, on its
-clock); each driver only sleeps until the next is due.
+it so, or once its deadline passes; one whose deadline has already
+passed (``timeout_ms`` of 0 or less) is answered in its handler. Those
+deadlines and the eviction tick are the core's one timer rule
+(``next_due_ms``, ``run_due``, on its clock); each driver only sleeps
+until the next is due.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .protocol import (
     ErrorReply,
     Heartbeat,
     HeartbeatAck,
-    JobProgress,
     JobProgressReply,
     JobStatus,
     JobStatusReply,
@@ -123,8 +124,6 @@ class MasterCore:
             self._handle_result(message)
         elif isinstance(message, Submit):
             sender(self._handle_submit(message))
-        elif isinstance(message, JobProgress):
-            sender(self.job_progress_reply(message.job_id))
         elif isinstance(message, JobWait):
             self._handle_wait(message, sender)
         elif isinstance(message, JobStatus):
@@ -189,10 +188,11 @@ class MasterCore:
             self._on_transition(task, from_state, to_state, now_ms)
 
     def _handle_wait(self, message: JobWait, sender: Sender) -> None:
-        if self.job_is_terminal(message.job_id):  # an unknown job's reply is an error
-            sender(self.job_progress_reply(message.job_id))
+        timeout_ms = message.timeout_ms
+        if self.job_is_terminal(message.job_id) or (timeout_ms is not None and timeout_ms <= 0):
+            sender(self.job_progress_reply(message.job_id))  # an unknown job's reply is an error
             return
-        deadline = math.inf if message.timeout_ms is None else self.clock() + message.timeout_ms
+        deadline = math.inf if timeout_ms is None else self.clock() + timeout_ms
         wait = _Wait(deadline, next(self._wait_seq), message.job_id, sender)
         bisect.insort(self._waits, wait)
         self._job_waits.setdefault(wait.job_id, {})[wait.seq] = wait

@@ -166,15 +166,10 @@ class JobStatus:
 
 
 @dataclass(frozen=True)
-class JobProgress:
-    job_id: str
-
-
-@dataclass(frozen=True)
 class JobWait:
     """Ask for the job's JOB_PROGRESS_REPLY once no task of it is queued
-    or dispatched, or once ``timeout_ms`` has passed; without a timeout
-    the wait has no deadline."""
+    or dispatched, or once ``timeout_ms`` has passed (at once if it is 0
+    or less); without a timeout the wait has no deadline."""
 
     job_id: str
     timeout_ms: int | None = None
@@ -183,7 +178,7 @@ class JobWait:
 @dataclass(frozen=True)
 class JobProgressReply:
     """A job's task counts by state: the constant-size reply to
-    JOB_PROGRESS and JOB_WAIT."""
+    JOB_WAIT."""
 
     job_id: str
     queued: int
@@ -228,7 +223,6 @@ Message = (
     | SubmitAck
     | JobStatus
     | JobStatusReply
-    | JobProgress
     | JobWait
     | JobProgressReply
     | ErrorReply
@@ -245,7 +239,6 @@ _TYPE_NAMES: dict[type, str] = {
     SubmitAck: "SUBMIT_ACK",
     JobStatus: "JOB_STATUS",
     JobStatusReply: "JOB_STATUS_REPLY",
-    JobProgress: "JOB_PROGRESS",
     JobWait: "JOB_WAIT",
     JobProgressReply: "JOB_PROGRESS_REPLY",
     ErrorReply: "ERROR",

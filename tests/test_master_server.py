@@ -244,6 +244,33 @@ def test_malformed_line_answered_with_error(server):
     sock.close()
 
 
+def test_an_old_clients_job_progress_is_an_error_and_job_wait_answers_it(server):
+    with MasterClient("127.0.0.1", server.port) as client:
+        client.submit([make_task("noop", task_id="T1")], job_id="J1")  # no worker: T1 stays queued
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    sock.settimeout(5.0)
+    framer = protocol.LineFramer()
+
+    def request(line):
+        sock.sendall(line)
+        lines = []
+        while not lines:
+            chunk = sock.recv(65536)
+            assert chunk, "master closed the connection"
+            lines = framer.feed(chunk)
+        [reply] = lines
+        return protocol.decode(reply)
+
+    try:
+        error = request(b'{"type":"JOB_PROGRESS","job_id":"J1"}\n')
+        assert isinstance(error, ErrorReply) and error.code == "PROTOCOL_ERROR"
+        assert "'JOB_PROGRESS'" in error.detail
+        progress = request(b'{"type":"JOB_WAIT","job_id":"J1","timeout_ms":0}\n')
+        assert progress == JobProgressReply(job_id="J1", queued=1, dispatched=0, completed=0, failed=0)
+    finally:
+        sock.close()
+
+
 def test_rejected_registration(server):
     sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
     sock.sendall(protocol.encode(Register(worker_id="W1", cpu_mhz=0, has_gpu=False)))
@@ -520,6 +547,25 @@ def test_waits_answered_in_one_pass_go_out_in_parking_order():
     core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64=""), lambda m: None)
     assert answered == ["a", "b", "d", "c"]
     assert core._waits == []
+
+
+def test_a_wait_whose_deadline_has_passed_is_answered_in_its_handler():
+    clock = [0]
+    core = _timed_core(clock)
+    tasks = (make_task("noop", task_id="T1"), make_task("noop", task_id="T2"))
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), lambda m: None)
+    core.deliver(Submit(job_id="J1", tasks=tasks), lambda m: None)
+    for timeout_ms in (0, -1):
+        replies = []
+        core.deliver(JobWait(job_id="J1", timeout_ms=timeout_ms), replies.append)
+        [reply] = replies
+        assert isinstance(reply, JobProgressReply)
+        assert (reply.queued, reply.dispatched) == (1, 1)
+    assert core._waits == []
+    assert core.next_due_ms() == 1000  # the eviction tick
+    replies = []
+    core.deliver(JobWait(job_id="nope", timeout_ms=0), replies.append)
+    assert replies == [ErrorReply(code="UNKNOWN_JOB", detail="nope")]
 
 
 def test_a_tick_that_raises_has_already_been_re_armed():

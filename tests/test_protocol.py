@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
@@ -20,7 +21,6 @@ from taskgrid.protocol import (
     FramingError,
     Heartbeat,
     HeartbeatAck,
-    JobProgress,
     JobProgressReply,
     JobStatus,
     JobStatusReply,
@@ -92,7 +92,6 @@ messages = st.one_of(
     st.builds(SubmitAck, job_id=ids, accepted_count=st.integers(0, 1000)),
     st.builds(JobStatus, job_id=ids),
     st.builds(JobStatusReply, job_id=ids, tasks=st.lists(task_reports, max_size=4).map(tuple)),
-    st.builds(JobProgress, job_id=ids),
     st.builds(JobWait, job_id=ids, timeout_ms=st.none() | st.integers(0, 10**9)),
     st.builds(
         JobProgressReply,
@@ -112,7 +111,6 @@ def test_heartbeat_golden_bytes():
 
 
 def test_job_progress_golden_bytes():
-    assert encode(JobProgress(job_id="J1")) == b'{"type":"JOB_PROGRESS","job_id":"J1"}\n'
     reply = JobProgressReply(job_id="J1", queued=2, dispatched=1, completed=3, failed=0)
     assert encode(reply) == (
         b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":1,"failed":0,'
@@ -177,8 +175,6 @@ def test_nested_messages_golden_bytes():
 @pytest.mark.parametrize(
     "line, match",
     [
-        (b'{"type":"JOB_PROGRESS","job_id":"J1","tasks":[]}', "unknown field tasks"),
-        (b'{"type":"JOB_PROGRESS"}', "missing required field job_id"),
         (
             b'{"type":"JOB_PROGRESS_REPLY","completed":3,"dispatched":1,"job_id":"J1","queued":2}',
             "missing required field failed",
@@ -363,11 +359,16 @@ _DEFAULTED = [
     JobStatus(job_id="J1"),
     JobStatusReply(job_id="J1"),
     JobStatusReply(job_id="J1", tasks=(TaskReport(task_id="T1", state="QUEUED"),)),
-    JobProgress(job_id="J1"),
     JobWait(job_id="J1"),
     JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=0, failed=0),
     ErrorReply(code="E", detail=""),
 ]
+
+
+def test_the_readme_lists_every_message_type_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [listed] = re.findall(r"Message types: (.*?)\.\n", readme, re.S)
+    assert re.findall(r"`([A-Z_]+)`", listed) == list(protocol._TYPE_NAMES.values())
 
 
 def test_defaulted_examples_cover_every_message_class():
@@ -961,7 +962,6 @@ _WIRE_FIELDS = {
     "SUBMIT_ACK": {"job_id": (_STR, True, "J1"), "accepted_count": (_INT, True, 1)},
     "JOB_STATUS": {"job_id": (_STR, True, "J1")},
     "JOB_STATUS_REPLY": {"job_id": (_STR, True, "J1"), "tasks": (_TASK_REPORT_FIELDS, True, None)},
-    "JOB_PROGRESS": {"job_id": (_STR, True, "J1")},
     "JOB_WAIT": {"job_id": (_STR, True, "J1"), "timeout_ms": (_INT, False, 200)},
     "JOB_PROGRESS_REPLY": {
         "job_id": (_STR, True, "J1"),
