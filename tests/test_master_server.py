@@ -205,6 +205,15 @@ def test_wait_for_job_sends_one_wait_and_fetches_status_once():
         server.shutdown()
 
 
+def test_job_progress_is_one_wait_answered_at_once(server):
+    seen = _record_request_types(server)
+    with MasterClient("127.0.0.1", server.port) as client:
+        client.submit([make_task("noop", task_id="T1")], job_id="J1")  # no worker: T1 stays queued
+        progress = client.job_progress("J1")
+    assert progress == JobProgressReply(job_id="J1", queued=1, dispatched=0, completed=0, failed=0)
+    assert seen == ["Submit", "JobWait"]
+
+
 def test_a_short_wait_returns_at_its_deadline_not_at_the_next_tick():
     # The loop's next tick is 2 s away; the wait's 0.2 s deadline wakes it.
     server = MasterServer("127.0.0.1", 0, SchedulerConfig())
@@ -566,6 +575,36 @@ def test_a_wait_whose_deadline_has_passed_is_answered_in_its_handler():
     replies = []
     core.deliver(JobWait(job_id="nope", timeout_ms=0), replies.append)
     assert replies == [ErrorReply(code="UNKNOWN_JOB", detail="nope")]
+
+
+def test_a_wait_with_one_ms_left_is_parked_until_its_deadline():
+    clock = [0]
+    core = _timed_core(clock)
+    replies = []
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), lambda m: None)
+    core.deliver(JobWait(job_id="J1", timeout_ms=1), replies.append)
+    assert replies == []
+    assert core.next_due_ms() == 1
+    clock[0] = 1
+    assert core.run_due()
+    assert replies == [JobProgressReply(job_id="J1", queued=1, dispatched=0, completed=0, failed=0)]
+    assert core._waits == []
+
+
+def test_a_wait_answered_in_its_handler_leaves_the_waits_parked_on_its_job():
+    clock = [0]
+    core = _timed_core(clock)
+    parked, answered = [], []
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), lambda m: None)
+    core.deliver(JobWait(job_id="J1", timeout_ms=500), parked.append)
+    core.deliver(JobWait(job_id="J1", timeout_ms=0), answered.append)
+    progress = JobProgressReply(job_id="J1", queued=1, dispatched=0, completed=0, failed=0)
+    assert (parked, answered) == ([], [progress])
+    assert core.next_due_ms() == 500
+    clock[0] = 500
+    assert core.run_due()
+    assert (parked, answered) == ([progress], [progress])
+    assert core._waits == []
 
 
 def test_a_tick_that_raises_has_already_been_re_armed():

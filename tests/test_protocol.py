@@ -196,6 +196,21 @@ def test_job_progress_decoding_is_strict(line, match):
         decode(line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        b'{"type":"JOB_PROGRESS","job_id":"J1"}',
+        b'{"type":"JOB_PROGRESS"}',
+        b'{"type":"JOB_PROGRESS","job_id":"J1","tasks":[]}',
+        b'{"type":"JOB_PROGRESS","job_id":7}',
+    ],
+)
+def test_a_job_progress_request_is_an_unknown_type_whatever_its_fields(line):
+    # JOB_WAIT with timeout_ms 0 replaced it; the type is checked before any field.
+    with pytest.raises(ProtocolError, match=r"^unknown message type 'JOB_PROGRESS'$"):
+        decode(line)
+
+
 def test_empty_payload_dispatch():
     msg = Dispatch(task_id="T1", kind="noop", requires_gpu=False, params={}, payload_b64="")
     line = encode(msg)
