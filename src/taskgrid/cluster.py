@@ -210,7 +210,7 @@ class InProcCluster:
     ) -> None:
         self.transitions.append(TransitionEvent(task.task_id, from_state, to_state, at_ms))
         if to_state is TaskState.DISPATCHED:
-            profile = self.core.scheduler.catalog.workers[task.assigned_worker]
+            profile = self.core.scheduler.workers[task.assigned_worker]
             self.assignments.append(
                 AssignmentEvent(
                     task.task_id, profile.worker_id, task.requires_gpu, profile.has_gpu, at_ms

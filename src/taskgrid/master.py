@@ -147,9 +147,9 @@ class MasterCore:
         new connection."""
         for wait in [wait for wait in self._waits if wait.sender == sender]:
             self._unpark(wait)
-        for profile in list(self.scheduler.catalog.workers.values()):
+        for profile in list(self.scheduler.workers.values()):
             if profile.sender == sender and not profile.busy:
-                self.scheduler.catalog.remove(profile.worker_id)
+                self.scheduler.remove_worker(profile.worker_id, self.clock())
                 logger.info("worker %s closed its connection", profile.worker_id)
 
     def next_due_ms(self) -> int:
@@ -286,7 +286,7 @@ class MasterCore:
                 payload_b64=task.payload_b64,
             )
             try:
-                self.scheduler.catalog.workers[worker_id].sender(dispatch)
+                self.scheduler.workers[worker_id].sender(dispatch)
             except ConnectionError as exc:
                 # Say, a worker that reconnected mid-task: the REGISTER it
                 # sends after its RESULT re-queues the task.

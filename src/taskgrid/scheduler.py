@@ -30,7 +30,7 @@ UNSCHEDULABLE_ERROR = "UNSCHEDULABLE: no GPU worker registered within timeout"
 
 
 class RegistrationError(ValueError):
-    """Worker profile rejected by the membership catalog."""
+    """Worker profile rejected by :meth:`Scheduler.register_worker`."""
 
 
 class DuplicateTaskError(ValueError):
@@ -100,31 +100,6 @@ class _Ring:
         return None
 
 
-class MembershipCatalog:
-    """Live workers split into GPU and CPU dispatch rings."""
-
-    def __init__(self) -> None:
-        self.workers: dict[str, WorkerProfile] = {}
-        self.gpu_ring = _Ring()
-        self.cpu_ring = _Ring()
-
-    def _ring_for(self, profile: WorkerProfile) -> _Ring:
-        return self.gpu_ring if profile.has_gpu else self.cpu_ring
-
-    def insert(self, profile: WorkerProfile) -> None:
-        self.workers[profile.worker_id] = profile
-        self._ring_for(profile).insert(profile, self.workers)
-
-    def remove(self, worker_id: str) -> WorkerProfile:
-        profile = self.workers[worker_id]
-        self._ring_for(profile).remove(worker_id)
-        del self.workers[worker_id]
-        return profile
-
-    def __contains__(self, worker_id: str) -> bool:
-        return worker_id in self.workers
-
-
 class ClassQueues:
     """Queued tasks as one FCFS deque per task class.
 
@@ -168,7 +143,9 @@ class Scheduler:
 
     def __init__(self, config: SchedulerConfig, on_transition: TransitionHook | None = None):
         self.config = config
-        self.catalog = MembershipCatalog()
+        self.workers: dict[str, WorkerProfile] = {}
+        self.gpu_ring = _Ring()
+        self.cpu_ring = _Ring()
         self.tasks: dict[str, TaskDescriptor] = {}
         self.queue = ClassQueues()
         self._next_seq = 0
@@ -196,27 +173,37 @@ class Scheduler:
 
     # -- membership --------------------------------------------------------
 
+    def _ring_for(self, profile: WorkerProfile) -> _Ring:
+        return self.gpu_ring if profile.has_gpu else self.cpu_ring
+
     def register_worker(self, profile: WorkerProfile, now_ms: int) -> None:
         """Insert (or replace) a worker in its capability ring.
 
-        Re-registering a known id drops the old profile; a task the old
-        incarnation held is re-queued.
+        Re-registering a known id first removes the old profile through
+        :meth:`remove_worker`, which re-queues a task it held.
         """
         reason = validate_profile(profile)
         if reason is not None:
             raise RegistrationError(reason)
-        if profile.worker_id in self.catalog:
-            old = self.catalog.remove(profile.worker_id)
-            if old.current_task is not None:
-                orphan = self.tasks[old.current_task]
-                logger.warning(
-                    "worker %s re-registered; re-queueing task %s", profile.worker_id, orphan.task_id
-                )
-                self._requeue(orphan, now_ms)
+        if profile.worker_id in self.workers:
+            self.remove_worker(profile.worker_id, now_ms)
         profile.last_heartbeat_ms = now_ms
         profile.last_beat_ts_ms = None
         profile.current_task = None
-        self.catalog.insert(profile)
+        self.workers[profile.worker_id] = profile
+        self._ring_for(profile).insert(profile, self.workers)
+
+    def remove_worker(self, worker_id: str, now_ms: int) -> None:
+        """Drop a worker from its ring; a task it held is re-queued."""
+        profile = self.workers.pop(worker_id)
+        self._ring_for(profile).remove(worker_id)
+        if profile.current_task is not None:
+            task = self.tasks[profile.current_task]
+            self._requeue(task, now_ms)
+            fields = {"task_id": task.task_id, "worker_id": worker_id, "attempt": task.attempt}
+            logger.warning(
+                "re-queueing task %(task_id)s from worker %(worker_id)s (attempt %(attempt)d)", fields, extra=fields
+            )
 
     def heartbeat(self, worker_id: str, ts_ms: int, now_ms: int) -> bool:
         """Record liveness at ``now_ms``, the master's clock; returns False
@@ -228,7 +215,7 @@ class Scheduler:
         while it holds a dispatched task, so the beat's own busy flag is
         not read.
         """
-        profile = self.catalog.workers.get(worker_id)
+        profile = self.workers.get(worker_id)
         if profile is None:
             return False
         if profile.last_beat_ts_ms is None or ts_ms >= profile.last_beat_ts_ms:
@@ -242,14 +229,12 @@ class Scheduler:
         window = self.config.liveness_window_ms
         stale = [
             wid
-            for wid, profile in self.catalog.workers.items()
+            for wid, profile in self.workers.items()
             if now_ms - profile.last_heartbeat_ms > window
         ]
         for wid in stale:
-            profile = self.catalog.remove(wid)
             logger.warning("evicting worker %s (no heartbeat for > %d ms)", wid, window)
-            if profile.current_task is not None:
-                self._requeue(self.tasks[profile.current_task], now_ms)
+            self.remove_worker(wid, now_ms)
         return stale
 
     # -- tasks ---------------------------------------------------------------
@@ -283,12 +268,14 @@ class Scheduler:
         class stops for the round once its ring has no idle worker, or,
         with no GPU ring, at its first GPU task still inside the timeout
         (the queue is ordered by submission time, so expired tasks form a
-        prefix). A round thus costs O(assignments + failures).
+        prefix). A round thus costs O(assignments + failures) in queue
+        length; each pick still scans its ring from the cursor, so it is
+        O(workers) per assignment in the worst case.
         """
         assignments: list[tuple[str, str]] = []
-        workers = self.catalog.workers
-        gpu_ring = self.catalog.gpu_ring if self.catalog.gpu_ring.ids else None
-        cpu_ring = self.catalog.cpu_ring if self.catalog.cpu_ring.ids else gpu_ring
+        workers = self.workers
+        gpu_ring = self.gpu_ring if self.gpu_ring.ids else None
+        cpu_ring = self.cpu_ring if self.cpu_ring.ids else gpu_ring
         gpu_queue, cpu_queue = self.queue.gpu, self.queue.cpu
         expired_before = now_ms - self.config.unschedulable_timeout_ms
         blocked: set[_Ring] = set()  # rings with no idle worker left
@@ -342,7 +329,7 @@ class Scheduler:
         else:
             task.error = error or "task failed"
             self._transition(task, TaskState.FAILED, now_ms)
-        profile = self.catalog.workers.get(worker_id)
+        profile = self.workers.get(worker_id)
         if profile is not None:
             profile.current_task = None
         return True

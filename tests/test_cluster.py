@@ -55,7 +55,7 @@ def test_workers_stay_alive_through_long_advances():
     cluster = InProcCluster()
     cluster.add_worker("W1", cpu_mhz=2400)
     cluster.advance(60000)
-    assert "W1" in cluster.core.scheduler.catalog.workers
+    assert "W1" in cluster.core.scheduler.workers
 
 
 def test_dispatch_frames_decode_and_are_canonical():
@@ -182,7 +182,7 @@ def test_shortened_reregistration_interval_takes_effect_at_once():
     assert [a.worker_id for a in cluster.assignments] == ["W1"]
     for _ in range(60):
         cluster.advance(100)
-        assert "W1" in cluster.core.scheduler.catalog.workers
+        assert "W1" in cluster.core.scheduler.workers
     assert not any(
         t.from_state is TaskState.DISPATCHED and t.to_state is TaskState.QUEUED
         for t in cluster.transitions
@@ -223,7 +223,7 @@ def test_executor_exit_fails_the_task():
     cluster.submit([make_task("exit", task_id="T1")])
     [report] = cluster.run_until_terminal().tasks
     assert (report.state, report.error) == ("FAILED", "SystemExit: 3")
-    assert "W1" in cluster.core.scheduler.catalog.workers
+    assert "W1" in cluster.core.scheduler.workers
 
 
 @pytest.mark.parametrize("exec_ms, type_name", [(1.5, "float"), (True, "bool")])
@@ -497,7 +497,7 @@ def test_job_counts_match_a_count_over_each_jobs_tasks(seed):
         check()
         cluster.advance(rng.randrange(0, 300))
         check()
-    busy = sorted(w for w, profile in core.scheduler.catalog.workers.items() if profile.busy)
+    busy = sorted(w for w, profile in core.scheduler.workers.items() if profile.busy)
     cluster.kill_worker(rng.choice(busy))
     for step in range(120):
         if step == 40:
@@ -524,7 +524,7 @@ def test_a_peer_that_hangs_up_leaves_no_wait_and_no_idle_worker(caplog):
     idle.link.hang_up()
     cluster.advance(0)
     assert cluster.core._waits == []
-    assert list(cluster.core.scheduler.catalog.workers) == ["W1"]
+    assert list(cluster.core.scheduler.workers) == ["W1"]
     cluster.advance(6000)
     assert replies == []
     assert [t.state for t in cluster.job_status().tasks] == ["COMPLETED"]

@@ -385,7 +385,7 @@ def test_an_idle_worker_that_closes_its_connection_leaves_at_once():
     server.start()
     try:
         FakeWorkerConn(server.port).close()
-        workers = server.core.scheduler.catalog.workers
+        workers = server.core.scheduler.workers
         deadline = time.monotonic() + 1.0  # one heartbeat interval
         while "W1" in workers and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -409,7 +409,7 @@ def test_a_closed_connection_removes_its_worker_only_when_idle():
     assert core.scheduler.tasks["T1"].assigned_worker == "Wbusy"
     core.connection_closed(busy.append)
     core.connection_closed(idle.append)
-    assert list(core.scheduler.catalog.workers) == ["Wbusy"]
+    assert list(core.scheduler.workers) == ["Wbusy"]
 
 
 def test_a_dispatch_that_fails_to_send_is_one_warning_naming_task_and_worker(caplog):
@@ -476,7 +476,7 @@ def test_no_line_is_delivered_after_a_failed_reply_closes_the_connection():
     conn = Connection(_ResetPeer(chunk), _ResetPeer(), core)
     conn.read()
     assert conn.closed
-    assert "W1" not in core.scheduler.catalog
+    assert "W1" not in core.scheduler.workers
     core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), lambda m: None)
     assert core.scheduler.tasks["T1"].state is TaskState.QUEUED
 

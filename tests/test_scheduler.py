@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -33,8 +34,8 @@ def mk_task(task_id, gpu=False, kind="noop"):
 def test_first_insertion_goes_to_gpu_ring():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1", 2400, gpu=True), now_ms=0)
-    assert s.catalog.gpu_ring.ids == ["W1"]
-    assert s.catalog.cpu_ring.ids == []
+    assert s.gpu_ring.ids == ["W1"]
+    assert s.cpu_ring.ids == []
 
 
 def test_rings_order_by_descending_mhz():
@@ -42,14 +43,14 @@ def test_rings_order_by_descending_mhz():
     s.register_worker(mk_profile("W1", 2400, gpu=True), 0)
     s.register_worker(mk_profile("W2", 2000), 0)
     s.register_worker(mk_profile("W3", 3000), 0)
-    assert s.catalog.cpu_ring.ids == ["W3", "W2"]
+    assert s.cpu_ring.ids == ["W3", "W2"]
 
 
 def test_ring_ties_break_by_worker_id():
     s = mk_scheduler()
     for wid in ("Wb", "Wa", "Wc"):
         s.register_worker(mk_profile(wid, 2000), 0)
-    assert s.catalog.cpu_ring.ids == ["Wa", "Wb", "Wc"]
+    assert s.cpu_ring.ids == ["Wa", "Wb", "Wc"]
 
 
 def test_zero_mhz_rejected():
@@ -74,8 +75,8 @@ def test_reregistration_replaces_and_orphans_task():
     s.register_worker(mk_profile("W1", 2600, gpu=True), 2)
     assert task.state is TaskState.QUEUED
     assert task.attempt == 1
-    assert s.catalog.workers["W1"].cpu_mhz == 2600
-    assert not s.catalog.workers["W1"].busy
+    assert s.workers["W1"].cpu_mhz == 2600
+    assert not s.workers["W1"].busy
 
 
 def test_insertion_preserves_rotation_of_existing_workers():
@@ -91,6 +92,22 @@ def test_insertion_preserves_rotation_of_existing_workers():
     assert s.schedule_round(1) == [("T2", "W3")]
 
 
+def test_removal_at_the_cursor_hands_the_turn_to_the_next_worker():
+    s = mk_scheduler()
+    for wid, mhz in (("W1", 3000), ("W2", 2000), ("W4", 1000)):
+        s.register_worker(mk_profile(wid, mhz, gpu=True), 0)
+    s.enqueue_task(mk_task("T1", gpu=True), 0)
+    assert s.schedule_round(0) == [("T1", "W1")]  # the turn passes to W2
+    s.heartbeat("W1", 5000, now_ms=5000)
+    s.heartbeat("W4", 5000, now_ms=5000)
+    assert s.evict_stale(6001) == ["W2"]  # the turn passes to W4
+    # a worker inserted before W4 must not take W4's turn
+    s.register_worker(mk_profile("W3", 1500, gpu=True), 6001)
+    s.enqueue_task(mk_task("T2", gpu=True), 6001)
+    s.enqueue_task(mk_task("T3", gpu=True), 6001)
+    assert s.schedule_round(6001) == [("T2", "W4"), ("T3", "W3")]
+
+
 # -- heartbeats ----------------------------------------------------------------
 
 
@@ -98,8 +115,8 @@ def test_heartbeat_updates_timestamp():
     s = mk_scheduler()
     s.register_worker(mk_profile("W1"), 0)
     assert s.heartbeat("W1", 5000, now_ms=700)
-    assert s.catalog.workers["W1"].last_heartbeat_ms == 700
-    assert s.catalog.workers["W1"].last_beat_ts_ms == 5000
+    assert s.workers["W1"].last_heartbeat_ms == 700
+    assert s.workers["W1"].last_beat_ts_ms == 5000
 
 
 def test_heartbeat_unknown_worker():
@@ -112,15 +129,15 @@ def test_out_of_order_heartbeat_ignored():
     s.register_worker(mk_profile("W1"), 0)
     s.heartbeat("W1", 5000, now_ms=100)
     s.heartbeat("W1", 4000, now_ms=200)
-    assert s.catalog.workers["W1"].last_beat_ts_ms == 5000
-    assert s.catalog.workers["W1"].last_heartbeat_ms == 100
+    assert s.workers["W1"].last_beat_ts_ms == 5000
+    assert s.workers["W1"].last_heartbeat_ms == 100
     # replaying any permutation settles on the maximum
     rng = random.Random(3)
     stamps = list(range(5001, 5030))
     rng.shuffle(stamps)
     for now, ts in enumerate(stamps, start=300):
         s.heartbeat("W1", ts, now_ms=now)
-    assert s.catalog.workers["W1"].last_beat_ts_ms == 5029
+    assert s.workers["W1"].last_beat_ts_ms == 5029
 
 
 def test_liveness_uses_master_clock_not_worker_clock():
@@ -139,7 +156,7 @@ def test_liveness_uses_master_clock_not_worker_clock():
             core.handle(Heartbeat(worker_id="Wahead", ts_ms=now + 10**9, busy=False), None)
         core.run_due()
         for wid in ("Wbehind", "Wahead"):
-            if wid not in core.scheduler.catalog:
+            if wid not in core.scheduler.workers:
                 evicted_at.setdefault(wid, now)
     # Wahead goes at the first tick more than the 6,000 ms window after its beat.
     assert evicted_at == {"Wahead": 1_010_000}
@@ -188,7 +205,7 @@ def test_eviction_just_past_window():
     s.register_worker(mk_profile("W1"), 0)
     assert s.evict_stale(6000) == []  # 2000*3 not yet exceeded
     assert s.evict_stale(6001) == ["W1"]
-    assert "W1" not in s.catalog
+    assert "W1" not in s.workers
 
 
 def test_fresh_workers_not_evicted():
@@ -198,7 +215,7 @@ def test_fresh_workers_not_evicted():
     s.heartbeat("W1", 5000, now_ms=5000)
     s.heartbeat("W2", 5500, now_ms=5500)
     assert s.evict_stale(7000) == []
-    assert set(s.catalog.workers) == {"W1", "W2"}
+    assert set(s.workers) == {"W1", "W2"}
 
 
 def test_orphan_requeues_at_original_fcfs_slot():
@@ -226,6 +243,25 @@ def test_a_requeue_within_one_millisecond_keeps_enqueue_order():
     assert list(s.queue) == ["T1", "T2", "T3"]
     s.register_worker(mk_profile("W2"), 7000)
     assert s.schedule_round(7000) == [("T1", "W2")]
+
+
+@pytest.mark.parametrize("departure", ["evicted", "re-registered"])
+def test_a_requeue_logs_one_record_with_task_worker_and_attempt(caplog, departure):
+    s = mk_scheduler()
+    s.register_worker(mk_profile("W1"), 0)
+    s.register_worker(mk_profile("W2"), 0)
+    s.enqueue_task(mk_task("T1"), 0)
+    assert s.schedule_round(0) == [("T1", "W1")]
+    s.heartbeat("W2", 5000, now_ms=5000)
+    caplog.set_level(logging.WARNING, logger="taskgrid.scheduler")
+    if departure == "evicted":
+        assert s.evict_stale(6001) == ["W1"]
+    else:
+        s.register_worker(mk_profile("W1"), 6001)
+    records = [r for r in caplog.records if hasattr(r, "task_id")]
+    assert [(r.levelno, r.getMessage(), r.task_id, r.worker_id, r.attempt) for r in records] == [
+        (logging.WARNING, "re-queueing task T1 from worker W1 (attempt 1)", "T1", "W1", 1)
+    ]
 
 
 # -- enqueue ------------------------------------------------------------------------
@@ -367,7 +403,7 @@ def test_ok_completion():
     assert task.state is TaskState.COMPLETED
     assert task.exec_ms == 42
     assert task.completed_ms == 100
-    assert not s.catalog.workers["W1"].busy
+    assert not s.workers["W1"].busy
 
 
 def test_stale_report_from_wrong_worker_ignored():
@@ -446,10 +482,10 @@ def _has_eligible_idle(s):
     for tid in s.queue:
         task = s.tasks[tid]
         if task.requires_gpu:
-            ring = s.catalog.gpu_ring
+            ring = s.gpu_ring
         else:
-            ring = s.catalog.cpu_ring if s.catalog.cpu_ring.ids else s.catalog.gpu_ring
-        if any(not s.catalog.workers[w].busy for w in ring.ids):
+            ring = s.cpu_ring if s.cpu_ring.ids else s.gpu_ring
+        if any(not s.workers[w].busy for w in ring.ids):
             return True
     return False
 
@@ -484,7 +520,7 @@ def _run_random_trace(seed):
             assert made or not expect_assignment  # liveness
             for tid, wid in made:
                 task = s.tasks[tid]
-                profile = s.catalog.workers[wid]
+                profile = s.workers[wid]
                 assignments.append((tid, wid, task.requires_gpu, profile.has_gpu))
                 cls = "gpu" if task.requires_gpu else "cpu"
                 if task.attempt == 0:
@@ -495,7 +531,7 @@ def _run_random_trace(seed):
             wid = live_dispatched.pop(tid)
             s.complete_task(tid, wid, ok=rng.random() < 0.9, exec_ms=rng.randrange(100), now_ms=now)
         else:
-            for wid in list(s.catalog.workers):
+            for wid in list(s.workers):
                 if rng.random() < 0.3:
                     s.heartbeat(wid, now, now_ms=now)
             for wid in s.evict_stale(now):
@@ -516,7 +552,7 @@ def test_random_trace_properties(seed):
         expected = [t for t in enqueued[cls] if t in set(first_dispatch[cls])]
         assert first_dispatch[cls] == expected
     # invariant: a worker is busy iff it holds a task
-    for profile in s.catalog.workers.values():
+    for profile in s.workers.values():
         assert profile.busy == (profile.current_task is not None)
     # assigned_worker only for dispatched/terminal-by-result states
     for task in s.tasks.values():

@@ -71,7 +71,7 @@ class ScanScheduler(Scheduler):
 
     def __init__(self, config, on_transition=None):
         super().__init__(config, on_transition=on_transition)
-        self.catalog.gpu_ring, self.catalog.cpu_ring = FrozenRing(), FrozenRing()
+        self.gpu_ring, self.cpu_ring = FrozenRing(), FrozenRing()
         self.queue = []  # task_ids, FCFS order
         self._seen_task_ids = set()
 
@@ -105,7 +105,7 @@ class ScanScheduler(Scheduler):
         for task_id in self.queue:
             task = self.tasks[task_id]
             if task.requires_gpu:
-                ring = self.catalog.gpu_ring
+                ring = self.gpu_ring
                 if not ring.ids:
                     age = now_ms - (task.submitted_ms or 0)
                     if age > self.config.unschedulable_timeout_ms:
@@ -115,21 +115,21 @@ class ScanScheduler(Scheduler):
                     remaining.append(task_id)
                     continue
             else:
-                ring = self.catalog.cpu_ring
+                ring = self.cpu_ring
                 if not ring.ids:
-                    ring = self.catalog.gpu_ring
+                    ring = self.gpu_ring
                     if not ring.ids:
                         remaining.append(task_id)
                         continue
             if id(ring) in blocked:
                 remaining.append(task_id)
                 continue
-            worker_id = ring.take_idle(self.catalog.workers)
+            worker_id = ring.take_idle(self.workers)
             if worker_id is None:
                 blocked.add(id(ring))
                 remaining.append(task_id)
                 continue
-            profile = self.catalog.workers[worker_id]
+            profile = self.workers[worker_id]
             profile.current_task = task_id
             task.assigned_worker = worker_id
             task.dispatched_ms = now_ms
@@ -180,7 +180,7 @@ class _Side:
         raise AssertionError(name)
 
     def snapshot(self):
-        rings = self.s.catalog.gpu_ring, self.s.catalog.cpu_ring
+        rings = self.s.gpu_ring, self.s.cpu_ring
         return list(self.s.queue), len(self.s.queue), [(ring.ids, ring.cursor) for ring in rings]
 
     def task_table(self):
@@ -247,14 +247,14 @@ def _run_trace(seed, ops=250, pool=0):
         logged = len(scan.log)
         assert len(merged.log) == logged
         assert merged.snapshot() == scan.snapshot(), (seed, step, op)
-        seen["max_workers"] = max(seen["max_workers"], len(scan.s.catalog.workers))
-        busy = sum(profile.busy for profile in scan.s.catalog.workers.values())
+        seen["max_workers"] = max(seen["max_workers"], len(scan.s.workers))
+        busy = sum(profile.busy for profile in scan.s.workers.values())
         seen["max_busy"] = max(seen["max_busy"], busy)
         if op[0] == "round":
             for task_id, worker_id in got:
                 state["dispatched"][task_id] = worker_id
                 task = merged.s.tasks[task_id]
-                if not task.requires_gpu and merged.s.catalog.workers[worker_id].has_gpu:
+                if not task.requires_gpu and merged.s.workers[worker_id].has_gpu:
                     seen["cpu_on_gpu_fallback"] += 1
         state["dispatched"] = {
             tid: wid
