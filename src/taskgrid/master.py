@@ -241,12 +241,7 @@ class MasterCore:
         accepted = 0
         for entry in message.tasks:
             task = TaskDescriptor(
-                task_id=entry.task_id,
-                job_id=message.job_id,
-                kind=entry.kind,
-                requires_gpu=entry.requires_gpu,
-                params=dict(entry.params),
-                payload_b64=entry.payload_b64,
+                task_id=entry.task_id, job_id=message.job_id, requires_gpu=entry.requires_gpu, dispatch=entry
             )
             try:
                 self.scheduler.enqueue_task(task, now)
@@ -275,24 +270,20 @@ class MasterCore:
         self._pump(now)
 
     def _pump(self, now_ms: int) -> None:
-        """Run a scheduling round and push DISPATCH messages out."""
+        """Run a scheduling round and send each assigned task's SUBMIT
+        entry to its worker as the DISPATCH."""
+        tasks = self.scheduler.tasks
         for task_id, worker_id in self.scheduler.schedule_round(now_ms):
-            task = self.scheduler.tasks[task_id]
-            dispatch = Dispatch(
-                task_id=task.task_id,
-                kind=task.kind,
-                requires_gpu=task.requires_gpu,
-                params=dict(task.params),
-                payload_b64=task.payload_b64,
-            )
             try:
-                self.scheduler.workers[worker_id].sender(dispatch)
-            except ConnectionError as exc:
-                # Say, a worker that reconnected mid-task: the REGISTER it
-                # sends after its RESULT re-queues the task.
-                logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc)
-            except Exception:
-                logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id)
+                self.scheduler.workers[worker_id].sender(tasks[task_id].dispatch)
+            except Exception as exc:
+                fields = {"task_id": task_id, "worker_id": worker_id, "attempt": tasks[task_id].attempt}
+                if isinstance(exc, ConnectionError):
+                    # Say, a worker that reconnected mid-task: the REGISTER it
+                    # sends after its RESULT re-queues the task.
+                    logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc, extra=fields)
+                else:
+                    logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id, extra=fields)
 
     # -- reporting -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from .protocol import Message, Register, TaskReport
+    from .protocol import Dispatch, Message, Register, TaskReport
 
 
 def monotonic_ms() -> int:
@@ -72,9 +72,11 @@ def overhead_ms(record: TaskDescriptor | TaskReport) -> int:
 class TaskDescriptor:
     """One unit of work as tracked by the master.
 
-    ``payload_b64`` is the base64 text the task was submitted with; the
-    master forwards it verbatim and never decodes it, and drops it once
-    the task is COMPLETED or FAILED, as no DISPATCH can follow either.
+    ``dispatch`` is the SUBMIT entry the task came in, which the master
+    sends unchanged as the task's DISPATCH, payload text and all, on each
+    attempt; it is dropped once the task is COMPLETED or FAILED, as no
+    DISPATCH can follow either. ``requires_gpu`` is copied from it, as
+    the record outlives it.
     ``output_b64`` is the output of the RESULT that completed the task,
     kept verbatim for status reports; it stays None otherwise.
 
@@ -87,10 +89,8 @@ class TaskDescriptor:
 
     task_id: str
     job_id: str
-    kind: str
     requires_gpu: bool
-    params: dict[str, str] = field(default_factory=dict)
-    payload_b64: str = ""
+    dispatch: Dispatch | None = None
     output_b64: str | None = None
     state: TaskState = TaskState.QUEUED
     assigned_worker: str | None = None

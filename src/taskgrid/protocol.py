@@ -6,7 +6,10 @@ comes first, every other key (at any nesting level) is sorted
 alphabetically, optional fields that are unset are omitted, and binary
 payloads travel as base64 strings. Decoders accept any field order.
 
-Each message's schema is its dataclass, declared once. At import, one
+Each message's schema is its dataclass, declared once. A SUBMIT's task
+entries and the DISPATCH share one, :class:`Dispatch` (``SubmitTask`` is
+the same class): the master sends each entry it decoded, unchanged, as
+that task's DISPATCH. At import, one
 walk over each class's field annotations compiles a writer and a reader
 for it, the only encode and decode paths. A field is required unless
 its annotation admits ``None`` (it then defaults to ``None``), and
@@ -122,6 +125,9 @@ class HeartbeatAck:
 
 @dataclass(frozen=True)
 class Dispatch:
+    """One task: an entry of a SUBMIT, and the DISPATCH the master sends
+    for that entry, which is the entry itself."""
+
     task_id: str
     kind: str
     requires_gpu: bool
@@ -139,13 +145,7 @@ class Result:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SubmitTask:
-    task_id: str
-    kind: str
-    requires_gpu: bool
-    params: dict[str, str] = field(default_factory=dict)
-    payload_b64: B64 = ""
+SubmitTask = Dispatch
 
 
 @dataclass(frozen=True)

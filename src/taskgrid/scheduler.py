@@ -159,7 +159,7 @@ class Scheduler:
             raise AssertionError(f"illegal transition {from_state} -> {to_state} for {task.task_id}")
         task.state = to_state
         if to_state is TaskState.COMPLETED or to_state is TaskState.FAILED:
-            task.payload_b64 = ""  # no DISPATCH can follow
+            task.dispatch = None  # no DISPATCH can follow
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 

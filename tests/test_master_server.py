@@ -428,6 +428,24 @@ def test_a_dispatch_that_fails_to_send_is_one_warning_naming_task_and_worker(cap
     assert "T1" in record.getMessage() and "W1" in record.getMessage()
 
 
+@pytest.mark.parametrize(
+    ("error", "level"),
+    [(ConnectionError("connection closed"), logging.WARNING), (RuntimeError("bug"), logging.ERROR)],
+    ids=["connection-lost", "sender-bug"],
+)
+def test_a_dispatch_that_fails_to_send_logs_task_worker_and_attempt(caplog, error, level):
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+
+    def sender(message):
+        if isinstance(message, Dispatch):
+            raise error
+
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), sender)
+    caplog.set_level(logging.WARNING, logger="taskgrid.master")
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), sender)
+    assert [(r.levelno, r.task_id, r.worker_id, r.attempt) for r in caplog.records] == [(level, "T1", "W1", 0)]
+
+
 def test_a_waiter_that_cannot_be_answered_is_dropped_quietly(caplog):
     core = MasterCore(SchedulerConfig(), clock=lambda: 0)
     worker, answered = [], []

@@ -39,7 +39,7 @@ def test_terminal_states_have_no_exits():
 
 
 def _record(**timestamps):
-    return TaskDescriptor(task_id="T1", job_id="J1", kind="noop", requires_gpu=False, **timestamps)
+    return TaskDescriptor(task_id="T1", job_id="J1", requires_gpu=False, **timestamps)
 
 
 def test_overhead_constant_case():

@@ -24,8 +24,8 @@ def mk_profile(worker_id, mhz=2000, gpu=False):
     return WorkerProfile(worker_id=worker_id, cpu_mhz=mhz, has_gpu=gpu)
 
 
-def mk_task(task_id, gpu=False, kind="noop"):
-    return TaskDescriptor(task_id=task_id, job_id="j", kind=kind, requires_gpu=gpu)
+def mk_task(task_id, gpu=False):
+    return TaskDescriptor(task_id=task_id, job_id="j", requires_gpu=gpu)
 
 
 # -- registration -------------------------------------------------------------
@@ -169,29 +169,27 @@ def test_a_finished_task_drops_its_payload_and_a_requeued_one_keeps_it():
     sent = []
     core.deliver(Register(worker_id="W1", cpu_mhz=2000, has_gpu=False), sent.append)
     entries = [("ok", False, "AAEC"), ("bad", False, "AwQF"), ("gpu", True, "BgcI"), ("again", False, "CQoL")]
-    core.deliver(
-        Submit(
-            job_id="J",
-            tasks=tuple(
-                SubmitTask(task_id=tid, kind="noop", requires_gpu=gpu, payload_b64=payload)
-                for tid, gpu, payload in entries
-            ),
-        ),
-        sent.append,
-    )
+    submitted = {
+        tid: SubmitTask(task_id=tid, kind="noop", requires_gpu=gpu, payload_b64=payload)
+        for tid, gpu, payload in entries
+    }
+    core.deliver(Submit(job_id="J", tasks=tuple(submitted.values())), sent.append)
     tasks = core.scheduler.tasks
     core.deliver(Result(task_id="ok", worker_id="W1", status="OK", exec_ms=1, output_b64="DA=="), None)
     core.deliver(Result(task_id="bad", worker_id="W1", status="FAILED", exec_ms=1, error="boom"), None)
     assert (tasks["ok"].state, tasks["bad"].state) == (TaskState.COMPLETED, TaskState.FAILED)
-    assert tasks["ok"].payload_b64 == tasks["bad"].payload_b64 == ""
+    assert tasks["ok"].dispatch is tasks["bad"].dispatch is None
     # W1 holds "again" and goes silent: eviction re-queues it with its payload.
     clock[0] = 600
     core.run_due()
     assert tasks["gpu"].error == UNSCHEDULABLE_ERROR
-    assert (tasks["again"].state, tasks["gpu"].payload_b64) == (TaskState.QUEUED, "")
-    assert tasks["again"].payload_b64 == "CQoL"
+    assert (tasks["again"].state, tasks["gpu"].dispatch) == (TaskState.QUEUED, None)
+    assert tasks["again"].dispatch.payload_b64 == "CQoL"
     core.deliver(Register(worker_id="W2", cpu_mhz=2000, has_gpu=False), sent.append)
-    first, second = [protocol.encode(m) for m in sent if isinstance(m, Dispatch) and m.task_id == "again"]
+    dispatches = [m for m in sent if isinstance(m, Dispatch) and m.task_id == "again"]
+    # Both DISPATCHes are the entry the SUBMIT carried, not copies of it.
+    assert [m is submitted["again"] for m in dispatches] == [True, True]
+    first, second = [protocol.encode(m) for m in dispatches]
     assert first == second
     reports = {r.task_id: r for r in core.job_status_reply("J").tasks}
     assert (reports["ok"].output_b64, reports["bad"].output_b64) == ("DA==", None)

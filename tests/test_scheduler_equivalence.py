@@ -158,7 +158,7 @@ class _Side:
         s = self.s
         if name == "submit":
             for task_id, gpu in args:
-                task = TaskDescriptor(task_id=task_id, job_id="j", kind="noop", requires_gpu=gpu)
+                task = TaskDescriptor(task_id=task_id, job_id="j", requires_gpu=gpu)
                 try:
                     s.enqueue_task(task, now)
                 except DuplicateTaskError:
