@@ -6,11 +6,7 @@ written, a port that cannot be bound), 3 master unreachable or lost.
 
 This module imports no other taskgrid module at load; each ``cmd_*``
 imports what it runs, and :func:`main` imports the errors it maps to
-exit codes. The rule is load-bearing: a worker runs as
-``python -m taskgrid.cli worker``, and every lane process that
-:func:`taskgrid.sobel.sobel_parallel` spawns re-imports this module as
-its main module. A module-level import here would be paid again in
-every lane process of every large Sobel task.
+exit codes, so the master and ``submit`` never load numpy.
 """
 
 from __future__ import annotations

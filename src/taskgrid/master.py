@@ -63,6 +63,11 @@ logger = logging.getLogger(__name__)
 
 Sender = Callable[[Message], None]
 
+# A connection whose queued, unsent bytes would pass this is closed: its
+# peer has stopped reading, and each further reply would cost the master
+# one more copy. One legal line fits twice over.
+MAX_UNSENT_BYTES = 2 * protocol.MAX_LINE_BYTES
+
 
 class _Wait(NamedTuple):
     """A parked JOB_WAIT; waits order by deadline (``math.inf`` for
@@ -343,15 +348,25 @@ class Connection:
     Each message is queued as its ``protocol.encode_parts``, one
     ``memoryview`` per part, so a payload or output body is sent from
     the one copy its part holds; each ``sock.send`` takes from one part.
+    A message that would take the queue past :data:`MAX_UNSENT_BYTES`
+    closes the connection instead.
     """
 
-    def __init__(self, sock: socket.socket, selector: selectors.BaseSelector, core: MasterCore):
+    def __init__(
+        self,
+        sock: socket.socket,
+        selector: selectors.BaseSelector,
+        core: MasterCore,
+        peer: str = "in-process",
+    ):
         sock.setblocking(False)
         self.sock = sock
+        self.peer = peer
         self.closed = False
         self._core = core
         self._framer = protocol.LineFramer()
         self._unsent: deque[memoryview] = deque()
+        self._unsent_bytes = 0
         self._selector = selector
         self._events = selectors.EVENT_READ
         selector.register(sock, self._events, self)
@@ -360,8 +375,18 @@ class Connection:
         """Queue one message and send what the socket takes; never blocks."""
         if self.closed:
             raise ConnectionError("connection closed")
+        parts = protocol.encode_parts(message)
+        size = sum(map(len, parts))
+        if self._unsent_bytes + size > MAX_UNSENT_BYTES:
+            logger.warning(
+                "closing connection to %s: %d bytes unsent, and a %d-byte %s would pass the %d-byte cap",
+                self.peer, self._unsent_bytes, size, type(message).__name__, MAX_UNSENT_BYTES,
+            )
+            self.close()
+            return
         idle = not self._unsent
-        self._unsent.extend(map(memoryview, protocol.encode_parts(message)))
+        self._unsent.extend(map(memoryview, parts))
+        self._unsent_bytes += size
         if idle:
             self.flush()
 
@@ -371,6 +396,7 @@ class Connection:
         try:
             while self._unsent:
                 sent = self.sock.send(self._unsent[0])
+                self._unsent_bytes -= sent
                 self._unsent[0] = self._unsent[0][sent:]
                 if not self._unsent[0]:
                     self._unsent.popleft()
@@ -461,11 +487,11 @@ class MasterServer:
                     if key.fileobj is self._listener:
                         # OSError: the peer gave up first, or no descriptor is left.
                         with contextlib.suppress(OSError):
-                            sock = self._listener.accept()[0]
+                            sock, address = self._listener.accept()
                             # A line's small last part must not wait for
                             # the peer's delayed ACK of its body.
                             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                            Connection(sock, selector, self.core)
+                            Connection(sock, selector, self.core, "%s:%d" % address[:2])
                     elif key.data is not None and not key.data.closed:
                         self._serve(key.data, events)
                 if wait_ms <= 0:

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -10,8 +11,10 @@ import time
 
 import pytest
 
+from oracle import brute_force_sobel
 from taskgrid import protocol
 from taskgrid.cli import main, parse_address, parse_duration_ms
+from taskgrid.client import MasterClient, make_task
 from taskgrid.protocol import ErrorReply, JobProgressReply, JobStatusReply, SubmitAck, TaskReport
 from taskgrid.sobel import GrayImage, sobel_sequential, parse_pgm, write_pgm
 
@@ -259,8 +262,8 @@ def test_submit_exits_3_when_the_master_drops_the_link_mid_request(capsys):
 
 
 def test_importing_the_cli_loads_no_other_taskgrid_module_and_no_numpy():
-    # Every spawned Sobel lane process of a worker re-imports taskgrid.cli
-    # as its main module, so each command imports what it runs.
+    # Each command imports what it runs, so the master and submit never
+    # load numpy.
     code = (
         "import sys, taskgrid.cli\n"
         "print(' '.join(sorted(m for m in sys.modules\n"
@@ -391,3 +394,56 @@ def test_master_sigterm_dumps_state(live_cluster, tmp_path):
 
     replies = [protocol.decode(line) for line in lines]
     assert all(isinstance(r, protocol.JobStatusReply) for r in replies)
+
+
+def test_a_worker_keeps_its_master_session_across_forked_sobel_lanes(tmp_path):
+    # Each large sobel_par task forks lane processes that inherit the
+    # worker's SIGTERM handler and its master socket. A lane that ran the
+    # handler as its pool ended would shut that socket down under the
+    # worker, which would then reconnect and register again, or it would
+    # live on and hang its pool's teardown. Whether a lane still runs when
+    # its pool is torn down is a race, hence the 32 tasks.
+    port = free_port()
+    img = GrayImage(512, 512, random.Random(26).randbytes(512 * 512))
+    logs = {name: tmp_path / f"{name}.log" for name in ("master", "worker")}
+
+    def start(name, *args):
+        # Its own session, so a teardown that times out can kill its lanes too.
+        with open(logs[name], "wb") as log:
+            return subprocess.Popen(
+                [sys.executable, "-m", "taskgrid.cli", name, *args],
+                stdout=subprocess.DEVNULL,
+                stderr=log,
+                start_new_session=True,
+            )
+
+    master = start("master", "--listen", f"127.0.0.1:{port}", "--state-file",
+                   str(tmp_path / "state.ndjson"))
+    procs = [master]
+    try:
+        wait_for_port(port)
+        procs.insert(0, start("worker", "--master", f"127.0.0.1:{port}", "--id", "W1",
+                              "--mhz", "2400", "--lanes", "2"))
+        with MasterClient("127.0.0.1", port) as client:
+            pgm = write_pgm(img)
+            tasks = [make_task("sobel_par", payload=pgm) for _ in range(32)]
+            assert client.submit(tasks, job_id="J1").accepted_count == 32
+            reply = client.wait_for_job("J1", timeout_s=60)
+    finally:
+        for proc in procs:  # the worker first, so it leaves an idle slot
+            proc.terminate()
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+
+    assert [task.state for task in reply.tasks] == ["COMPLETED"] * 32
+    expected = brute_force_sobel(img)
+    for task in reply.tasks:
+        assert parse_pgm(protocol.from_b64(task.output_b64)).pixels == expected
+    master_log = logs["master"].read_text()
+    worker_log = logs["worker"].read_text()
+    assert master_log.count("registered worker W1") == 1, master_log
+    assert "re-queueing" not in master_log, master_log
+    assert "master unreachable" not in worker_log, worker_log

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import logging
 import socket
@@ -8,6 +9,7 @@ import warnings
 
 import pytest
 
+import taskgrid.master as master_mod
 import taskgrid.worker as worker_mod
 from taskgrid import protocol
 from taskgrid.client import ClientError, MasterClient, make_task
@@ -19,6 +21,7 @@ from taskgrid.protocol import (
     Heartbeat,
     HeartbeatAck,
     JobProgressReply,
+    JobStatus,
     JobStatusReply,
     JobWait,
     Register,
@@ -839,6 +842,56 @@ def test_a_worker_that_stops_reading_holds_up_only_its_own_connection():
         sock.close()
         server.shutdown()
         serving.join(5)
+
+
+def test_a_client_that_never_reads_is_closed_at_the_unsent_cap(monkeypatch, caplog):
+    # Each JOB_STATUS the client sends queues one more copy of the job's
+    # 175 KB output for it; the master must close that client at the cap
+    # (lowered here to keep the test small) and keep serving the others.
+    cap = 1 << 20
+    monkeypatch.setattr(master_mod, "MAX_UNSENT_BYTES", cap, raising=False)
+    caplog.set_level(logging.WARNING, logger="taskgrid.master")
+    server = MasterServer("127.0.0.1", 0, SchedulerConfig())
+    serving = server.start()
+    worker = FakeWorkerConn(server.port)
+    hog = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    hog.settimeout(5.0)
+
+    def run_task(client, task_id):
+        client.submit([make_task("noop", requires_gpu=True, task_id=task_id)], job_id=task_id)
+        assert worker.read().task_id == task_id
+        output_b64 = protocol.to_b64(bytes(range(256)) * 512)
+        worker.send(Result(task_id=task_id, worker_id="W1", status="OK", exec_ms=1, output_b64=output_b64))
+        [report] = client.wait_for_job(task_id, timeout_s=5).tasks
+        assert report.state == "COMPLETED"
+
+    def closings():
+        return [r for r in caplog.records if r.getMessage().startswith("closing connection")]
+
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            run_task(client, "T1")
+            hog.connect(("127.0.0.1", server.port))
+            hog_port = hog.getsockname()[1]
+            hog.sendall(protocol.encode(JobStatus(job_id="T1")) * 200)
+            deadline = time.monotonic() + 5
+            while not closings() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert closings(), "the master kept queueing replies nobody reads"
+            run_task(client, "T2")
+            # The hog reads what the kernel held for it, then the end.
+            with contextlib.suppress(ConnectionResetError):
+                while hog.recv(1 << 16):
+                    pass
+    finally:
+        hog.close()
+        worker.close()
+        server.shutdown()
+        serving.join(5)
+    [record] = closings()
+    peer, unsent, size = record.args[:3]
+    assert peer == "127.0.0.1:%d" % hog_port and unsent + size > cap >= unsent
 
 
 def test_a_32_mib_task_reaches_a_beating_worker_without_an_eviction(server, caplog):

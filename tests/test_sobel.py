@@ -201,6 +201,34 @@ def test_parallel_process_pool_path():
     assert sobel_parallel(img, 4).pixels == sobel_sequential(img).pixels
 
 
+def _live_children():
+    # In /proc/<pid>/stat the fields after the parenthesised command name
+    # start with the state and the parent pid.
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                text = fh.read()
+        except OSError:
+            continue
+        state, ppid = text[text.rindex(")") + 2 :].split()[:2]
+        if state != "Z" and int(ppid) == os.getpid():
+            children.add(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes through /proc")
+def test_no_lane_process_outlives_its_call():
+    # A process left behind (a forkserver, say) would outlive the task,
+    # and the benchmark's traced runs fail on any child left alive.
+    img = random_image(random.Random(12), 512, 512)
+    before = _live_children()
+    assert sobel_parallel(img, 2).pixels == sobel_parallel(img, 1).pixels
+    assert _live_children() - before == set()
+
+
 def test_lane_bounds_partition():
     for total in (0, 1, 5, 24, 100):
         for lanes in (1, 2, 3, 7, 24):
