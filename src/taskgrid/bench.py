@@ -88,6 +88,8 @@ def _run_one(
     if ack.accepted_count != 1:
         raise BenchTaskFailed(f"master rejected bench task for kind {kind}")
     reply = client.wait_for_job(ack.job_id, timeout_s=timeout_s)
+    if len(reply.tasks) != 1:
+        raise BenchTaskFailed(f"{kind} job reported {len(reply.tasks)} tasks, not 1")
     report = reply.tasks[0]
     if report.state != "COMPLETED":
         raise BenchTaskFailed(f"{kind} task ended {report.state}: {report.error}")

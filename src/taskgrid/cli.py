@@ -192,10 +192,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
         reply = client.wait_for_job(ack.job_id, timeout_s=timeout_s)
 
     os.makedirs(args.outdir, exist_ok=True)
-    all_completed = ack.accepted_count == len(tasks)
-    for task in reply.tasks:
+    # Only the ids sent name an output file: a reply's id could be a path.
+    pending = {task.task_id for task in tasks}
+    for task in [report for report in reply.tasks if report.task_id in pending]:
         line = f"{task.task_id}  {task.state}"
         if task.state == "COMPLETED":
+            pending.discard(task.task_id)
             turnaround = task.completed_ms - task.submitted_ms
             line += (
                 f"  worker={task.worker_id} exec={task.exec_ms}ms"
@@ -205,12 +207,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 out_path = os.path.join(args.outdir, f"{task.task_id}.pgm")
                 Path(out_path).write_bytes(protocol.from_b64(task.output_b64))
                 line += f" output={out_path}"
-        else:
-            all_completed = False
-            if task.error:
-                line += f"  error: {task.error}"
+        elif task.error:
+            line += f"  error: {task.error}"
         print(line)
-    return EXIT_OK if all_completed else EXIT_TASK_FAILED
+    return EXIT_TASK_FAILED if pending else EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import socket
 import uuid
 from typing import TypeVar
 
@@ -56,18 +55,12 @@ class MasterClient:
 
     def __init__(self, host: str, port: int, connect_timeout_s: float = 5.0):
         try:
-            self._sock = socket.create_connection((host, port), timeout=connect_timeout_s)
+            self._link = protocol.MasterLink((host, port), connect_timeout_s)
         except OSError as exc:
             raise MasterUnreachable(f"cannot reach master at {host}:{port}: {exc}") from exc
-        self._sock.settimeout(None)
-        # A request's last part is small; it must not wait for the ACK of
-        # the body before it.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._framer = protocol.LineFramer()
-        self._pending: list[Message] = []
 
     def close(self) -> None:
-        self._sock.close()
+        self._link.close()
 
     def __enter__(self) -> MasterClient:
         return self
@@ -75,18 +68,12 @@ class MasterClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _recv(self) -> Message:
-        while not self._pending:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise MasterUnreachable("master closed the connection")
-            self._pending.extend(protocol.decode(line) for line in self._framer.feed(chunk))
-        return self._pending.pop(0)
-
     def _request(self, message: Message, reply_type: type[R]) -> R:
-        for part in protocol.encode_parts(message):
-            self._sock.sendall(part)
-        reply = self._recv()
+        self._link.send(message)
+        # The master answers each request with one line.
+        while not (lines := self._link.read_lines()):
+            pass
+        reply = protocol.decode(lines[0])
         if isinstance(reply, ErrorReply):
             raise ClientError(f"{reply.code}: {reply.detail}")
         if not isinstance(reply, reply_type):

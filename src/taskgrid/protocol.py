@@ -22,9 +22,7 @@ value whose type is not its field's raises ``TypeError`` at the sender.
 :func:`encode_parts` gives the line as parts: each non-empty base64
 body is a part of its own, copied once and never escaped, and the JSON
 around it is the rest of the line, so the bytes on the wire are those
-of :func:`encode`. The master, the client and the worker set
-``TCP_NODELAY``, so a line's small last part is not held back for the
-peer's delayed ACK.
+of :func:`encode`.
 
 The reader takes the object ``json.loads`` gives. It passes a ``str``,
 ``int`` or ``bool`` field on an exact type test and runs a check on
@@ -59,6 +57,8 @@ from __future__ import annotations
 import base64
 import json
 import re
+import select
+import socket
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
@@ -674,3 +674,38 @@ class LineFramer:
         if len(buffer) > self._max:
             raise FramingError(f"unterminated line exceeds cap {self._max}")
         return lines
+
+
+class MasterLink:
+    """The worker's and the client's blocking connection to the master.
+
+    Callers serialise ``send``. ``read_lines`` returns the lines one
+    ``recv`` completes, ``[]`` if nothing came within ``timeout_ms``
+    (``None`` waits), and raises ``ConnectionError`` at EOF.
+    """
+
+    def __init__(self, address: tuple[str, int], connect_timeout_s: float):
+        self.sock = socket.create_connection(address, timeout=connect_timeout_s)
+        # Not a socket timeout, which a large send would share: reads wait in poll.
+        self.sock.settimeout(None)
+        # Nagle's algorithm would hold a line's small last part, or a small
+        # line right behind another, until the master's delayed ACK.
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._framer = LineFramer()
+        self._poller = select.poll()
+        self._poller.register(self.sock, select.POLLIN)
+
+    def send(self, message: Message) -> None:
+        for part in encode_parts(message):
+            self.sock.sendall(part)
+
+    def read_lines(self, timeout_ms: int | None = None) -> list[bytes | bytearray]:
+        if timeout_ms is not None and not self._poller.poll(timeout_ms):
+            return []
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("master closed the connection")
+        return self._framer.feed(chunk)
+
+    def close(self) -> None:
+        self.sock.close()

@@ -15,13 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .model import (
-    TaskDescriptor,
-    TaskState,
-    WorkerProfile,
-    validate_profile,
-    validate_transition,
-)
+from .model import TaskDescriptor, TaskState, WorkerProfile, validate_profile, validate_transition
 
 logger = logging.getLogger(__name__)
 
@@ -233,7 +227,7 @@ class Scheduler:
             if now_ms - profile.last_heartbeat_ms > window
         ]
         for wid in stale:
-            logger.warning("evicting worker %s (no heartbeat for > %d ms)", wid, window)
+            logger.warning("evicting worker %s (no heartbeat for > %d ms)", wid, window, extra={"worker_id": wid})
             self.remove_worker(wid, now_ms)
         return stale
 
@@ -320,7 +314,8 @@ class Scheduler:
         returns False for them."""
         task = self.tasks.get(task_id)
         if task is None or task.state is not TaskState.DISPATCHED or task.assigned_worker != worker_id:
-            logger.warning("ignoring stale result for %s from %s", task_id, worker_id)
+            fields = {"task_id": task_id, "worker_id": worker_id}
+            logger.warning("ignoring stale result for %(task_id)s from %(worker_id)s", fields, extra=fields)
             return False
         task.completed_ms = now_ms
         task.exec_ms = exec_ms

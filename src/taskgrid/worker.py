@@ -12,9 +12,9 @@ and every socket write; the executor only computes outside it.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
-import select
 import socket
 import threading
 from dataclasses import dataclass
@@ -97,7 +97,7 @@ def execute_dispatch(
     except KeyboardInterrupt:
         raise
     except BaseException as exc:
-        logger.warning("executor %s failed: %s", dispatch.kind, exc)
+        logger.warning("executor %s failed: %s", dispatch.kind, exc, extra={"task_id": dispatch.task_id})
         error = f"{type(exc).__name__}: {exc}"
     return Result(
         task_id=dispatch.task_id,
@@ -226,7 +226,7 @@ class WorkerAgent:
             registry or built_in_registry(lane_count=config.lane_count),
         )
         self._stop = threading.Event()
-        self._sock: socket.socket | None = None
+        self._link: protocol.MasterLink | None = None
         self._lock = threading.Lock()
         self._exec_thread: threading.Thread | None = None
         self._exec_queue: queue.SimpleQueue[Dispatch | None] = queue.SimpleQueue()
@@ -239,15 +239,13 @@ class WorkerAgent:
         """End ``run()``. Takes no lock, so a signal handler may call it."""
         self._stop.set()
         self._exec_queue.put(None)
-        sock = self._sock
-        if sock is not None:
-            # shutdown wakes the reader, which closes the socket on its way
+        link = self._link
+        if link is not None:
+            # shutdown wakes the reader, which closes the link on its way
             # out; closing it here could hand its fd number to a new socket
             # while the reader still polls it.
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                link.sock.shutdown(socket.SHUT_RDWR)
 
     def run(self) -> None:
         """Connect/register/serve loop with bounded exponential backoff."""
@@ -269,38 +267,23 @@ class WorkerAgent:
                     return
                 delay = min(delay * 2, RETRY_CAP_S)
             finally:
-                self._close_socket()
+                self._close_link()
 
     # -- session -----------------------------------------------------------------
 
     def _run_session(self) -> None:
         address = (self.config.master_host, self.config.master_port)
-        sock = socket.create_connection(address, timeout=10)
-        sock.settimeout(None)
-        # A RESULT and the REGISTER deferred behind it are two small writes;
-        # Nagle's algorithm would hold the second until the master ACKs the
-        # first, which it delays, as it sends no reply to a RESULT.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        link = protocol.MasterLink(address, connect_timeout_s=10)
         with self._lock:
-            self._sock = sock
+            self._link = link
             self.core.register_when_idle(self._send)
         logger.info("connected to master at %s:%d", *address)
-        # Not sock.settimeout: the executor's sendall of a large RESULT
-        # would share that timeout.
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        framer = protocol.LineFramer()
         while not self._stop.is_set():
             # A beat that fails to send ends the session like a failed recv.
             with self._lock:
                 self.core.beat_if_due(self._send)
             due = self.core.next_beat_ms
-            if not poller.poll(None if due is None else max(due - self.core.clock(), 0)):
-                continue  # the next beat is due
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("master closed the connection")
-            for line in framer.feed(chunk):
+            for line in link.read_lines(None if due is None else max(due - self.core.clock(), 0)):
                 try:
                     message = protocol.decode(line)
                 except protocol.ProtocolError as exc:
@@ -326,22 +309,19 @@ class WorkerAgent:
                 with self._lock:
                     self.core.finish(result, self._send)
             except BaseException:
-                logger.exception("failed to run or report %s", dispatch.task_id)
+                logger.exception("failed to run or report %s", dispatch.task_id, extra={"task_id": dispatch.task_id})
 
     # -- plumbing ---------------------------------------------------------------
 
     def _send(self, message: Message) -> None:
         # Called with ``_lock`` held.
-        if self._sock is None:
+        if self._link is None:
             raise ConnectionError("not connected")
-        for part in protocol.encode_parts(message):
-            self._sock.sendall(part)
+        self._link.send(message)
 
-    def _close_socket(self) -> None:
+    def _close_link(self) -> None:
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+            if self._link is not None:
+                with contextlib.suppress(OSError):
+                    self._link.close()
+                self._link = None

@@ -174,6 +174,7 @@ def test_submit_reports_a_status_reply_over_the_line_cap_in_one_line(capsys, tmp
         ([b"not json\n"], "bad reply from master: malformed JSON"),
         ([protocol.encode(ErrorReply(code="BUSY", detail="no room"))], "BUSY: no room"),
         ([ACK, DONE, _failed_status("boom")], "sobel_seq task ended FAILED: boom"),
+        ([ACK, DONE, protocol.encode(JobStatusReply(job_id="J1", tasks=()))], "sobel_seq job reported 0 tasks, not 1"),
     ],
 )
 def test_bench_reports_master_side_errors_in_one_line(replies, text, capsys, tmp_path):
@@ -182,6 +183,26 @@ def test_bench_reports_master_side_errors_in_one_line(replies, text, capsys, tmp
     with fake_master(*replies) as port:
         assert main(["bench", "--master", f"127.0.0.1:{port}", "--images", str(path)]) == 1
     _one_error_line(capsys, text)
+
+
+@pytest.mark.parametrize("reports_t1, code", [(False, 1), (True, 0)])
+def test_submit_writes_only_the_outputs_of_the_ids_it_submitted(reports_t1, code, monkeypatch, tmp_path):
+    # The task's id is T1; the master also reports a path as an id.
+    monkeypatch.setattr("taskgrid.client.new_id", lambda prefix: {"task": "T1", "job": "J1"}[prefix])
+    outdir, escaped = tmp_path / "out", tmp_path / "escaped"
+    reports = [
+        TaskReport(
+            task_id=task_id, state="COMPLETED", worker_id="W1", submitted_ms=0, dispatched_ms=1,
+            completed_ms=2, exec_ms=1, output_b64=protocol.to_b64(b"P5"), error=None,
+        )
+        for task_id in [str(escaped), "T1"][: 1 + reports_t1]
+    ]
+    status = protocol.encode(JobStatusReply(job_id="J1", tasks=tuple(reports)))
+    with fake_master(ACK, DONE, status) as port:
+        argv = ["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop", "--outdir", str(outdir)]
+        assert main(argv) == code
+    assert not (tmp_path / "escaped.pgm").exists()
+    assert sorted(os.listdir(outdir)) == (["T1.pgm"] if reports_t1 else [])
 
 
 def _exit_code(argv):

@@ -134,7 +134,7 @@ def test_shutdown_closes_open_connections():
         server.shutdown()
         serving.join(5)
         assert not serving.is_alive()
-        # MasterUnreachable on EOF, or a reset while sending: both OSError.
+        # ConnectionError on EOF, or a reset while sending: both OSError.
         with pytest.raises(OSError):
             client.job_progress("J1")
     finally:
@@ -367,7 +367,7 @@ def test_a_worker_that_reconnects_mid_task_reports_it_before_registering(monkeyp
             while not agent.busy and time.monotonic() < deadline:
                 time.sleep(0.01)
             time.sleep(0.3)
-            agent._sock.shutdown(socket.SHUT_RDWR)
+            agent._link.sock.shutdown(socket.SHUT_RDWR)
             [report] = client.wait_for_job("J1", timeout_s=10).tasks
     finally:
         agent.stop()
@@ -831,8 +831,8 @@ def test_a_worker_that_stops_reading_holds_up_only_its_own_connection():
         with MasterClient("127.0.0.1", server.port) as client, MasterClient(
             "127.0.0.1", server.port
         ) as other:
-            client._sock.settimeout(5.0)
-            other._sock.settimeout(5.0)
+            client._link.sock.settimeout(5.0)
+            other._link.sock.settimeout(5.0)
             task = make_task("noop", payload=bytes(32 << 20), requires_gpu=True, task_id="T1")
             assert client.submit([task], job_id="J1").accepted_count == 1
             assert other.job_progress("J1").dispatched == 1

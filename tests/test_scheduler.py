@@ -14,6 +14,8 @@ from taskgrid.scheduler import (
     SchedulerConfig,
     UNSCHEDULABLE_ERROR,
 )
+from taskgrid.worker import WorkerAgent, WorkerConfig
+from taskgrid.workloads import ExecutorRegistry
 
 
 def mk_scheduler(on_transition=None, **config_kwargs):
@@ -259,6 +261,39 @@ def test_a_requeue_logs_one_record_with_task_worker_and_attempt(caplog, departur
     records = [r for r in caplog.records if hasattr(r, "task_id")]
     assert [(r.levelno, r.getMessage(), r.task_id, r.worker_id, r.attempt) for r in records] == [
         (logging.WARNING, "re-queueing task T1 from worker W1 (attempt 1)", "T1", "W1", 1)
+    ]
+
+
+def test_stale_eviction_and_worker_failure_warnings_carry_the_ids_they_name(caplog):
+    s = mk_scheduler()
+    s.register_worker(mk_profile("W1"), 0)
+    s.enqueue_task(mk_task("T1"), 0)
+    assert s.schedule_round(0) == [("T1", "W1")]
+    caplog.set_level(logging.WARNING)
+    assert not s.complete_task("T1", "W2", ok=True, exec_ms=1, now_ms=1)
+    assert s.evict_stale(6001) == ["W1"]
+
+    def boom(params, payload):
+        raise ValueError("bad input")
+
+    registry = ExecutorRegistry()
+    registry.register("boom", boom)
+    config = WorkerConfig(worker_id="W3", master_host="127.0.0.1", master_port=1, cpu_mhz=2400)
+    agent = WorkerAgent(config, registry)
+    # Run by hand and never connected, so the RESULT fails to send.
+    agent._exec_queue.put(Dispatch(task_id="T2", kind="boom", requires_gpu=False))
+    agent.stop()
+    agent._exec_loop()
+    records = [
+        (r.name, r.getMessage(), getattr(r, "task_id", None), getattr(r, "worker_id", None))
+        for r in caplog.records
+    ]
+    assert records == [
+        ("taskgrid.scheduler", "ignoring stale result for T1 from W2", "T1", "W2"),
+        ("taskgrid.scheduler", "evicting worker W1 (no heartbeat for > 6000 ms)", None, "W1"),
+        ("taskgrid.scheduler", "re-queueing task T1 from worker W1 (attempt 1)", "T1", "W1"),
+        ("taskgrid.worker", "executor boom failed: bad input", "T2", None),
+        ("taskgrid.worker", "failed to run or report T2", "T2", None),
     ]
 
 
