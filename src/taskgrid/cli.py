@@ -210,6 +210,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         elif task.error:
             line += f"  error: {task.error}"
         print(line)
+    for task_id in sorted(pending - {report.task_id for report in reply.tasks}):
+        print(f"{task_id}  MISSING")
     return EXIT_TASK_FAILED if pending else EXIT_OK
 
 

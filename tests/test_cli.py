@@ -205,6 +205,14 @@ def test_submit_writes_only_the_outputs_of_the_ids_it_submitted(reports_t1, code
     assert sorted(os.listdir(outdir)) == (["T1.pgm"] if reports_t1 else [])
 
 
+def test_submit_names_each_submitted_id_the_reply_leaves_out(monkeypatch, capsys):
+    monkeypatch.setattr("taskgrid.client.new_id", lambda prefix: {"task": "T1", "job": "J1"}[prefix])
+    status = protocol.encode(JobStatusReply(job_id="J1", tasks=()))
+    with fake_master(ACK, DONE, status) as port:
+        assert main(["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "T1  MISSING"
+
+
 def _exit_code(argv):
     # A usage error leaves main through parser.error's SystemExit.
     try:

@@ -415,6 +415,21 @@ def test_a_closed_connection_removes_its_worker_only_when_idle():
     assert list(core.scheduler.workers) == ["Wbusy"]
 
 
+def test_a_closed_connection_drops_only_its_own_waits():
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    worker, gone, kept = [], [], []
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), worker.append)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), kept.append)
+    core.deliver(JobWait(job_id="J1"), gone.append)
+    core.deliver(JobWait(job_id="J1"), kept.append)
+    core.connection_closed(gone.append)
+    assert [wait.sender for wait in core._waits] == [kept.append]
+    core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64=""), worker.append)
+    assert gone == []
+    assert kept[-1] == JobProgressReply(job_id="J1", queued=0, dispatched=0, completed=1, failed=0)
+    assert core._waits == []
+
+
 def test_a_dispatch_that_fails_to_send_is_one_warning_naming_task_and_worker(caplog):
     core = MasterCore(SchedulerConfig(), clock=lambda: 0)
 
@@ -447,6 +462,28 @@ def test_a_dispatch_that_fails_to_send_logs_task_worker_and_attempt(caplog, erro
     caplog.set_level(logging.WARNING, logger="taskgrid.master")
     core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), sender)
     assert [(r.levelno, r.task_id, r.worker_id, r.attempt) for r in caplog.records] == [(level, "T1", "W1", 0)]
+
+
+def test_registration_duplicate_and_close_records_carry_the_ids_they_name(caplog):
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    sent = []
+    caplog.set_level(logging.INFO, logger="taskgrid.master")
+    core.deliver(Register(worker_id="W0", cpu_mhz=0, has_gpu=False), sent.append)
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), sent.append)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), sent.append)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), sent.append)
+    core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64=""), sent.append)
+    core.connection_closed(sent.append)
+    records = [
+        (r.getMessage().split(":")[0], getattr(r, "worker_id", None), getattr(r, "task_id", None))
+        for r in caplog.records
+    ]
+    assert records == [
+        ("rejected registration from W0", "W0", None),
+        ("registered worker W1 (2400 MHz, cpu)", "W1", None),
+        ("rejected duplicate task id T1", None, "T1"),
+        ("worker W1 closed its connection", "W1", None),
+    ]
 
 
 def test_a_waiter_that_cannot_be_answered_is_dropped_quietly(caplog):
