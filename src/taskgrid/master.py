@@ -13,9 +13,7 @@ cluster drives the same class over an in-memory socket.
 A JOB_WAIT is parked on the core and answered with the job's
 JOB_PROGRESS_REPLY once the job is terminal, after the handler that made
 it so, or once its deadline passes; one whose deadline has already
-passed (``timeout_ms`` of 0 or less) is answered in its handler. Parked
-waits live in one deadline-ordered list: a deadline, a job's end and a
-closed connection each release them in one pass over it. Those
+passed (``timeout_ms`` of 0 or less) is answered in its handler. Those
 deadlines and the eviction tick are the core's one timer rule
 (``next_due_ms``, ``run_due``, on its clock); each driver only sleeps
 until the next is due.
@@ -72,8 +70,8 @@ MAX_UNSENT_BYTES = 2 * protocol.MAX_LINE_BYTES
 
 
 class _Wait(NamedTuple):
-    """A parked JOB_WAIT in the core's one wait list, which orders by
-    deadline (``math.inf`` for none), then by ``seq``, the parking order."""
+    """A parked JOB_WAIT; waits order by deadline (``math.inf`` for
+    none), then by ``seq``, their parking order."""
 
     deadline_ms: float
     seq: int
@@ -101,6 +99,7 @@ class MasterCore:
         self.jobs: dict[str, list[str]] = {}
         self.job_counts: dict[str, dict[TaskState, int]] = {}
         self._waits: list[_Wait] = []  # parked, sorted
+        self._job_waits: dict[str, dict[int, _Wait]] = {}  # parked, by job and seq
         self._wait_seq = itertools.count()
         self._due: list[_Wait] = []  # unparked by the running handler or tick
         self._next_tick_ms = clock() + config.heartbeat_interval_ms
@@ -151,7 +150,8 @@ class MasterCore:
         has closed, and the idle worker registered through it. A busy one
         keeps its task until eviction: its RESULT may still arrive on a
         new connection."""
-        self._waits = [wait for wait in self._waits if wait.sender != sender]
+        for wait in [wait for wait in self._waits if wait.sender == sender]:
+            self._unpark(wait)
         for profile in list(self.scheduler.workers.values()):
             if profile.sender == sender and not profile.busy:
                 self.scheduler.remove_worker(profile.worker_id, self.clock())
@@ -172,9 +172,8 @@ class MasterCore:
         now = self.clock()
         if self.next_due_ms() > now:
             return False
-        expired = bisect.bisect_right(self._waits, (now, math.inf))  # the waits due by now
-        self._due.extend(self._waits[:expired])
-        del self._waits[:expired]
+        while self._waits and self._waits[0].deadline_ms <= now:
+            self._due.append(self._unpark(self._waits[0]))
         self._answer_due()
         if self._next_tick_ms <= now:
             self._next_tick_ms = now + self.config.heartbeat_interval_ms
@@ -189,10 +188,8 @@ class MasterCore:
         counts = self.job_counts[task.job_id]
         counts[from_state] -= 1
         counts[to_state] += 1
-        if self._waits and self.job_is_terminal(task.job_id):
-            waits, self._waits = self._waits, []
-            for wait in waits:
-                (self._due if wait.job_id == task.job_id else self._waits).append(wait)
+        if task.job_id in self._job_waits and self.job_is_terminal(task.job_id):
+            self._due.extend(map(self._unpark, list(self._job_waits[task.job_id].values())))
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 
@@ -202,7 +199,17 @@ class MasterCore:
             sender(self.job_progress_reply(message.job_id))  # an unknown job's reply is an error
             return
         deadline = math.inf if timeout_ms is None else self.clock() + timeout_ms
-        bisect.insort(self._waits, _Wait(deadline, next(self._wait_seq), message.job_id, sender))
+        wait = _Wait(deadline, next(self._wait_seq), message.job_id, sender)
+        bisect.insort(self._waits, wait)
+        self._job_waits.setdefault(wait.job_id, {})[wait.seq] = wait
+
+    def _unpark(self, wait: _Wait) -> _Wait:
+        del self._waits[bisect.bisect_left(self._waits, wait)]
+        job_waits = self._job_waits[wait.job_id]
+        del job_waits[wait.seq]
+        if not job_waits:
+            del self._job_waits[wait.job_id]
+        return wait
 
     def _answer_due(self) -> None:
         """Answer the unparked waits in the order they were parked."""
@@ -226,8 +233,13 @@ class MasterCore:
                 heartbeat_interval_ms=self.config.heartbeat_interval_ms,
                 reason=str(exc),
             )
-        ring = "gpu" if message.has_gpu else "cpu"
-        logger.info("registered worker %s (%d MHz, %s)", message.worker_id, message.cpu_mhz, ring, extra=ids)
+        logger.info(
+            "registered worker %s (%d MHz, %s)",
+            message.worker_id,
+            message.cpu_mhz,
+            "gpu" if message.has_gpu else "cpu",
+            extra=ids,
+        )
         return RegisterAck(accepted=True, heartbeat_interval_ms=self.config.heartbeat_interval_ms)
 
     def _handle_submit(self, message: Submit) -> SubmitAck:
