@@ -68,6 +68,12 @@ Sender = Callable[[Message], None]
 # one more copy. One legal line fits twice over.
 MAX_UNSENT_BYTES = 2 * protocol.MAX_LINE_BYTES
 
+# A job that ends with at least this many parked waits has them filtered
+# out of the parked list in one pass; fewer leave it one bisected `del`
+# each, since a pass over every parked wait costs more: with 1k and 100k
+# parked waits a `del` took ~1.2 and ~26 us, a pass ~80 us and ~7.5 ms.
+_REBUILD_MIN_WAITS = 64
+
 
 class _Wait(NamedTuple):
     """A parked JOB_WAIT; waits order by deadline (``math.inf`` for
@@ -150,8 +156,10 @@ class MasterCore:
         has closed, and the idle worker registered through it. A busy one
         keeps its task until eviction: its RESULT may still arrive on a
         new connection."""
-        for wait in [wait for wait in self._waits if wait.sender == sender]:
-            self._unpark(wait)
+        gone = [wait for wait in self._waits if wait.sender == sender]
+        if gone:
+            self._waits = [wait for wait in self._waits if wait.sender != sender]
+            self._forget(gone)
         for profile in list(self.scheduler.workers.values()):
             if profile.sender == sender and not profile.busy:
                 self.scheduler.remove_worker(profile.worker_id, self.clock())
@@ -172,8 +180,13 @@ class MasterCore:
         now = self.clock()
         if self.next_due_ms() > now:
             return False
-        while self._waits and self._waits[0].deadline_ms <= now:
-            self._due.append(self._unpark(self._waits[0]))
+        # The parked waits due by now are a prefix of the sorted list; the
+        # key sorts after every wait with a deadline of ``now``.
+        expired = bisect.bisect_right(self._waits, (now, math.inf))
+        due = self._waits[:expired]
+        del self._waits[:expired]
+        self._forget(due)
+        self._due.extend(due)
         self._answer_due()
         if self._next_tick_ms <= now:
             self._next_tick_ms = now + self.config.heartbeat_interval_ms
@@ -189,7 +202,13 @@ class MasterCore:
         counts[from_state] -= 1
         counts[to_state] += 1
         if task.job_id in self._job_waits and self.job_is_terminal(task.job_id):
-            self._due.extend(map(self._unpark, list(self._job_waits[task.job_id].values())))
+            ended = list(self._job_waits.pop(task.job_id).values())
+            if len(ended) < _REBUILD_MIN_WAITS:
+                for wait in ended:
+                    del self._waits[bisect.bisect_left(self._waits, wait)]
+            else:
+                self._waits = [wait for wait in self._waits if wait.job_id != task.job_id]
+            self._due.extend(ended)
         if self._on_transition is not None:
             self._on_transition(task, from_state, to_state, now_ms)
 
@@ -203,20 +222,25 @@ class MasterCore:
         bisect.insort(self._waits, wait)
         self._job_waits.setdefault(wait.job_id, {})[wait.seq] = wait
 
-    def _unpark(self, wait: _Wait) -> _Wait:
-        del self._waits[bisect.bisect_left(self._waits, wait)]
-        job_waits = self._job_waits[wait.job_id]
-        del job_waits[wait.seq]
-        if not job_waits:
-            del self._job_waits[wait.job_id]
-        return wait
+    def _forget(self, waits: list[_Wait]) -> None:
+        """Drop ``waits``, already out of the parked list, from the
+        per-job index."""
+        for wait in waits:
+            job_waits = self._job_waits[wait.job_id]
+            del job_waits[wait.seq]
+            if not job_waits:
+                del self._job_waits[wait.job_id]
 
     def _answer_due(self) -> None:
-        """Answer the unparked waits in the order they were parked."""
+        """Answer the unparked waits in the order they were parked; the
+        waits on one job share one reply."""
         due, self._due = sorted(self._due, key=lambda wait: wait.seq), []
+        replies: dict[str, Message] = {}
         for wait in due:
+            if wait.job_id not in replies:
+                replies[wait.job_id] = self.job_progress_reply(wait.job_id)
             try:
-                wait.sender(self.job_progress_reply(wait.job_id))
+                wait.sender(replies[wait.job_id])
             except ConnectionError:
                 pass  # the waiter has gone; its connection forgets it on close
 

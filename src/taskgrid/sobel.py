@@ -5,9 +5,11 @@ Two executors produce byte-identical output for every input:
 * :func:`sobel_sequential` — scalar reference, pixels computed one at a
   time in row-major order.
 * :func:`sobel_parallel` — the per-pixel work split into ``lane_count``
-  contiguous index ranges; each lane is evaluated with vectorized
-  integer arithmetic, and large images run their lanes in forked
-  helper processes.
+  contiguous index ranges. Each lane runs the separable form of the
+  kernels in int16 and looks every magnitude up in a 64 KiB table (on
+  one core of a 2-vCPU host, 6-10 ns per pixel at 1024x1024 and
+  2048x2048). Large images run their lanes in forked helper processes
+  that write into one shared output buffer.
 
 Fixed rules (both executors and any oracle must agree on these):
 out-of-bounds neighbors replicate the nearest edge pixel, and the
@@ -17,6 +19,7 @@ gradient magnitude is rounded half-up before clamping to [0, 255].
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -30,13 +33,14 @@ KERNEL_X = ((-1, -2, -1), (0, 0, 0), (1, 2, 1))
 KERNEL_Y = ((1, 0, -1), (2, 0, -2), (1, 0, -1))
 
 # Images of at least this many pixels run their lanes in a process pool
-# forked for the call; smaller ones run them inline. On a 2-vCPU host the
-# pool never beat inline lanes up to 4096x2048 (medians of 9 calls, two
-# runs): two lanes took 17-27 vs 5-7 ms at 512x512 and 128-157 vs
-# 95-105 ms at 4096x2048, and four broke even only at 4096x2048. The
-# threshold stays here because acceptance criterion 8's 512x512 row sits
-# on it, and that criterion's non-decreasing seq/par ratio rests on the
-# pool's fixed cost.
+# forked for the call; smaller ones run them inline. On a 2-vCPU host
+# (medians of 9 calls, two runs) two pooled lanes took 19 vs 2 ms inline
+# at 512x512, 38-42 vs 26-39 ms at 2048x2048 and 50-62 vs 46-60 ms at
+# 4096x2048, and four did no better: the pool's fork and teardown cost
+# ~15-20 ms a call, and it broke even only at 4096x2048. The threshold
+# stays here because acceptance criterion 8's 512x512 row sits on it,
+# and that criterion's non-decreasing seq/par ratio rests on the pool's
+# fixed cost.
 _PROCESS_LANES_MIN_PIXELS = 1 << 18
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -220,43 +224,89 @@ def lane_bounds(total: int, lane_count: int) -> list[tuple[int, int]]:
     ]
 
 
-def _lane_rows(sub: np.ndarray, width: int) -> np.ndarray:
-    """Filter a row block; ``sub`` carries one halo row above and below.
+def _magnitude_table() -> np.ndarray:
+    """The gradient magnitude of every pair (|sx|, |sy|) up to 255,
+    flattened so that ``(|sx| << 8) | |sy|`` indexes it: 64 KiB.
 
-    Returns uint8 output for the ``sub.shape[0] - 2`` interior rows.
-    Row chunking bounds the temporaries for large blocks.
+    Past 255 on either axis the magnitude clamps to 255 anyway, so lanes
+    clamp both first. The root rounds half-up by
+    :func:`_round_half_up_sqrt`'s integer rule; the float floor is exact,
+    as every sum of squares is far below 2^52.
     """
-    h = sub.shape[0] - 2
-    m = width
-    out = np.empty((h, m), dtype=np.uint8)
-    chunk = max(1, (1 << 18) // m)
-    padded = np.pad(sub, ((0, 0), (1, 1)), mode="edge").astype(np.int16)
-    for y0 in range(0, h, chunk):
-        y1 = min(y0 + chunk, h)
-        p = padded[y0 : y1 + 2]
+    axis = np.arange(256, dtype=np.int64)
+    s = axis[:, None] ** 2 + axis[None, :] ** 2
+    r = np.sqrt(s).astype(np.int64)
+    return np.minimum(r + (s - r * r > r), 255).astype(np.uint8).ravel()
+
+
+_MAGNITUDE = _magnitude_table()
+
+# A lane filters its rows in chunks of about this many pixels, so that a
+# chunk's int16 buffers (~0.5 MiB in all) stay in a core's L2 cache.
+_CHUNK_PIXELS = 1 << 15
+
+
+def _run_lane(job: tuple[np.ndarray, np.ndarray, int, int]) -> None:
+    """Filter pixels ``[start, end)`` of ``src`` (height x width, uint8)
+    into the same range of the flat uint8 array ``out``.
+
+    The kernel is separable: a horizontal [1, 2, 1] sum of each row,
+    differenced vertically, gives ``sx``; a vertical sum, differenced
+    horizontally, gives ``sy``. A lane filters the whole rows its range
+    touches, one chunk of rows at a time, in int16 buffers reused with
+    ``out=``, and writes only its own range.
+    """
+    src, out, start, end = job
+    h, w = src.shape
+    r0, r1 = start // w, (end - 1) // w + 1
+    rows = min(max(1, _CHUNK_PIXELS // w), r1 - r0)
+    padded = np.empty((rows + 2, w + 2), np.int16)  # edge pixels replicated
+    pairs_x = np.empty((rows + 2, w + 1), np.int16)
+    smooth_x = np.empty((rows + 2, w), np.int16)
+    pairs_y = np.empty((rows + 1, w + 2), np.int16)
+    smooth_y = np.empty((rows, w + 2), np.int16)
+    sx = np.empty((rows, w), np.int16)
+    sy = np.empty((rows, w), np.int16)
+    for y0 in range(r0, r1, rows):
+        y1 = min(y0 + rows, r1)
         n = y1 - y0
-        top = p[0:n, 0:m] + 2 * p[0:n, 1 : m + 1] + p[0:n, 2 : m + 2]
-        bottom = p[2 : n + 2, 0:m] + 2 * p[2 : n + 2, 1 : m + 1] + p[2 : n + 2, 2 : m + 2]
-        sx = (bottom - top).astype(np.int32)
-        left = p[0:n, 0:m] + 2 * p[1 : n + 1, 0:m] + p[2 : n + 2, 0:m]
-        right = p[0:n, 2 : m + 2] + 2 * p[1 : n + 1, 2 : m + 2] + p[2 : n + 2, 2 : m + 2]
-        sy = (left - right).astype(np.int32)
-        s2 = sx * sx + sy * sy
-        # floor(sqrt + 0.5) is exact here: s2 <= 2*1020^2, far below any
-        # double-rounding hazard, and sqrt of an integer never lands on .5.
-        out[y0:y1] = np.minimum(np.floor(np.sqrt(s2) + 0.5), 255).astype(np.uint8)
-    return out
-
-
-def _run_lane(job: tuple[np.ndarray, int]) -> np.ndarray:
-    sub, width = job
-    return _lane_rows(sub, width)
+        p = padded[: n + 2]
+        lo, hi = max(y0 - 1, 0), min(y1 + 1, h)
+        p[lo - y0 + 1 : hi - y0 + 1, 1 : w + 1] = src[lo:hi]
+        if y0 == 0:
+            p[0, 1 : w + 1] = src[0]
+        if y1 == h:
+            p[n + 1, 1 : w + 1] = src[h - 1]
+        p[:, 0] = p[:, 1]
+        p[:, w + 1] = p[:, w]
+        # [1, 2, 1] is [1, 1] applied twice.
+        hx, vy = smooth_x[: n + 2], smooth_y[:n]
+        np.add(p[:, :-1], p[:, 1:], out=pairs_x[: n + 2])
+        np.add(pairs_x[: n + 2, :-1], pairs_x[: n + 2, 1:], out=hx)
+        np.add(p[:-1], p[1:], out=pairs_y[: n + 1])
+        np.add(pairs_y[:n], pairs_y[1 : n + 1], out=vy)
+        gx, gy = sx[:n], sy[:n]
+        np.subtract(hx[2:], hx[:-2], out=gx)
+        np.subtract(vy[:, :-2], vy[:, 2:], out=gy)
+        for g in (gx, gy):
+            np.abs(g, out=g)
+            np.minimum(g, 255, out=g)
+        index = gx.view(np.uint16)
+        np.left_shift(index, 8, out=index)
+        np.bitwise_or(index, gy.view(np.uint16), out=index)
+        a, b = max(start, y0 * w), min(end, y1 * w)
+        np.take(_MAGNITUDE, index.ravel()[a - y0 * w : b - y0 * w], out=out[a:b])
 
 
 _LANE_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
-def _start_lane() -> None:
+# What a pooled lane reads and writes: the source image and the output,
+# set by _start_lane in each forked lane.
+_shared: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _start_lane(src: np.ndarray, shared: mmap.mmap) -> None:
     # A forked lane inherits the caller's Python signal handlers; a
     # worker's would shut down the master socket both processes share.
     # The lane was forked with these signals blocked, so none of them
@@ -264,6 +314,12 @@ def _start_lane() -> None:
     for signum in _LANE_SIGNALS:
         signal.signal(signum, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _LANE_SIGNALS)
+    global _shared
+    _shared = (src, np.frombuffer(shared, dtype=np.uint8))
+
+
+def _run_pooled_lane(bounds: tuple[int, int]) -> None:
+    _run_lane((*_shared, *bounds))
 
 
 def sobel_parallel(img: GrayImage, lane_count: int) -> GrayImage:
@@ -273,28 +329,32 @@ def sobel_parallel(img: GrayImage, lane_count: int) -> GrayImage:
     Byte-identical to :func:`sobel_sequential` for every input and lane
     count. Lanes of large images run in a pool of processes forked for
     this call, which have all exited when it returns; small images run
-    them inline.
+    them inline. Either way each lane reads the image in place and
+    writes its own pixel range of one output buffer: pooled lanes get
+    the image and an anonymous shared mapping through the pool's
+    initializer, which the fork hands over without pickling, so only
+    the lane bounds cross the pool's pipes. On a 2-vCPU host a pooled
+    two-lane call took 19 ms at 512x512, most of it the pool's fork and
+    teardown, and 38-42 ms at 2048x2048.
     """
     if lane_count < 1:
         raise ValueError(f"lane_count must be >= 1, got {lane_count}")
     w, h = img.width, img.height
     total = w * h
-    # Each lane costs a halo copy of at least three rows, so more lanes
-    # than rows only burn memory; with total >= lanes no lane is empty.
+    # A lane filters every row its range touches, so more lanes than
+    # rows only repeat work; with total >= lanes no lane is empty.
     lane_count = min(lane_count, h)
-    arr = np.frombuffer(img.pixels, dtype=np.uint8).reshape(h, w)
+    src = np.frombuffer(img.pixels, dtype=np.uint8).reshape(h, w)
+    bounds = lane_bounds(total, lane_count)
 
-    jobs: list[tuple[np.ndarray, int]] = []
-    metas: list[tuple[int, int, int]] = []
-    for start, end in lane_bounds(total, lane_count):
-        r0 = start // w
-        r1 = (end - 1) // w
-        halo_rows = np.clip(np.arange(r0 - 1, r1 + 2), 0, h - 1)
-        jobs.append((arr[halo_rows], w))
-        metas.append((start, end, r0))
+    if total < _PROCESS_LANES_MIN_PIXELS or lane_count == 1:
+        out = np.empty(total, dtype=np.uint8)
+        for start, end in bounds:
+            _run_lane((src, out, start, end))
+        return GrayImage(w, h, out.tobytes())
 
-    if total >= _PROCESS_LANES_MIN_PIXELS and len(jobs) > 1:
-        pool_size = min(len(jobs), max(2, usable_cpu_count()))
+    pool_size = min(lane_count, max(2, usable_cpu_count()))
+    with mmap.mmap(-1, total) as shared:
         # Forking while other threads run (a worker's reader, say) is
         # safe here: a lane runs only the pool's worker loop and numpy,
         # so it takes no lock another thread may have held at the fork.
@@ -304,24 +364,17 @@ def sobel_parallel(img: GrayImage, lane_count: int) -> GrayImage:
         ctx = multiprocessing.get_context("fork")
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _LANE_SIGNALS)
         try:
-            pool = ctx.Pool(processes=pool_size, initializer=_start_lane)
+            pool = ctx.Pool(processes=pool_size, initializer=_start_lane, initargs=(src, shared))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # close() lets each lane leave its loop on its own and join()
         # reaps them, so no lane outlives the call.
         try:
-            blocks = pool.map(_run_lane, jobs)
+            pool.map(_run_pooled_lane, bounds)
             pool.close()
         except BaseException:
             pool.terminate()
             raise
         finally:
             pool.join()
-    else:
-        blocks = [_run_lane(job) for job in jobs]
-
-    out = np.empty(total, dtype=np.uint8)
-    for (start, end, r0), block in zip(metas, blocks):
-        flat = block.reshape(-1)
-        out[start:end] = flat[start - r0 * w : end - r0 * w]
-    return GrayImage(w, h, out.tobytes())
+        return GrayImage(w, h, shared[:])

@@ -1,5 +1,8 @@
+import mmap
 import os
 import random
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ import taskgrid.sobel as sobel
 from taskgrid.sobel import (
     GrayImage,
     PgmError,
+    _round_half_up_sqrt,
     lane_bounds,
     neighborhood,
     parse_pgm,
@@ -227,6 +231,48 @@ def test_no_lane_process_outlives_its_call():
     before = _live_children()
     assert sobel_parallel(img, 2).pixels == sobel_parallel(img, 1).pixels
     assert _live_children() - before == set()
+
+
+def test_parallel_process_pool_path_with_lanes_split_mid_row():
+    w, h = 1021, 263
+    assert w * h >= sobel._PROCESS_LANES_MIN_PIXELS
+    img = random_image(random.Random(14), w, h)
+    expected = sobel_sequential(img).pixels
+    # Seven lanes outnumber the lane processes on a small host; each
+    # still writes only its own range of the shared output.
+    for lanes in (3, 7):
+        assert all(start % w for start, _ in lane_bounds(w * h, lanes)[1:])
+        assert sobel_parallel(img, lanes).pixels == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes through /proc")
+def test_a_pooled_lane_that_raises_fails_the_call_and_leaves_nothing(monkeypatch):
+    # The forked lanes inherit the patched kernel.
+    def fail(job):
+        raise RuntimeError("lane failed")
+
+    monkeypatch.setattr(sobel, "_run_lane", fail)
+    buffers = []
+    new_mmap = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: buffers.append(new_mmap(*args)) or buffers[-1])
+    img = random_image(random.Random(15), 512, 512)
+    before = _live_children()
+    with pytest.raises(RuntimeError, match="lane failed"):
+        sobel_parallel(img, 2)
+    assert _live_children() - before == set()
+    [buffer] = buffers
+    assert buffer.closed
+
+
+def test_magnitude_table_with_the_clamp_is_the_integer_rule():
+    # Every sum of squares a 3x3 neighborhood of bytes can give.
+    limit = 2 * 1020 * 1020
+    expected = np.frombuffer(bytes(min(_round_half_up_sqrt(s), 255) for s in range(limit + 1)), np.uint8)
+    sy = np.arange(-1020, 1021)
+    clamped_sy = np.minimum(np.abs(sy), 255)
+    for sx in range(-1020, 1021):
+        index = (min(abs(sx), 255) << 8) | clamped_sy
+        assert np.array_equal(sobel._MAGNITUDE[index], expected[sx * sx + sy * sy]), sx
 
 
 def test_lane_bounds_partition():
