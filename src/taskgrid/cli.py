@@ -144,23 +144,14 @@ def cmd_master(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    from .worker import RegistrationRejected, WorkerAgent, WorkerConfig
+    from .protocol import Register
+    from .worker import RegistrationRejected, WorkerAgent
 
     if not args.gpu and (args.gpu_cores is not None or args.gpu_mem_mb is not None):
         raise argparse.ArgumentTypeError("--gpu-cores/--gpu-mem-mb require --gpu")
-    host, port = args.master
-    config = WorkerConfig(
-        worker_id=args.worker_id,
-        master_host=host,
-        master_port=port,
-        cpu_mhz=args.mhz,
-        has_gpu=args.gpu,
-        gpu_cores=args.gpu_cores,
-        gpu_mem_mb=args.gpu_mem_mb,
-        lane_count=args.lanes,
-    )
+    register = Register(args.worker_id, args.mhz, args.gpu, args.gpu_cores, args.gpu_mem_mb)
     try:
-        agent = WorkerAgent(config)
+        agent = WorkerAgent(register, args.master, lane_count=args.lanes)
     except ValueError as exc:  # a profile the master would refuse
         raise argparse.ArgumentTypeError(str(exc)) from None
 

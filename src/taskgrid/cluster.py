@@ -213,7 +213,7 @@ class InProcCluster:
             profile = self.core.scheduler.workers[task.assigned_worker]
             self.assignments.append(
                 AssignmentEvent(
-                    task.task_id, profile.worker_id, task.requires_gpu, profile.has_gpu, at_ms
+                    task.task_id, profile.worker_id, task.requires_gpu, profile.register.has_gpu, at_ms
                 )
             )
 

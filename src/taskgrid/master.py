@@ -245,8 +245,7 @@ class MasterCore:
                 pass  # the waiter has gone; its connection forgets it on close
 
     def _handle_register(self, message: Register, sender: Sender, now: int) -> RegisterAck:
-        profile = WorkerProfile.from_register(message)
-        profile.sender = sender
+        profile = WorkerProfile(message, sender=sender)
         ids = {"worker_id": message.worker_id}
         try:
             self.scheduler.register_worker(profile, now)
@@ -375,8 +374,9 @@ class Connection:
     Each message is queued as its ``protocol.encode_parts``, one
     ``memoryview`` per part, so a payload or output body is sent from
     the one copy its part holds; each ``sock.send`` takes from one part.
-    A message that would take the queue past :data:`MAX_UNSENT_BYTES`
-    closes the connection instead.
+    A line over ``protocol.MAX_LINE_BYTES``, which the peer would have
+    to reject, goes as an ERROR REPLY_TOO_LARGE; one that would take the
+    queue past :data:`MAX_UNSENT_BYTES` closes the connection instead.
     """
 
     def __init__(
@@ -404,6 +404,10 @@ class Connection:
             raise ConnectionError("connection closed")
         parts = protocol.encode_parts(message)
         size = sum(map(len, parts))
+        if size - 1 > protocol.MAX_LINE_BYTES:
+            detail = f"{type(message).__name__} of {size - 1} bytes exceeds line cap {protocol.MAX_LINE_BYTES}"
+            logger.warning("sending REPLY_TOO_LARGE to %s: %s", self.peer, detail)
+            return self.send(ErrorReply(code="REPLY_TOO_LARGE", detail=detail))
         if self._unsent_bytes + size > MAX_UNSENT_BYTES:
             logger.warning(
                 "closing connection to %s: %d bytes unsent, and a %d-byte %s would pass the %d-byte cap",

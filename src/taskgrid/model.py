@@ -105,10 +105,11 @@ class TaskDescriptor:
 
 @dataclass
 class WorkerProfile:
-    """A registered worker and its capability profile.
+    """A registered worker: the REGISTER that declared its capability,
+    and the master's record of the worker.
 
-    ``cpu_mhz`` orders the dispatch rings; ``gpu_cores``/``gpu_mem_mb``
-    are descriptive metadata only and never influence placement.
+    ``register.cpu_mhz`` orders the dispatch rings; the GPU cores and
+    memory are descriptive metadata only and never influence placement.
     ``last_heartbeat_ms`` is on the master's clock and decides liveness;
     ``last_beat_ts_ms`` is the newest ``ts_ms`` the worker sent, on the
     worker's own clock, and only orders that worker's beats.
@@ -118,42 +119,32 @@ class WorkerProfile:
     registered on; the master sends its DISPATCHes through it.
     """
 
-    worker_id: str
-    cpu_mhz: int
-    has_gpu: bool = False
-    gpu_cores: int | None = None
-    gpu_mem_mb: int | None = None
+    register: Register
     last_heartbeat_ms: int = 0
     last_beat_ts_ms: int | None = None
     current_task: str | None = None
     sender: Callable[[Message], None] | None = field(default=None, compare=False, repr=False)
 
     @property
+    def worker_id(self) -> str:
+        return self.register.worker_id
+
+    @property
     def busy(self) -> bool:
         return self.current_task is not None
 
-    @classmethod
-    def from_register(cls, message: Register) -> WorkerProfile:
-        """The profile a REGISTER declares."""
-        return cls(
-            worker_id=message.worker_id,
-            cpu_mhz=message.cpu_mhz,
-            has_gpu=message.has_gpu,
-            gpu_cores=message.gpu_cores,
-            gpu_mem_mb=message.gpu_mem_mb,
-        )
 
-
-def validate_profile(profile: WorkerProfile) -> str | None:
-    """Return a rejection reason for a malformed profile, or None if valid."""
-    if not profile.worker_id:
+def validate_profile(register: Register) -> str | None:
+    """Why the master refuses the profile a REGISTER declares, or None;
+    a worker checks its own by the same rule before it connects."""
+    if not register.worker_id:
         return "worker_id must be non-empty"
-    if profile.cpu_mhz <= 0:
+    if register.cpu_mhz <= 0:
         return "cpu_mhz must be positive"
-    if not profile.has_gpu and (profile.gpu_cores is not None or profile.gpu_mem_mb is not None):
+    if not register.has_gpu and (register.gpu_cores is not None or register.gpu_mem_mb is not None):
         return "gpu_cores/gpu_mem_mb are only valid when has_gpu is true"
-    if profile.gpu_cores is not None and profile.gpu_cores <= 0:
+    if register.gpu_cores is not None and register.gpu_cores <= 0:
         return "gpu_cores must be positive"
-    if profile.gpu_mem_mb is not None and profile.gpu_mem_mb <= 0:
+    if register.gpu_mem_mb is not None and register.gpu_mem_mb <= 0:
         return "gpu_mem_mb must be positive"
     return None

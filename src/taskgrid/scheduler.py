@@ -60,7 +60,7 @@ class _Ring:
 
     @staticmethod
     def _key(profile: WorkerProfile) -> tuple[int, str]:
-        return (-profile.cpu_mhz, profile.worker_id)
+        return (-profile.register.cpu_mhz, profile.worker_id)
 
     def insert(self, profile: WorkerProfile, profiles: dict[str, WorkerProfile]) -> None:
         pos = bisect.bisect_left(
@@ -168,7 +168,7 @@ class Scheduler:
     # -- membership --------------------------------------------------------
 
     def _ring_for(self, profile: WorkerProfile) -> _Ring:
-        return self.gpu_ring if profile.has_gpu else self.cpu_ring
+        return self.gpu_ring if profile.register.has_gpu else self.cpu_ring
 
     def register_worker(self, profile: WorkerProfile, now_ms: int) -> None:
         """Insert (or replace) a worker in its capability ring.
@@ -176,7 +176,7 @@ class Scheduler:
         Re-registering a known id first removes the old profile through
         :meth:`remove_worker`, which re-queues a task it held.
         """
-        reason = validate_profile(profile)
+        reason = validate_profile(profile.register)
         if reason is not None:
             raise RegistrationError(reason)
         if profile.worker_id in self.workers:

@@ -7,7 +7,8 @@ socket reader, which also sends each beat when it falls due (so beats go
 on mid-task), and one executor fed through a queue (so the reader keeps
 draining while a task runs: a master sending a large payload must never
 deadlock against a busy executor). One lock serialises every core call
-and every socket write; the executor only computes outside it.
+and every socket write; the executor only computes outside it. The
+worker's profile is the REGISTER it sends, declared nowhere else.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import logging
 import queue
 import socket
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
 from . import protocol
-from .model import WorkerProfile, monotonic_ms, validate_profile
+from .model import monotonic_ms, validate_profile
 from .protocol import Dispatch, Heartbeat, HeartbeatAck, Message, Register, RegisterAck, Result
 from .sobel import usable_cpu_count
 from .workloads import ExecutorRegistry, UnknownKindError, built_in_registry
@@ -36,38 +36,6 @@ class RegistrationRejected(RuntimeError):
     """The master refused this worker's profile; the agent must not retry."""
 
 
-@dataclass
-class WorkerConfig:
-    worker_id: str
-    master_host: str
-    master_port: int
-    cpu_mhz: int
-    has_gpu: bool = False
-    gpu_cores: int | None = None
-    gpu_mem_mb: int | None = None
-    lane_count: int = 0  # 0 -> one lane per CPU this process may run on
-
-    def __post_init__(self) -> None:
-        if self.lane_count == 0:
-            self.lane_count = usable_cpu_count()
-
-    def validate(self) -> None:
-        reason = validate_profile(WorkerProfile.from_register(self.register_message()))
-        if reason is not None:
-            raise ValueError(reason)
-        if self.lane_count < 1:
-            raise ValueError("lane_count must be >= 1")
-
-    def register_message(self) -> Register:
-        return Register(
-            worker_id=self.worker_id,
-            cpu_mhz=self.cpu_mhz,
-            has_gpu=self.has_gpu,
-            gpu_cores=self.gpu_cores,
-            gpu_mem_mb=self.gpu_mem_mb,
-        )
-
-
 def execute_dispatch(
     registry: ExecutorRegistry, dispatch: Dispatch, worker_id: str
 ) -> Result:
@@ -76,7 +44,8 @@ def execute_dispatch(
     Unknown kinds and whatever an executor raises, ``sys.exit()``
     included, become FAILED results: the agent never dies because a
     workload misbehaved, and a task it got never goes unreported. Only
-    ``KeyboardInterrupt`` propagates.
+    ``KeyboardInterrupt`` propagates. An output whose RESULT line would
+    pass ``protocol.MAX_LINE_BYTES`` fails as OUTPUT_TOO_LARGE, not cycle.
     """
     try:
         payload = protocol.from_b64(dispatch.payload_b64)
@@ -85,13 +54,23 @@ def execute_dispatch(
         # is free and the task would never be reported.
         if type(exec_ms) is not int:
             raise TypeError(f"exec_ms must be an int, not {type(exec_ms).__name__}")
-        return Result(
+        result = Result(
             task_id=dispatch.task_id,
             worker_id=worker_id,
             status=protocol.RESULT_OK,
             exec_ms=exec_ms,
             output_b64=protocol.to_b64(output),
         )
+        # The line is the base64, the ids (at most 12 bytes a character)
+        # and under 256 bytes more; only an output that may fill it is
+        # encoded to be sized.
+        cap = protocol.MAX_LINE_BYTES
+        if len(result.output_b64) + 12 * (len(dispatch.task_id) + len(worker_id)) + 256 <= cap:
+            return result
+        if (size := sum(map(len, protocol.encode_parts(result))) - 1) <= cap:
+            return result
+        error = f"OUTPUT_TOO_LARGE: {size} bytes exceeds line cap {cap}"
+        logger.warning("executor %s failed: %s", dispatch.kind, error, extra={"task_id": dispatch.task_id})
     except UnknownKindError:
         error = "UNKNOWN_KIND"
     except KeyboardInterrupt:
@@ -212,19 +191,27 @@ class WorkerCore:
 class WorkerAgent:
     """Long-running agent; ``run()`` blocks until stopped or rejected.
 
+    ``register`` is the profile it sends to ``master``, a (host, port).
+    One the master would refuse, or a built-in ``sobel_par`` lane count
+    below 1 (0: one per CPU this process may run on), raises ValueError.
+
     One lock serialises every :class:`WorkerCore` call (the reader's
     ``handle`` and ``beat_if_due``, the REGISTER at session start and the
     executor's ``finish``) and so every socket write; the executor runs
     ``execute`` outside it.
     """
 
-    def __init__(self, config: WorkerConfig, registry: ExecutorRegistry | None = None):
-        config.validate()
-        self.config = config
-        self.core = WorkerCore(
-            config.register_message(),
-            registry or built_in_registry(lane_count=config.lane_count),
-        )
+    def __init__(
+        self, register: Register, master: tuple[str, int], lane_count: int = 0, registry: ExecutorRegistry | None = None
+    ):
+        if (reason := validate_profile(register)) is not None:
+            raise ValueError(reason)
+        lane_count = lane_count or usable_cpu_count()
+        if lane_count < 1:
+            raise ValueError("lane_count must be >= 1")
+        self.master = master
+        self.lane_count = lane_count
+        self.core = WorkerCore(register, registry or built_in_registry(lane_count=lane_count))
         self._stop = threading.Event()
         self._link: protocol.MasterLink | None = None
         self._lock = threading.Lock()
@@ -272,12 +259,11 @@ class WorkerAgent:
     # -- session -----------------------------------------------------------------
 
     def _run_session(self) -> None:
-        address = (self.config.master_host, self.config.master_port)
-        link = protocol.MasterLink(address, connect_timeout_s=10)
+        link = protocol.MasterLink(self.master, connect_timeout_s=10)
         with self._lock:
             self._link = link
             self.core.register_when_idle(self._send)
-        logger.info("connected to master at %s:%d", *address)
+        logger.info("connected to master at %s:%d", *self.master)
         while not self._stop.is_set():
             # A beat that fails to send ends the session like a failed recv.
             with self._lock:

@@ -40,7 +40,7 @@ from taskgrid.protocol import (
 )
 from taskgrid.scheduler import SchedulerConfig
 from taskgrid.sobel import GrayImage, parse_pgm, sobel_parallel, sobel_pixel, sobel_sequential, write_pgm
-from taskgrid.worker import WorkerAgent, WorkerConfig
+from taskgrid.worker import WorkerAgent
 from taskgrid.workloads import built_in_registry
 
 LANE_COUNTS = (1, 2, 3, 4, 8, 16)
@@ -376,15 +376,7 @@ def test_criterion_9_overhead_coefficient_of_variation():
     config = SchedulerConfig(heartbeat_interval_ms=500)
     server = MasterServer("127.0.0.1", 0, config)
     server.start()
-    agent = WorkerAgent(
-        WorkerConfig(
-            worker_id="W1",
-            master_host="127.0.0.1",
-            master_port=server.port,
-            cpu_mhz=2400,
-            has_gpu=True,
-        )
-    )
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=True), ("127.0.0.1", server.port))
     agent_thread = threading.Thread(target=agent.run, daemon=True)
     agent_thread.start()
     overheads = []

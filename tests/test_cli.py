@@ -259,6 +259,22 @@ def test_a_worker_given_a_port_out_of_range_exits_2_in_one_line():
     assert "argument --master: expected HOST:PORT with PORT in 0-65535, got '127.0.0.1:70000'" in line
 
 
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--id", ""], "worker_id must be non-empty"),
+        (["--id", "W1", "--lanes", "-1"], "lane_count must be >= 1"),
+    ],
+)
+def test_a_worker_it_cannot_run_exits_2_in_one_line_before_connecting(flags, text):
+    # Nothing listens on port 1, so a worker that tried to connect would
+    # retry until the deadline.
+    result = run_cli("worker", "--master", "127.0.0.1:1", *flags, "--mhz", "2400", timeout=20)
+    assert result.returncode == 2
+    [line] = result.stderr.splitlines()
+    assert line == f"taskgrid: error: {text}"
+
+
 def test_bench_refuses_a_non_pgm_image_in_one_line(capsys, tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"GIF89a")

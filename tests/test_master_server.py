@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import logging
+import re
 import socket
 import sys
 import threading
@@ -12,6 +13,7 @@ import pytest
 import taskgrid.master as master_mod
 import taskgrid.worker as worker_mod
 from taskgrid import protocol
+from taskgrid.cli import main
 from taskgrid.client import ClientError, MasterClient, make_task
 from taskgrid.master import Connection, MasterCore, MasterServer
 from taskgrid.model import TaskState
@@ -30,7 +32,8 @@ from taskgrid.protocol import (
     Submit,
 )
 from taskgrid.scheduler import SchedulerConfig
-from taskgrid.worker import WorkerAgent, WorkerConfig
+from taskgrid.worker import WorkerAgent
+from taskgrid.workloads import ExecutorRegistry
 
 
 class FakeWorkerConn:
@@ -319,14 +322,7 @@ def test_silent_worker_evicted_and_task_recovered(server):
         dispatch = silent.read()
         assert dispatch.task_id == "T1"  # sent to the silent worker; never answered
 
-        config = WorkerConfig(
-            worker_id="Wlive",
-            master_host="127.0.0.1",
-            master_port=server.port,
-            cpu_mhz=1000,
-            has_gpu=True,
-        )
-        agent = WorkerAgent(config)
+        agent = WorkerAgent(Register(worker_id="Wlive", cpu_mhz=1000, has_gpu=True), ("127.0.0.1", server.port))
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         try:
@@ -353,10 +349,7 @@ def test_a_worker_that_reconnects_mid_task_reports_it_before_registering(monkeyp
         deliver(message, sender)
 
     server.core.deliver = recording
-    config = WorkerConfig(
-        worker_id="W1", master_host="127.0.0.1", master_port=server.port, cpu_mhz=2400
-    )
-    agent = WorkerAgent(config)
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", server.port))
     thread = threading.Thread(target=agent.run, daemon=True)
     thread.start()
     try:
@@ -830,16 +823,7 @@ def test_alternating_noop_stress_completes_every_task():
     server = MasterServer("127.0.0.1", 0, SchedulerConfig())
     server.start()
     agents = [
-        WorkerAgent(
-            WorkerConfig(
-                worker_id=wid,
-                master_host="127.0.0.1",
-                master_port=server.port,
-                cpu_mhz=2000,
-                has_gpu=gpu,
-                lane_count=1,
-            )
-        )
+        WorkerAgent(Register(worker_id=wid, cpu_mhz=2000, has_gpu=gpu), ("127.0.0.1", server.port), lane_count=1)
         for wid, gpu in (("Wgpu", True), ("Wcpu", False))
     ]
     threads = [threading.Thread(target=agent.run, daemon=True) for agent in agents]
@@ -969,17 +953,42 @@ def test_a_client_that_never_reads_is_closed_at_the_unsent_cap(monkeypatch, capl
     assert peer == "127.0.0.1:%d" % hog_port and unsent + size > cap >= unsent
 
 
+def test_a_status_reply_over_the_line_cap_is_an_error_and_the_connection_stays(server, monkeypatch, caplog, capsys, tmp_path):
+    # Each 2 KiB output fits its RESULT line under a 4 KiB cap, which
+    # stands in for 64 MiB; the status reply holding three does not, and
+    # the client's framer would have to refuse it.
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    caplog.set_level(logging.WARNING, logger="taskgrid.master")
+    registry = ExecutorRegistry()
+    registry.register("blob", lambda params, payload: (bytes(2048), 0))
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", server.port), registry=registry)
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    try:
+        argv = ["submit", "--master", f"127.0.0.1:{server.port}", "--kind", "blob", "--count", "3", "--outdir", str(tmp_path)]
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"REPLY_TOO_LARGE: JobStatusReply of \d+ bytes exceeds line cap 4096", line), line
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit([make_task("blob", task_id=f"T{i}") for i in range(3)], job_id="J1")
+            with pytest.raises(ClientError, match="REPLY_TOO_LARGE"):
+                client.wait_for_job("J1", timeout_s=10)
+            peer = "%s:%d" % client._link.sock.getsockname()[:2]
+            # The same connection still answers.
+            assert client.job_progress("J1").completed == 3
+    finally:
+        agent.stop()
+        thread.join(10)
+    warnings = [r.getMessage() for r in caplog.records if "REPLY_TOO_LARGE" in r.getMessage()]
+    assert len(warnings) == 2 and warnings[1].startswith(f"sending REPLY_TOO_LARGE to {peer}: JobStatusReply of ")
+
+
 def test_a_32_mib_task_reaches_a_beating_worker_without_an_eviction(server, caplog):
     # A 600 ms liveness window: the master's passes over the 44.7 MB
     # SUBMIT and DISPATCH lines must leave the worker's beats counted in
     # time, and the task must run on its first dispatch.
     caplog.set_level(logging.WARNING, logger="taskgrid.scheduler")
-    agent = WorkerAgent(
-        WorkerConfig(
-            worker_id="Wbig", master_host="127.0.0.1", master_port=server.port, cpu_mhz=2400,
-            has_gpu=True,
-        )
-    )
+    agent = WorkerAgent(Register(worker_id="Wbig", cpu_mhz=2400, has_gpu=True), ("127.0.0.1", server.port))
     thread = threading.Thread(target=agent.run, daemon=True)
     thread.start()
     try:
@@ -1000,12 +1009,7 @@ def test_the_master_serves_every_peer_on_the_thread_start_returned():
     server = MasterServer("127.0.0.1", 0, SchedulerConfig(heartbeat_interval_ms=200))
     serving = server.start()
     agents = [
-        WorkerAgent(
-            WorkerConfig(
-                worker_id=wid, master_host="127.0.0.1", master_port=server.port, cpu_mhz=2000,
-                has_gpu=gpu,
-            )
-        )
+        WorkerAgent(Register(worker_id=wid, cpu_mhz=2000, has_gpu=gpu), ("127.0.0.1", server.port))
         for wid, gpu in (("Wgpu", True), ("Wcpu", False))
     ]
     threads = [threading.Thread(target=agent.run, daemon=True) for agent in agents]

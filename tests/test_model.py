@@ -6,11 +6,11 @@ from taskgrid.model import (
     MissingTimingError,
     TaskDescriptor,
     TaskState,
-    WorkerProfile,
     overhead_ms,
     validate_profile,
     validate_transition,
 )
+from taskgrid.protocol import Register
 
 LEGAL = {
     (TaskState.QUEUED, TaskState.DISPATCHED),
@@ -67,8 +67,8 @@ def test_overhead_missing_fields(missing):
 
 
 def test_profile_validation():
-    assert validate_profile(WorkerProfile("W1", 2400, has_gpu=True, gpu_cores=384)) is None
-    assert validate_profile(WorkerProfile("W1", 0)) is not None
-    assert validate_profile(WorkerProfile("W1", 2400, has_gpu=False, gpu_cores=4)) is not None
-    assert validate_profile(WorkerProfile("", 2400)) is not None
-    assert validate_profile(WorkerProfile("W1", 2400, has_gpu=True, gpu_mem_mb=-1)) is not None
+    assert validate_profile(Register("W1", 2400, has_gpu=True, gpu_cores=384)) is None
+    assert validate_profile(Register("W1", 0, has_gpu=False)) is not None
+    assert validate_profile(Register("W1", 2400, has_gpu=False, gpu_cores=4)) is not None
+    assert validate_profile(Register("", 2400, has_gpu=False)) is not None
+    assert validate_profile(Register("W1", 2400, has_gpu=True, gpu_mem_mb=-1)) is not None

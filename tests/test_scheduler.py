@@ -14,7 +14,7 @@ from taskgrid.scheduler import (
     SchedulerConfig,
     UNSCHEDULABLE_ERROR,
 )
-from taskgrid.worker import WorkerAgent, WorkerConfig
+from taskgrid.worker import WorkerAgent
 from taskgrid.workloads import ExecutorRegistry
 
 
@@ -23,7 +23,7 @@ def mk_scheduler(on_transition=None, **config_kwargs):
 
 
 def mk_profile(worker_id, mhz=2000, gpu=False):
-    return WorkerProfile(worker_id=worker_id, cpu_mhz=mhz, has_gpu=gpu)
+    return WorkerProfile(Register(worker_id=worker_id, cpu_mhz=mhz, has_gpu=gpu))
 
 
 def mk_task(task_id, gpu=False):
@@ -63,7 +63,7 @@ def test_zero_mhz_rejected():
 
 def test_gpu_fields_without_gpu_rejected():
     s = mk_scheduler()
-    profile = WorkerProfile(worker_id="W1", cpu_mhz=2000, has_gpu=False, gpu_cores=384)
+    profile = WorkerProfile(Register(worker_id="W1", cpu_mhz=2000, has_gpu=False, gpu_cores=384))
     with pytest.raises(RegistrationError):
         s.register_worker(profile, 0)
 
@@ -77,7 +77,7 @@ def test_reregistration_replaces_and_orphans_task():
     s.register_worker(mk_profile("W1", 2600, gpu=True), 2)
     assert task.state is TaskState.QUEUED
     assert task.attempt == 1
-    assert s.workers["W1"].cpu_mhz == 2600
+    assert s.workers["W1"].register.cpu_mhz == 2600
     assert not s.workers["W1"].busy
 
 
@@ -278,8 +278,7 @@ def test_stale_eviction_and_worker_failure_warnings_carry_the_ids_they_name(capl
 
     registry = ExecutorRegistry()
     registry.register("boom", boom)
-    config = WorkerConfig(worker_id="W3", master_host="127.0.0.1", master_port=1, cpu_mhz=2400)
-    agent = WorkerAgent(config, registry)
+    agent = WorkerAgent(Register(worker_id="W3", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", 1), registry=registry)
     # Run by hand and never connected, so the RESULT fails to send.
     agent._exec_queue.put(Dispatch(task_id="T2", kind="boom", requires_gpu=False))
     agent.stop()
@@ -554,7 +553,7 @@ def _run_random_trace(seed):
             for tid, wid in made:
                 task = s.tasks[tid]
                 profile = s.workers[wid]
-                assignments.append((tid, wid, task.requires_gpu, profile.has_gpu))
+                assignments.append((tid, wid, task.requires_gpu, profile.register.has_gpu))
                 cls = "gpu" if task.requires_gpu else "cpu"
                 if task.attempt == 0:
                     first_dispatch[cls].append(tid)

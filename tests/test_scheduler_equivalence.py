@@ -19,6 +19,7 @@ from collections import Counter
 import pytest
 
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
+from taskgrid.protocol import Register
 from taskgrid.scheduler import (
     UNSCHEDULABLE_ERROR,
     DuplicateTaskError,
@@ -37,7 +38,7 @@ class FrozenRing:
 
     @staticmethod
     def _key(profile):
-        return (-profile.cpu_mhz, profile.worker_id)
+        return (-profile.register.cpu_mhz, profile.worker_id)
 
     def insert(self, profile, profiles):
         pos = bisect.bisect_left(self.ids, self._key(profile), key=lambda wid: self._key(profiles[wid]))
@@ -166,7 +167,7 @@ class _Side:
             return None
         if name == "register":
             worker_id, mhz, gpu = args
-            s.register_worker(WorkerProfile(worker_id=worker_id, cpu_mhz=mhz, has_gpu=gpu), now)
+            s.register_worker(WorkerProfile(Register(worker_id=worker_id, cpu_mhz=mhz, has_gpu=gpu)), now)
             return None
         if name == "beat_and_evict":
             for worker_id in args:
@@ -254,7 +255,7 @@ def _run_trace(seed, ops=250, pool=0):
             for task_id, worker_id in got:
                 state["dispatched"][task_id] = worker_id
                 task = merged.s.tasks[task_id]
-                if not task.requires_gpu and merged.s.workers[worker_id].has_gpu:
+                if not task.requires_gpu and merged.s.workers[worker_id].register.has_gpu:
                     seen["cpu_on_gpu_fallback"] += 1
         state["dispatched"] = {
             tid: wid

@@ -19,7 +19,7 @@ from taskgrid.protocol import (
     Result,
 )
 from taskgrid.sobel import GrayImage, parse_pgm, sobel_sequential, write_pgm
-from taskgrid.worker import RegistrationRejected, WorkerAgent, WorkerConfig, execute_dispatch
+from taskgrid.worker import RegistrationRejected, WorkerAgent, execute_dispatch
 from taskgrid.workloads import ExecutorRegistry, built_in_registry
 
 
@@ -129,15 +129,8 @@ def scripted():
     master = ScriptedMaster()
     agents = []
 
-    def start_agent(interval_ms=60000, **config_kwargs):
-        config = WorkerConfig(
-            worker_id="W1",
-            master_host="127.0.0.1",
-            master_port=master.port,
-            cpu_mhz=2400,
-            **config_kwargs,
-        )
-        agent = WorkerAgent(config)
+    def start_agent(interval_ms=60000):
+        agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", master.port))
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         agents.append(agent)
@@ -199,8 +192,7 @@ def test_agent_is_idle_when_its_result_is_sent():
     # The master may dispatch again as soon as it reads a RESULT, so the
     # slot must already be free when the RESULT goes out; otherwise the
     # next DISPATCH can race in and be refused with BUSY.
-    config = WorkerConfig(worker_id="W1", master_host="127.0.0.1", master_port=1, cpu_mhz=2400)
-    agent = WorkerAgent(config)
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", 1))
     sent = []
     delivered = threading.Event()
 
@@ -228,10 +220,7 @@ def test_agent_reregisters_on_not_registered(scripted):
 
 def test_agent_terminates_on_rejection():
     master = ScriptedMaster()
-    config = WorkerConfig(
-        worker_id="W1", master_host="127.0.0.1", master_port=master.port, cpu_mhz=2400
-    )
-    agent = WorkerAgent(config)
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", master.port))
     errors = []
 
     def run():
@@ -257,8 +246,7 @@ def test_agent_retries_with_backoff(monkeypatch):
     port = master.port
     master.close()  # nothing listening yet
 
-    config = WorkerConfig(worker_id="W1", master_host="127.0.0.1", master_port=port, cpu_mhz=1000)
-    agent = WorkerAgent(config)
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=1000, has_gpu=False), ("127.0.0.1", port))
     thread = threading.Thread(target=agent.run, daemon=True)
     thread.start()
     time.sleep(0.2)  # let a few connection attempts fail
@@ -278,30 +266,25 @@ def test_agent_retries_with_backoff(monkeypatch):
 
 def test_worker_config_validation():
     with pytest.raises(ValueError):
-        WorkerConfig(
-            worker_id="W1", master_host="h", master_port=1, cpu_mhz=2400, gpu_cores=4
-        ).validate()
+        WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, gpu_cores=4), ("h", 1))
     with pytest.raises(ValueError):
-        WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=0).validate()
-    config = WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=1)
-    assert config.lane_count >= 1
+        WorkerAgent(Register(worker_id="W1", cpu_mhz=0, has_gpu=False), ("h", 1))
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=1, has_gpu=False), ("h", 1))
+    assert agent.lane_count >= 1
 
 
 def test_default_lane_count_is_the_cpus_the_worker_may_run_on(monkeypatch):
     # Pinned to one CPU of a 64-CPU host, a worker runs one lane, not 64.
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    config = WorkerConfig(worker_id="W1", master_host="h", master_port=1, cpu_mhz=1)
-    assert config.lane_count == 1
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=1, has_gpu=False), ("h", 1))
+    assert agent.lane_count == 1
 
 
 @pytest.mark.parametrize("gpu", [{"gpu_cores": 0}, {"gpu_mem_mb": -1}])
 def test_worker_config_rejects_non_positive_gpu_resources(gpu):
-    config = WorkerConfig(
-        worker_id="W1", master_host="h", master_port=1, cpu_mhz=2400, has_gpu=True, **gpu
-    )
     with pytest.raises(ValueError, match="must be positive"):
-        config.validate()
+        WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=True, **gpu), ("h", 1))
 
 
 def test_execute_output_that_fails_to_encode_becomes_failed():
@@ -311,6 +294,41 @@ def test_execute_output_that_fails_to_encode_becomes_failed():
     result = execute_dispatch(registry, make_dispatch("text"), "W1")
     assert result.status == "FAILED"
     assert result.error.startswith("TypeError")
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_an_output_whose_result_line_passes_the_cap_fails_once(over, monkeypatch):
+    # The master's framer would refuse the RESULT line and close the
+    # connection, and the re-queued task would come back for ever. A cap
+    # one byte under the line's size (or at it) stands in for 64 MiB.
+    registry = ExecutorRegistry()
+    registry.register("blob", lambda params, payload: (bytes(3000), 0))
+    dispatch = make_dispatch("blob")
+    ok = execute_dispatch(registry, dispatch, "W1")
+    size = len(protocol.encode(ok)) - 1
+    cap = size - over
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", cap)
+    result = execute_dispatch(registry, dispatch, "W1")
+    # The rule is the framer's: a line of ``cap`` bytes passes it.
+    framer = protocol.LineFramer(cap)
+    if over:
+        with pytest.raises(protocol.FramingError):
+            framer.feed(protocol.encode(ok))
+        assert (result.status, result.exec_ms, result.output_b64) == ("FAILED", 0, None)
+        assert result.error == f"OUTPUT_TOO_LARGE: {size} bytes exceeds line cap {cap}"
+    else:
+        assert framer.feed(protocol.encode(ok)) == [protocol.encode(ok)[:-1]]
+        assert result == ok
+
+
+def test_an_output_far_under_the_cap_is_not_encoded_to_size_it(monkeypatch):
+    calls = []
+    encode_parts = protocol.encode_parts
+    monkeypatch.setattr(protocol, "encode_parts", lambda message: calls.append(message) or encode_parts(message))
+    registry = ExecutorRegistry()
+    registry.register("blob", lambda params, payload: (bytes(1 << 20), 0))
+    assert execute_dispatch(registry, make_dispatch("blob"), "W1").status == "OK"
+    assert calls == []
 
 
 def test_agent_beats_at_the_latest_accepted_interval(scripted):
@@ -439,11 +457,7 @@ def test_stop_during_the_beat_wait_returns_from_run(caplog):
     rng = random.Random(2024)
     for _ in range(20):
         master = ScriptedMaster()
-        agent = WorkerAgent(
-            WorkerConfig(
-                worker_id="W1", master_host="127.0.0.1", master_port=master.port, cpu_mhz=2400
-            )
-        )
+        agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", master.port))
         raised = []
 
         def run():
