@@ -2,7 +2,8 @@
 
 Exit codes are fixed for scripting: 0 success, 1 task failure or bad
 reply, 2 usage error (a malformed flag, a file that cannot be read or
-written, a port that cannot be bound), 3 master unreachable or lost.
+written, a port that cannot be bound, a SUBMIT over the line cap), 3
+master unreachable or lost.
 
 This module imports no other taskgrid module at load; each ``cmd_*``
 imports what it runs, and :func:`main` imports the errors it maps to
@@ -231,7 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     from .client import ClientError
-    from .protocol import ProtocolError
+    from .protocol import LineTooLarge, ProtocolError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -243,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ConnectionError as exc:  # MasterUnreachable, or the link lost mid-request
         return _fail(EXIT_UNREACHABLE, exc)
-    except (OSError, argparse.ArgumentTypeError) as exc:  # a file, or an input no type could check
+    # a file, an input no type could check, or a request the master would refuse unread
+    except (OSError, argparse.ArgumentTypeError, LineTooLarge) as exc:
         parser.error(str(exc))
     except ClientError as exc:
         return _fail(EXIT_TASK_FAILED, exc)

@@ -288,16 +288,15 @@ class MasterCore:
     def _handle_result(self, message: Result) -> None:
         now = self.clock()
         ok = message.status == protocol.RESULT_OK
-        recorded = self.scheduler.complete_task(
+        self.scheduler.complete_task(
             message.task_id,
             message.worker_id,
             ok,
             message.exec_ms,
             now,
             error=message.error,
+            output_b64=message.output_b64 or "",
         )
-        if recorded and ok:
-            self.scheduler.tasks[message.task_id].output_b64 = message.output_b64 or ""
         self._pump(now)
 
     def _pump(self, now_ms: int) -> None:
@@ -321,7 +320,7 @@ class MasterCore:
     def job_status_reply(self, job_id: str) -> JobStatusReply | ErrorReply:
         task_ids = self.jobs.get(job_id)
         if task_ids is None:
-            return ErrorReply(code="UNKNOWN_JOB", detail=job_id)
+            return ErrorReply(code="UNKNOWN_JOB", detail=protocol.echo(job_id))
         reports = []
         for task_id in task_ids:
             task = self.scheduler.tasks[task_id]
@@ -344,7 +343,7 @@ class MasterCore:
         """The job's task counts by state, without building task reports."""
         counts = self.job_counts.get(job_id)
         if counts is None:
-            return ErrorReply(code="UNKNOWN_JOB", detail=job_id)
+            return ErrorReply(code="UNKNOWN_JOB", detail=protocol.echo(job_id))
         return JobProgressReply(
             job_id=job_id,
             queued=counts[TaskState.QUEUED],
@@ -405,7 +404,7 @@ class Connection:
         parts = protocol.encode_parts(message)
         size = sum(map(len, parts))
         if size - 1 > protocol.MAX_LINE_BYTES:
-            detail = f"{type(message).__name__} of {size - 1} bytes exceeds line cap {protocol.MAX_LINE_BYTES}"
+            detail = protocol.over_cap(message, size - 1)
             logger.warning("sending REPLY_TOO_LARGE to %s: %s", self.peer, detail)
             return self.send(ErrorReply(code="REPLY_TOO_LARGE", detail=detail))
         if self._unsent_bytes + size > MAX_UNSENT_BYTES:

@@ -64,6 +64,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
 
 MAX_LINE_BYTES = 64 * 1024 * 1024
+# An ERROR detail quotes at most this many characters of a peer's text.
+ECHO_CHARS = 64
 
 RESULT_OK = "OK"
 RESULT_FAILED = "FAILED"
@@ -85,6 +87,23 @@ class ProtocolError(Exception):
 
 class FramingError(ProtocolError):
     """Line framing violated (oversized line); the connection must close."""
+
+
+class LineTooLarge(ValueError):
+    """A message to send whose line would pass :data:`MAX_LINE_BYTES`."""
+
+
+def over_cap(message: Message, line_bytes: int) -> str:
+    """The detail naming a line of ``line_bytes`` that passes the cap."""
+    return f"{type(message).__name__} of {line_bytes} bytes exceeds line cap {MAX_LINE_BYTES}"
+
+
+def echo(text: str) -> str:
+    """Peer text as an ERROR detail quotes it: at most :data:`ECHO_CHARS`
+    characters, and when cut, a marker with the full length."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def to_b64(data: bytes) -> str:
@@ -505,7 +524,7 @@ def _compile(cls: type, opening: str, closing: str) -> tuple[Callable, Callable]
                 raise ProtocolError(f"missing required field {name} in {where}")
             values[name] = value
         if not obj.keys() <= names:
-            raise ProtocolError(f"unknown field {min(obj.keys() - names)} in {where}")
+            raise ProtocolError(f"unknown field {echo(min(obj.keys() - names))} in {where}")
         return message
 
     return write, read
@@ -595,7 +614,7 @@ def _message(obj: Any) -> Message:
         raise ProtocolError("missing required field type")
     type_name = obj.pop("type")
     if not isinstance(type_name, str) or type_name not in _READERS:
-        raise ProtocolError(f"unknown message type {type_name!r}")
+        raise ProtocolError(f"unknown message type {echo(repr(type_name))}")
     return _READERS[type_name](obj, type_name)
 
 
@@ -679,9 +698,11 @@ class LineFramer:
 class MasterLink:
     """The worker's and the client's blocking connection to the master.
 
-    Callers serialise ``send``. ``read_lines`` returns the lines one
-    ``recv`` completes, ``[]`` if nothing came within ``timeout_ms``
-    (``None`` waits), and raises ``ConnectionError`` at EOF.
+    Callers serialise ``send``, which raises :class:`LineTooLarge`, with
+    nothing written, for a line the master would refuse as over the cap.
+    ``read_lines`` returns the lines one ``recv`` completes, ``[]`` if
+    nothing came within ``timeout_ms`` (``None`` waits), and raises
+    ``ConnectionError`` at EOF.
     """
 
     def __init__(self, address: tuple[str, int], connect_timeout_s: float):
@@ -696,7 +717,10 @@ class MasterLink:
         self._poller.register(self.sock, select.POLLIN)
 
     def send(self, message: Message) -> None:
-        for part in encode_parts(message):
+        parts = encode_parts(message)
+        if (line_bytes := sum(map(len, parts)) - 1) > MAX_LINE_BYTES:
+            raise LineTooLarge(over_cap(message, line_bytes))
+        for part in parts:
             self.sock.sendall(part)
 
     def read_lines(self, timeout_ms: int | None = None) -> list[bytes | bytearray]:

@@ -2,8 +2,8 @@
 
 Workers are segregated into a GPU ring and a CPU ring by their declared
 capability. Tasks are served first-come-first-served; each task draws
-an idle worker from its eligible ring by rotating that ring's cursor.
-GPU tasks are never placed on CPU-only workers. GPU capability metadata
+the next idle worker from its eligible ring, from the one whose turn it
+is. GPU tasks are never placed on CPU-only workers. GPU capability metadata
 (cores, memory) and current load play no part in placement.
 """
 
@@ -51,45 +51,39 @@ class SchedulerConfig:
 
 
 class _Ring:
-    """Worker ids ordered by descending cpu_mhz (ties: ascending id),
-    with a rotating cursor for round-robin selection."""
+    """Worker ids ordered by descending cpu_mhz (ties: ascending id), served
+    round-robin from ``turn``, the worker whose turn is next (``None`` only
+    while empty). A joiner never takes the turn; a leaver hands it on."""
 
     def __init__(self) -> None:
         self.ids: list[str] = []
-        self.cursor: int = 0
+        self.turn: str | None = None
 
     @staticmethod
     def _key(profile: WorkerProfile) -> tuple[int, str]:
         return (-profile.register.cpu_mhz, profile.worker_id)
 
     def insert(self, profile: WorkerProfile, profiles: dict[str, WorkerProfile]) -> None:
-        pos = bisect.bisect_left(
-            self.ids, self._key(profile), key=lambda wid: self._key(profiles[wid])
-        )
-        self.ids.insert(pos, profile.worker_id)
-        # Keep the rotation pointed at the same pre-existing worker.
-        if len(self.ids) > 1 and pos <= self.cursor:
-            self.cursor += 1
+        bisect.insort(self.ids, profile.worker_id, key=lambda wid: self._key(profiles[wid]))
+        if self.turn is None:
+            self.turn = profile.worker_id
 
     def remove(self, worker_id: str) -> None:
         pos = self.ids.index(worker_id)
-        self.ids.pop(pos)
-        if not self.ids:
-            self.cursor = 0
-        elif pos < self.cursor:
-            self.cursor -= 1
-        elif self.cursor >= len(self.ids):
-            self.cursor = 0
+        del self.ids[pos]
+        if self.turn == worker_id:
+            self.turn = self.ids[pos % len(self.ids)] if self.ids else None
 
     def take_idle(self, profiles: dict[str, WorkerProfile]) -> str | None:
-        """Next idle worker by cyclic cursor scan; advances the cursor
-        past the chosen worker."""
-        count = len(self.ids)
+        """Next idle worker by cyclic scan from the turn; the turn passes
+        to the worker after the chosen one."""
+        ids = self.ids
+        count = len(ids)
+        start = ids.index(self.turn) if count else 0
         for step in range(count):
-            pos = (self.cursor + step) % count
-            wid = self.ids[pos]
+            wid = ids[(start + step) % count]
             if not profiles[wid].busy:
-                self.cursor = (pos + 1) % count
+                self.turn = ids[(start + step + 1) % count]
                 return wid
         return None
 
@@ -263,7 +257,7 @@ class Scheduler:
         with no GPU ring, at its first GPU task still inside the timeout
         (the queue is ordered by submission time, so expired tasks form a
         prefix). A round thus costs O(assignments + failures) in queue
-        length; each pick still scans its ring from the cursor, so it is
+        length; each pick still scans its ring from the turn, so it is
         O(workers) per assignment in the worst case.
         """
         assignments: list[tuple[str, str]] = []
@@ -308,10 +302,12 @@ class Scheduler:
         exec_ms: int,
         now_ms: int,
         error: str | None = None,
+        output_b64: str | None = None,
     ) -> bool:
         """Finish a dispatched task. Reports from a worker other than the
         current assignee are stale (the task was re-queued) and ignored;
-        returns False for them."""
+        returns False for them. A completed task's ``output_b64`` is set
+        before its COMPLETED transition, so observers see it."""
         task = self.tasks.get(task_id)
         if task is None or task.state is not TaskState.DISPATCHED or task.assigned_worker != worker_id:
             fields = {"task_id": task_id, "worker_id": worker_id}
@@ -320,6 +316,7 @@ class Scheduler:
         task.completed_ms = now_ms
         task.exec_ms = exec_ms
         if ok:
+            task.output_b64 = output_b64
             self._transition(task, TaskState.COMPLETED, now_ms)
         else:
             task.error = error or "task failed"

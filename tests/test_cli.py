@@ -2,6 +2,7 @@ import contextlib
 import functools
 import os
 import random
+import re
 import signal
 import socket
 import subprocess
@@ -289,6 +290,23 @@ def test_submit_into_an_outdir_that_cannot_be_made_exits_2(capsys, tmp_path):
     with fake_master(ACK, DONE, _failed_status("boom")) as port:
         argv = ["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop", "--outdir", str(outdir)]
         _usage_error(capsys, argv, "File exists")
+
+
+@pytest.mark.parametrize("command", ["submit", "bench"])
+def test_a_submit_over_the_line_cap_exits_2_in_one_line(command, capsys, tmp_path, monkeypatch):
+    # A 4 KiB cap stands in for 64 MiB; the fake master answers nothing,
+    # as no byte of the SUBMIT may reach it.
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(write_pgm(GrayImage(96, 96, bytes(96 * 96))))
+    with fake_master() as port:
+        if command == "submit":
+            argv = ["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop", "--in", str(path), "--count", "2"]
+        else:
+            argv = ["bench", "--master", f"127.0.0.1:{port}", "--images", str(path)]
+        assert _exit_code(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"taskgrid: error: Submit of \d+ bytes exceeds line cap 4096", line), line
 
 
 def test_submit_exits_3_when_the_master_drops_the_link_mid_request(capsys):

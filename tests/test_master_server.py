@@ -983,6 +983,66 @@ def test_a_status_reply_over_the_line_cap_is_an_error_and_the_connection_stays(s
     assert len(warnings) == 2 and warnings[1].startswith(f"sending REPLY_TOO_LARGE to {peer}: JobStatusReply of ")
 
 
+def test_an_over_cap_submit_is_refused_before_any_byte_and_the_link_stays_usable(server, monkeypatch):
+    # A 4 KiB cap stands in for 64 MiB; the master's framer keeps the
+    # real cap, so only the client's own check can refuse the line.
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    with MasterClient("127.0.0.1", server.port) as client:
+        with pytest.raises(protocol.LineTooLarge, match=r"^Submit of \d+ bytes exceeds line cap 4096$"):
+            client.submit([make_task("noop", payload=bytes(8192), task_id="T1")], job_id="J1")
+        ack = client.submit([make_task("noop", task_id="T2")], job_id="J2")
+        assert ack.accepted_count == 1
+        assert client.job_status("J2").tasks[0].task_id == "T2"
+    with MasterClient("127.0.0.1", server.port) as client:
+        with pytest.raises(ClientError, match="UNKNOWN_JOB: J1"):
+            client.job_status("J1")
+
+
+_LONG = "\u00e9" * (4 * 1024 * 1024)  # 8 MiB of UTF-8, 24 MiB as \uXXXX escapes
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        ('{"type":"%s"}' % _LONG, "unknown message type '%s... (%d characters)" % (_LONG[:63], len(_LONG) + 2)),
+        (
+            '{"type":"JOB_STATUS","job_id":"J1","%s":1}' % _LONG,
+            "unknown field %s... (%d characters) in JOB_STATUS" % (_LONG[:64], len(_LONG)),
+        ),
+        ('{"type":"JOB_STATUS","job_id":"%s"}' % _LONG, "%s... (%d characters)" % (_LONG[:64], len(_LONG))),
+    ],
+    ids=["type", "unknown-field", "unknown-job"],
+)
+def test_an_error_reply_quotes_a_bounded_part_of_the_peers_text(server, line, detail):
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    try:
+        sock.settimeout(10.0)
+        sock.sendall(line.encode("utf-8") + b"\n")
+        framer = protocol.LineFramer()
+        while not (lines := framer.feed(sock.recv(65536))):
+            pass
+    finally:
+        sock.close()
+    [reply_line] = lines
+    assert len(reply_line) < 1024
+    reply = protocol.decode(reply_line)
+    assert isinstance(reply, ErrorReply) and reply.detail == detail
+
+
+def test_a_completed_transition_sees_the_output_of_its_result():
+    seen = []
+
+    def record(task, from_state, to_state, now_ms):
+        if to_state is TaskState.COMPLETED:
+            seen.append((task.task_id, task.output_b64))
+
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0, on_transition=record)
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), lambda m: None)
+    core.deliver(Submit(job_id="J1", tasks=(make_task("noop", task_id="T1"),)), lambda m: None)
+    core.deliver(Result(task_id="T1", worker_id="W1", status="OK", exec_ms=1, output_b64="AQID"), lambda m: None)
+    assert seen == [("T1", "AQID")]
+
+
 def test_a_32_mib_task_reaches_a_beating_worker_without_an_eviction(server, caplog):
     # A 600 ms liveness window: the master's passes over the 44.7 MB
     # SUBMIT and DISPATCH lines must leave the worker's beats counted in

@@ -570,6 +570,10 @@ def _run_random_trace(seed):
                 live_dispatched = {
                     tid: w for tid, w in live_dispatched.items() if w != wid
                 }
+        for ring in (s.gpu_ring, s.cpu_ring):
+            # the turn is held by a ring member, and is unheld only while the ring is empty
+            assert (ring.turn is None) == (not ring.ids)
+            assert ring.turn is None or ring.turn in ring.ids
     return s, assignments, enqueued, first_dispatch
 
 

@@ -181,8 +181,13 @@ class _Side:
         raise AssertionError(name)
 
     def snapshot(self):
+        def turn(ring):  # the frozen ring holds the turn as an index into its ids
+            if isinstance(ring, FrozenRing):
+                return ring.ids[ring.cursor] if ring.ids else None
+            return ring.turn
+
         rings = self.s.gpu_ring, self.s.cpu_ring
-        return list(self.s.queue), len(self.s.queue), [(ring.ids, ring.cursor) for ring in rings]
+        return list(self.s.queue), len(self.s.queue), [(ring.ids, turn(ring)) for ring in rings]
 
     def task_table(self):
         return {t.task_id: (t.state, t.assigned_worker, t.attempt, t.error) for t in self.s.tasks.values()}
