@@ -145,7 +145,7 @@ class SimWorker:
 
     def _send(self, message: Message) -> None:
         if self.alive:
-            self.link.put(protocol.encode(message))
+            self.link.put(b"".join(protocol.line_parts(message)))
 
     def start(self) -> None:
         self.core.register_when_idle(self._send)
@@ -267,7 +267,7 @@ class InProcCluster:
         return self._request(JobStatus(job_id=job_id), JobStatusReply)
 
     def _request(self, message: Message, reply_type: type[R]) -> R:
-        self._client.put(protocol.encode(message))
+        self._client.put(b"".join(protocol.line_parts(message)))
         self.advance(0)
         reply = self._client_replies.pop(0)
         assert isinstance(reply, reply_type), reply
@@ -280,7 +280,7 @@ class InProcCluster:
         ``max_ms`` of logical time; ``now_ms`` is then the reply's arrival.
         The master answers it at the job's end or, by its timer rule, at
         the wait's deadline."""
-        self._client.put(protocol.encode(JobWait(job_id=job_id, timeout_ms=timeout_ms)))
+        self._client.put(b"".join(protocol.line_parts(JobWait(job_id=job_id, timeout_ms=timeout_ms))))
         limit = self.now_ms + max_ms
         while not self._client_replies:
             if self._heap[0].at_ms > limit:

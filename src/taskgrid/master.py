@@ -370,12 +370,12 @@ class Connection:
     also hears when the connection closes; ``selector`` is told which
     events the socket waits for.
 
-    Each message is queued as its ``protocol.encode_parts``, one
+    Each message is queued as its ``protocol.line_parts``, one
     ``memoryview`` per part, so a payload or output body is sent from
     the one copy its part holds; each ``sock.send`` takes from one part.
-    A line over ``protocol.MAX_LINE_BYTES``, which the peer would have
-    to reject, goes as an ERROR REPLY_TOO_LARGE; one that would take the
-    queue past :data:`MAX_UNSENT_BYTES` closes the connection instead.
+    A line they refuse as over the cap, which the peer would have to
+    reject, goes as an ERROR REPLY_TOO_LARGE naming it; one that would
+    take the queue past :data:`MAX_UNSENT_BYTES` closes the connection.
     """
 
     def __init__(
@@ -401,12 +401,12 @@ class Connection:
         """Queue one message and send what the socket takes; never blocks."""
         if self.closed:
             raise ConnectionError("connection closed")
-        parts = protocol.encode_parts(message)
+        try:
+            parts = protocol.line_parts(message)
+        except protocol.LineTooLarge as exc:
+            logger.warning("sending REPLY_TOO_LARGE to %s: %s", self.peer, exc)
+            return self.send(ErrorReply(code="REPLY_TOO_LARGE", detail=str(exc)))
         size = sum(map(len, parts))
-        if size - 1 > protocol.MAX_LINE_BYTES:
-            detail = protocol.over_cap(message, size - 1)
-            logger.warning("sending REPLY_TOO_LARGE to %s: %s", self.peer, detail)
-            return self.send(ErrorReply(code="REPLY_TOO_LARGE", detail=detail))
         if self._unsent_bytes + size > MAX_UNSENT_BYTES:
             logger.warning(
                 "closing connection to %s: %d bytes unsent, and a %d-byte %s would pass the %d-byte cap",

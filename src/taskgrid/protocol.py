@@ -22,7 +22,8 @@ value whose type is not its field's raises ``TypeError`` at the sender.
 :func:`encode_parts` gives the line as parts: each non-empty base64
 body is a part of its own, copied once and never escaped, and the JSON
 around it is the rest of the line, so the bytes on the wire are those
-of :func:`encode`.
+of :func:`encode`; every sender writes the parts of :func:`line_parts`,
+which adds the one check of an outbound line against the cap.
 
 The reader takes the object ``json.loads`` gives. It passes a ``str``,
 ``int`` or ``bool`` field on an exact type test and runs a check on
@@ -90,12 +91,12 @@ class FramingError(ProtocolError):
 
 
 class LineTooLarge(ValueError):
-    """A message to send whose line would pass :data:`MAX_LINE_BYTES`."""
+    """What :func:`line_parts` raises, before any byte is written, for a
+    line of ``line_bytes`` (LF excluded) over :data:`MAX_LINE_BYTES`."""
 
-
-def over_cap(message: Message, line_bytes: int) -> str:
-    """The detail naming a line of ``line_bytes`` that passes the cap."""
-    return f"{type(message).__name__} of {line_bytes} bytes exceeds line cap {MAX_LINE_BYTES}"
+    def __init__(self, message: Message, line_bytes: int):
+        super().__init__(f"{type(message).__name__} of {line_bytes} bytes exceeds line cap {MAX_LINE_BYTES}")
+        self.line_bytes = line_bytes
 
 
 def echo(text: str) -> str:
@@ -544,8 +545,9 @@ def encode_parts(message: Message) -> list[bytes]:
 
     Raises TypeError when a field's value is not of its declared type,
     and ValueError when a B64 value is not ASCII or holds a quote or a
-    backslash, which would end its JSON string early; ``to_b64`` and
-    ``decode`` admit neither.
+    backslash, which would end its JSON string early (``to_b64`` and
+    ``decode`` admit neither), or an integer has more digits than
+    ``int.__repr__`` may print.
     """
     write = _WRITERS.get(type(message))
     if write is None:
@@ -559,6 +561,15 @@ def encode_parts(message: Message) -> list[bytes]:
         parts += ("".join(out[start:at]).encode("ascii"), out[at])
         start = at + 1
     parts.append("".join(out[start:]).encode("ascii"))
+    return parts
+
+
+def line_parts(message: Message) -> list[bytes]:
+    """:func:`encode_parts`, or :class:`LineTooLarge` for a line over
+    :data:`MAX_LINE_BYTES`: every sender's one check of its line."""
+    parts = encode_parts(message)
+    if (line_bytes := sum(map(len, parts)) - 1) > MAX_LINE_BYTES:
+        raise LineTooLarge(message, line_bytes)
     return parts
 
 
@@ -630,7 +641,7 @@ def decode(line: bytes | bytearray) -> Message:
     makes its ``str``. A line whose rest holds ``NaN`` or ``Infinity``
     itself, and any line this rejects (a cut body in a ``params`` value
     among them), is decoded whole, so every error is reported as the
-    whole line gives it.
+    whole line gives it. Whatever ``json.loads`` refuses is a ProtocolError.
     """
     match = _BODY_START.search(line)
     cut = match and _cut_bodies(line, match)
@@ -640,11 +651,12 @@ def decode(line: bytes | bytearray) -> Message:
             values = iter(bodies)
             try:
                 return _message(json.loads(rest.decode("utf-8"), parse_constant=lambda _: next(values)))
-            except (UnicodeDecodeError, json.JSONDecodeError, ProtocolError):
+            except (ValueError, RecursionError, ProtocolError):
                 pass  # decoded whole below, for the error the whole line gives
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Nesting too deep, bad UTF-8 or JSON, an int past the digit limit.
         raise ProtocolError(f"malformed JSON: {exc}") from None
     return _message(obj)
 
@@ -698,8 +710,8 @@ class LineFramer:
 class MasterLink:
     """The worker's and the client's blocking connection to the master.
 
-    Callers serialise ``send``, which raises :class:`LineTooLarge`, with
-    nothing written, for a line the master would refuse as over the cap.
+    Callers serialise ``send``, which writes :func:`line_parts`: what they
+    refuse (:class:`LineTooLarge` among it) raises with nothing written.
     ``read_lines`` returns the lines one ``recv`` completes, ``[]`` if
     nothing came within ``timeout_ms`` (``None`` waits), and raises
     ``ConnectionError`` at EOF.
@@ -717,10 +729,7 @@ class MasterLink:
         self._poller.register(self.sock, select.POLLIN)
 
     def send(self, message: Message) -> None:
-        parts = encode_parts(message)
-        if (line_bytes := sum(map(len, parts)) - 1) > MAX_LINE_BYTES:
-            raise LineTooLarge(over_cap(message, line_bytes))
-        for part in parts:
+        for part in line_parts(message):
             self.sock.sendall(part)
 
     def read_lines(self, timeout_ms: int | None = None) -> list[bytes | bytearray]:

@@ -8,7 +8,8 @@ on mid-task), and one executor fed through a queue (so the reader keeps
 draining while a task runs: a master sending a large payload must never
 deadlock against a busy executor). One lock serialises every core call
 and every socket write; the executor only computes outside it. The
-worker's profile is the REGISTER it sends, declared nowhere else.
+worker's profile is the REGISTER it sends, declared nowhere else. Each
+task taken is reported once: FAILED if its RESULT is refused unsent.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class RegistrationRejected(RuntimeError):
     """The master refused this worker's profile; the agent must not retry."""
 
 
+def _failed(task_id: str, worker_id: str, error: str) -> Result:
+    return Result(task_id=task_id, worker_id=worker_id, status=protocol.RESULT_FAILED, exec_ms=0, error=error)
+
+
 def execute_dispatch(
     registry: ExecutorRegistry, dispatch: Dispatch, worker_id: str
 ) -> Result:
@@ -43,34 +48,20 @@ def execute_dispatch(
 
     Unknown kinds and whatever an executor raises, ``sys.exit()``
     included, become FAILED results: the agent never dies because a
-    workload misbehaved, and a task it got never goes unreported. Only
-    ``KeyboardInterrupt`` propagates. An output whose RESULT line would
-    pass ``protocol.MAX_LINE_BYTES`` fails as OUTPUT_TOO_LARGE, not cycle.
+    workload misbehaved. Only ``KeyboardInterrupt`` propagates. The
+    RESULT is encoded when :meth:`WorkerCore.finish` sends it, and a
+    RESULT the encoder refuses fails its task there.
     """
     try:
         payload = protocol.from_b64(dispatch.payload_b64)
         output, exec_ms = registry.execute(dispatch.kind, dispatch.params, payload)
-        # Checked here, not when the RESULT is encoded: by then the slot
-        # is free and the task would never be reported.
-        if type(exec_ms) is not int:
-            raise TypeError(f"exec_ms must be an int, not {type(exec_ms).__name__}")
-        result = Result(
+        return Result(
             task_id=dispatch.task_id,
             worker_id=worker_id,
             status=protocol.RESULT_OK,
             exec_ms=exec_ms,
             output_b64=protocol.to_b64(output),
         )
-        # The line is the base64, the ids (at most 12 bytes a character)
-        # and under 256 bytes more; only an output that may fill it is
-        # encoded to be sized.
-        cap = protocol.MAX_LINE_BYTES
-        if len(result.output_b64) + 12 * (len(dispatch.task_id) + len(worker_id)) + 256 <= cap:
-            return result
-        if (size := sum(map(len, protocol.encode_parts(result))) - 1) <= cap:
-            return result
-        error = f"OUTPUT_TOO_LARGE: {size} bytes exceeds line cap {cap}"
-        logger.warning("executor %s failed: %s", dispatch.kind, error, extra={"task_id": dispatch.task_id})
     except UnknownKindError:
         error = "UNKNOWN_KIND"
     except KeyboardInterrupt:
@@ -78,13 +69,7 @@ def execute_dispatch(
     except BaseException as exc:
         logger.warning("executor %s failed: %s", dispatch.kind, exc, extra={"task_id": dispatch.task_id})
         error = f"{type(exc).__name__}: {exc}"
-    return Result(
-        task_id=dispatch.task_id,
-        worker_id=worker_id,
-        status=protocol.RESULT_FAILED,
-        exec_ms=0,
-        error=error,
-    )
+    return _failed(dispatch.task_id, worker_id, error)
 
 
 Sender = Callable[[Message], None]
@@ -135,15 +120,7 @@ class WorkerCore:
         elif isinstance(message, Dispatch):
             if self.busy:
                 # Master bug guard; a healthy master never double-dispatches.
-                send(
-                    Result(
-                        task_id=message.task_id,
-                        worker_id=self.register.worker_id,
-                        status=protocol.RESULT_FAILED,
-                        exec_ms=0,
-                        error="BUSY",
-                    )
-                )
+                send(_failed(message.task_id, self.register.worker_id, "BUSY"))
                 return
             self.busy = True
             start(message)
@@ -166,10 +143,21 @@ class WorkerCore:
         send(self.register)
 
     def finish(self, result: Result, send: Sender) -> None:
+        """Free the slot and send the RESULT, then any deferred REGISTER.
+        A RESULT the encoder refuses in ``send`` (TypeError or ValueError,
+        LineTooLarge among them), before any byte, fails its task instead."""
         # Free the slot before the RESULT goes out: the master may
         # dispatch the next task as soon as it reads it.
         self.busy = False
-        send(result)
+        try:
+            send(result)
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, protocol.LineTooLarge):
+                error = f"OUTPUT_TOO_LARGE: {exc.line_bytes} bytes exceeds line cap {protocol.MAX_LINE_BYTES}"
+            else:
+                error = f"{type(exc).__name__}: {exc}"
+            logger.warning("RESULT of %s refused: %s", result.task_id, error, extra={"task_id": result.task_id})
+            send(_failed(result.task_id, result.worker_id, error))
         if self.register_pending:
             self.register_when_idle(send)
 

@@ -159,6 +159,20 @@ def test_submit_reports_an_undecodable_reply_in_one_line(capsys):
     _one_error_line(capsys, "bad reply from master: malformed JSON")
 
 
+def test_submit_reports_a_reply_json_loads_refuses_in_one_line(json_refused_line, capsys):
+    with fake_master(json_refused_line + b"\n") as port:
+        assert main(["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop"]) == 1
+    _one_error_line(capsys, "bad reply from master: malformed JSON")
+
+
+def test_bench_reports_a_reply_json_loads_refuses_in_one_line(json_refused_line, capsys, tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(write_pgm(GrayImage(4, 3, bytes(12))))
+    with fake_master(json_refused_line + b"\n") as port:
+        assert main(["bench", "--master", f"127.0.0.1:{port}", "--images", str(path)]) == 1
+    _one_error_line(capsys, "bad reply from master: malformed JSON")
+
+
 def test_submit_reports_a_status_reply_over_the_line_cap_in_one_line(capsys, tmp_path, monkeypatch):
     # A 4 KiB cap stands in for the 64 MiB one.
     monkeypatch.setattr(protocol, "LineFramer", functools.partial(protocol.LineFramer, 4096))

@@ -236,10 +236,38 @@ def test_a_non_integer_exec_ms_fails_the_task_and_frees_the_worker(exec_ms, type
     cluster.add_worker("W1", cpu_mhz=2400, registry=registry)
     cluster.submit([make_task("odd_ms", task_id="T1")], job_id="J1")
     [report] = cluster.run_until_terminal("J1").tasks
-    assert (report.state, report.error) == ("FAILED", f"TypeError: exec_ms must be an int, not {type_name}")
+    assert (report.state, report.error) == ("FAILED", f"TypeError: field exec_ms must be an integer, not {type_name}")
     cluster.submit([make_task("noop", task_id="T2")], job_id="J2")
     [report] = cluster.run_until_terminal("J2").tasks
     assert (report.state, report.worker_id) == ("COMPLETED", "W1")
+
+
+def test_a_result_the_encoder_refuses_fails_its_task_once_and_frees_the_worker(refused_result):
+    # The simulated worker sends as the TCP one does: a RESULT its
+    # encoder refuses must fail the task, not vanish from a freed slot.
+    executor, error = refused_result
+    registry = built_in_registry(simulated_sleep=True)
+    registry.register("refused", executor)
+    cluster = InProcCluster()
+    cluster.add_worker("W1", cpu_mhz=2400, registry=registry)
+    cluster.submit([make_task("refused", task_id="T1")], job_id="J1")
+    [report] = cluster.run_until_terminal("J1", max_ms=60_000).tasks
+    assert (report.state, report.error) == ("FAILED", error)
+    assert [a.task_id for a in cluster.assignments] == ["T1"]
+    cluster.submit([make_task("noop", task_id="T2")], job_id="J2")
+    [report] = cluster.run_until_terminal("J2", max_ms=60_000).tasks
+    assert (report.state, report.worker_id) == ("COMPLETED", "W1")
+
+
+def test_an_over_cap_submit_is_refused_before_anything_is_sent(monkeypatch):
+    # A 4 KiB cap stands in for 64 MiB; the master's framer keeps the
+    # real cap, so only the client's own check can refuse the line.
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    cluster = InProcCluster()
+    with pytest.raises(protocol.LineTooLarge, match=r"^Submit of \d+ bytes exceeds line cap 4096$"):
+        cluster.submit([make_task("noop", payload=bytes(8192), task_id="T1")], job_id="J1")
+    assert cluster.submit([make_task("noop", task_id="T2")], job_id="J2").accepted_count == 1
+    assert list(cluster.core.jobs) == ["J2"]
 
 
 def test_a_worker_that_registers_again_mid_task_finishes_it_first():

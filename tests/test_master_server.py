@@ -33,7 +33,7 @@ from taskgrid.protocol import (
 )
 from taskgrid.scheduler import SchedulerConfig
 from taskgrid.worker import WorkerAgent
-from taskgrid.workloads import ExecutorRegistry
+from taskgrid.workloads import ExecutorRegistry, built_in_registry
 
 
 class FakeWorkerConn:
@@ -981,6 +981,42 @@ def test_a_status_reply_over_the_line_cap_is_an_error_and_the_connection_stays(s
         thread.join(10)
     warnings = [r.getMessage() for r in caplog.records if "REPLY_TOO_LARGE" in r.getMessage()]
     assert len(warnings) == 2 and warnings[1].startswith(f"sending REPLY_TOO_LARGE to {peer}: JobStatusReply of ")
+
+
+def test_a_result_the_encoder_refuses_fails_its_task_once_and_frees_the_agent(server, refused_result):
+    # Refused unsent, after the slot was freed, the RESULT would leave its
+    # task DISPATCHED for ever and the beating agent idle with no work.
+    executor, error = refused_result
+    registry = built_in_registry()
+    registry.register("refused", executor)
+    agent = WorkerAgent(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), ("127.0.0.1", server.port), registry=registry)
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit([make_task("refused", task_id="T1")], job_id="J1")
+            [report] = client.wait_for_job("J1", timeout_s=10).tasks
+            assert (report.state, report.error) == ("FAILED", error)
+            assert server.core.scheduler.tasks["T1"].attempt == 0
+            client.submit([make_task("noop", task_id="T2")], job_id="J2")
+            [report] = client.wait_for_job("J2", timeout_s=10).tasks
+            assert (report.state, report.worker_id) == ("COMPLETED", "W1")
+    finally:
+        agent.stop()
+        thread.join(10)
+
+
+def test_a_line_json_loads_refuses_is_an_error_and_the_connection_stays(server, json_refused_line):
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    with sock:
+        sock.sendall(json_refused_line + b"\n" + protocol.encode(JobStatus(job_id="J-none")))
+        framer, replies = protocol.LineFramer(), []
+        while len(replies) < 2:
+            chunk = sock.recv(65536)
+            assert chunk, "master closed the connection"
+            replies += [protocol.decode(line) for line in framer.feed(chunk)]
+    assert [reply.code for reply in replies] == ["PROTOCOL_ERROR", "UNKNOWN_JOB"]
+    assert replies[0].detail.startswith("malformed JSON: ")
 
 
 def test_an_over_cap_submit_is_refused_before_any_byte_and_the_link_stays_usable(server, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import json_refused_value
 from taskgrid import protocol
 from taskgrid.model import TaskState
 from taskgrid.protocol import (
@@ -522,6 +523,22 @@ def test_missing_type_rejected():
 def test_malformed_json_rejected():
     with pytest.raises(ProtocolError, match="malformed JSON"):
         decode(b"{nope}\n")
+
+
+@pytest.mark.parametrize("body", [b"", b'"payload_b64":"AAAA",'], ids=["whole", "cut"])
+@pytest.mark.parametrize("kind", ["nested", "digits"])
+def test_what_json_loads_refuses_is_malformed_json(kind, body):
+    # json.loads raises RecursionError for the one and a ValueError that
+    # is no JSONDecodeError for the other; a line with a body to cut is
+    # parsed without it first, then whole.
+    line = b'{"type":"DISPATCH",%s"task_id":%s}\n' % (body, json_refused_value(kind))
+    with pytest.raises(ProtocolError, match="^malformed JSON: "):
+        decode(line)
+
+
+def test_a_heartbeat_json_loads_refuses_is_malformed_json(json_refused_line):
+    with pytest.raises(ProtocolError, match="^malformed JSON: "):
+        decode(json_refused_line)
 
 
 def test_non_object_rejected():

@@ -308,7 +308,16 @@ def test_an_output_whose_result_line_passes_the_cap_fails_once(over, monkeypatch
     size = len(protocol.encode(ok)) - 1
     cap = size - over
     monkeypatch.setattr(protocol, "MAX_LINE_BYTES", cap)
-    result = execute_dispatch(registry, dispatch, "W1")
+    core = worker_mod.WorkerCore(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False), registry)
+    sent = []
+
+    def send(message):
+        protocol.line_parts(message)  # what every sender checks first
+        sent.append(message)
+
+    core.handle(dispatch, None, lambda dispatch: None)
+    core.finish(core.execute(dispatch), send)
+    [result] = sent
     # The rule is the framer's: a line of ``cap`` bytes passes it.
     framer = protocol.LineFramer(cap)
     if over:
@@ -509,6 +518,18 @@ def test_an_oversized_line_from_the_master_loses_only_the_session(scripted, monk
     master.conn.close()
     master.accept()  # the agent thread is still running and reconnects
     assert master.read_until(Register) == Register(worker_id="W1", cpu_mhz=2400, has_gpu=False)
+
+
+def test_a_line_json_loads_refuses_is_dropped_and_the_session_stays(scripted, json_refused_line, caplog):
+    caplog.set_level(logging.WARNING, logger="taskgrid.worker")
+    master, start_agent = scripted
+    start_agent()
+    master.conn.sendall(json_refused_line + b"\n")
+    master.send(make_dispatch("noop"))
+    result = master.read_until(Result)
+    assert (result.task_id, result.status) == ("T1", "OK")
+    dropped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dropping undecodable line")]
+    assert len(dropped) == 1 and dropped[0].startswith("dropping undecodable line from master: malformed JSON: ")
 
 
 def test_a_register_never_overtakes_the_result_of_a_running_task(scripted):

@@ -3,6 +3,7 @@ state, and what the core sends, starts or raises in reply."""
 
 import pytest
 
+from taskgrid import protocol
 from taskgrid.protocol import (
     Dispatch,
     ErrorReply,
@@ -157,6 +158,40 @@ def test_a_send_that_raises_in_finish_leaves_one_register_to_send(failing):
     core.handle(DISPATCH, None, lambda dispatch: None)
     core.finish(core.execute(DISPATCH), sent.append)
     assert [type(message).__name__ for message in sent] == ["Register", "Result"]
+
+
+@pytest.mark.parametrize(
+    "refusal, error",
+    [
+        (
+            lambda result: protocol.LineTooLarge(result, 70_000_000),
+            f"OUTPUT_TOO_LARGE: 70000000 bytes exceeds line cap {protocol.MAX_LINE_BYTES}",
+        ),
+        (
+            lambda result: TypeError("field exec_ms must be an integer, not float"),
+            "TypeError: field exec_ms must be an integer, not float",
+        ),
+    ],
+    ids=["over-cap", "ill-typed"],
+)
+def test_a_refused_result_goes_as_failed_before_the_deferred_register(refusal, error):
+    # A send refuses a RESULT it cannot encode before writing a byte; the
+    # task must still be reported, once, and the slot be free.
+    core = make_core()
+    core.handle(DISPATCH, None, lambda dispatch: None)
+    core.register_when_idle(None)
+    result = core.execute(DISPATCH)
+    sent = []
+
+    def send(message):
+        if message is result:
+            raise refusal(result)
+        sent.append((message, core.busy))
+
+    core.finish(result, send)
+    failed = Result(task_id="T1", worker_id="W1", status="FAILED", exec_ms=0, error=error)
+    assert sent == [(failed, False), (REGISTER, False)]
+    assert not core.busy and not core.register_pending
 
 
 # -- heartbeat cadence, on a clock the test sets -----------------------------------
