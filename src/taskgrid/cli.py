@@ -150,7 +150,9 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
     if not args.gpu and (args.gpu_cores is not None or args.gpu_mem_mb is not None):
         raise argparse.ArgumentTypeError("--gpu-cores/--gpu-mem-mb require --gpu")
-    register = Register(args.worker_id, args.mhz, args.gpu, args.gpu_cores, args.gpu_mem_mb)
+    # Two slots: the master sends the next task while this one runs, so it
+    # is at hand when the RESULT goes out; a third would only wait longer.
+    register = Register(args.worker_id, args.mhz, args.gpu, args.gpu_cores, args.gpu_mem_mb, slots=2)
     try:
         agent = WorkerAgent(register, args.master, lane_count=args.lanes)
     except ValueError as exc:  # a profile the master would refuse

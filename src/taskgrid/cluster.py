@@ -21,7 +21,9 @@ from the dispatch alone, so tasks stay observably in flight and no
 wall-clock measurement reaches the schedule: the task param
 ``sim_exec_ms`` if it is set (real agents ignore it; use it to hold a
 task in flight across heartbeat windows), else a ``sleep`` task's
-nominal duration, else 0.
+nominal duration, else 0. A worker holding more than one task runs them
+one after another in logical time, in dispatch order, as the agent's
+executor does.
 
 Every task transition is recorded; each one into DISPATCHED is also
 recorded as an assignment, with the capabilities of the worker the task
@@ -141,6 +143,7 @@ class SimWorker:
         self.cluster = cluster
         self.core = core
         self.alive = True
+        self._free_ms = 0  # when the last task held ends, in logical time
         self.link = _Link(cluster, self.on_message)
 
     def _send(self, message: Message) -> None:
@@ -178,7 +181,9 @@ class SimWorker:
             if self.alive:
                 self.core.finish(result, self._send)
 
-        self.cluster._schedule(logical_ms, finish)
+        now_ms = self.cluster.now_ms
+        self._free_ms = max(self._free_ms, now_ms) + logical_ms
+        self.cluster._schedule(self._free_ms - now_ms, finish)
 
 
 class InProcCluster:
@@ -234,10 +239,12 @@ class InProcCluster:
         gpu_mem_mb: int | None = None,
         lane_count: int = 1,
         registry: ExecutorRegistry | None = None,
+        slots: int | None = None,
     ) -> SimWorker:
-        """Connect and register a simulated worker. Sleep workloads are
-        simulated so their durations consume only logical time. Replacing
-        a live worker id silences the old incarnation first."""
+        """Connect and register a simulated worker, which holds ``slots``
+        tasks at once (unset: one). Sleep workloads are simulated so
+        their durations consume only logical time. Replacing a live
+        worker id silences the old incarnation first."""
         old = self.workers.get(worker_id)
         if old is not None:
             old.alive = False
@@ -247,6 +254,7 @@ class InProcCluster:
             has_gpu=has_gpu,
             gpu_cores=gpu_cores,
             gpu_mem_mb=gpu_mem_mb,
+            slots=slots,
         )
         registry = registry or built_in_registry(lane_count=lane_count, simulated_sleep=True)
         worker = SimWorker(self, WorkerCore(register, registry, clock=lambda: self.now_ms))

@@ -65,8 +65,9 @@ Sender = Callable[[Message], None]
 
 # A connection whose queued, unsent bytes would pass this is closed: its
 # peer has stopped reading, and each further reply would cost the master
-# one more copy. One legal line fits twice over.
-MAX_UNSENT_BYTES = 2 * protocol.MAX_LINE_BYTES
+# one more copy. Three legal lines fit: the two DISPATCHes a two-slot
+# worker may be owed at once, and one more line beside them.
+MAX_UNSENT_BYTES = 3 * (protocol.MAX_LINE_BYTES + 1)
 
 # A job that ends with at least this many parked waits has them filtered
 # out of the parked list in one pass; fewer leave it one bisected `del`
@@ -153,15 +154,15 @@ class MasterCore:
 
     def connection_closed(self, sender: Sender) -> None:
         """Forget the waits parked through ``sender``, whose connection
-        has closed, and the idle worker registered through it. A busy one
-        keeps its task until eviction: its RESULT may still arrive on a
-        new connection."""
+        has closed, and the worker registered through it if it holds no
+        task. One that holds tasks keeps them until eviction: their
+        RESULTs may still arrive on a new connection."""
         gone = [wait for wait in self._waits if wait.sender == sender]
         if gone:
             self._waits = [wait for wait in self._waits if wait.sender != sender]
             self._forget(gone)
         for profile in list(self.scheduler.workers.values()):
-            if profile.sender == sender and not profile.busy:
+            if profile.sender == sender and not profile.held:
                 self.scheduler.remove_worker(profile.worker_id, self.clock())
                 ids = {"worker_id": profile.worker_id}
                 logger.info("worker %s closed its connection", profile.worker_id, extra=ids)
@@ -301,19 +302,30 @@ class MasterCore:
 
     def _pump(self, now_ms: int) -> None:
         """Run a scheduling round and send each assigned task's SUBMIT
-        entry to its worker as the DISPATCH."""
-        tasks = self.scheduler.tasks
-        for task_id, worker_id in self.scheduler.schedule_round(now_ms):
-            try:
-                self.scheduler.workers[worker_id].sender(tasks[task_id].dispatch)
-            except Exception as exc:
-                fields = {"task_id": task_id, "worker_id": worker_id, "attempt": tasks[task_id].attempt}
-                if isinstance(exc, ConnectionError):
-                    # Say, a worker that reconnected mid-task: the REGISTER it
-                    # sends after its RESULT re-queues the task.
-                    logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc, extra=fields)
-                else:
-                    logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id, extra=fields)
+        entry to its worker as the DISPATCH. A DISPATCH the sender
+        refuses as over the line cap fails its task, which frees its
+        slot, and another round follows."""
+        scheduler = self.scheduler
+        tasks = scheduler.tasks
+        refused = True
+        while refused:
+            refused = False
+            for task_id, worker_id in scheduler.schedule_round(now_ms):
+                try:
+                    scheduler.workers[worker_id].sender(tasks[task_id].dispatch)
+                except Exception as exc:
+                    fields = {"task_id": task_id, "worker_id": worker_id, "attempt": tasks[task_id].attempt}
+                    if isinstance(exc, protocol.LineTooLarge):
+                        error = f"DISPATCH_TOO_LARGE: {exc.line_bytes} bytes exceeds line cap {protocol.MAX_LINE_BYTES}"
+                        logger.warning("failing task %s: %s", task_id, error, extra=fields)
+                        scheduler.complete_task(task_id, worker_id, False, 0, now_ms, error=error)
+                        refused = True
+                    elif isinstance(exc, ConnectionError):
+                        # Say, a worker that reconnected mid-task: the REGISTER
+                        # it sends after its RESULTs re-queues the task.
+                        logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc, extra=fields)
+                    else:
+                        logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id, extra=fields)
 
     # -- reporting -------------------------------------------------------------
 
@@ -373,9 +385,10 @@ class Connection:
     Each message is queued as its ``protocol.line_parts``, one
     ``memoryview`` per part, so a payload or output body is sent from
     the one copy its part holds; each ``sock.send`` takes from one part.
-    A line they refuse as over the cap, which the peer would have to
-    reject, goes as an ERROR REPLY_TOO_LARGE naming it; one that would
-    take the queue past :data:`MAX_UNSENT_BYTES` closes the connection.
+    A reply they refuse as over the cap, which the peer would have to
+    reject, goes as an ERROR REPLY_TOO_LARGE naming it; a DISPATCH they
+    refuse raises their ``LineTooLarge``. A line that would take the
+    queue past :data:`MAX_UNSENT_BYTES` closes the connection.
     """
 
     def __init__(
@@ -404,6 +417,8 @@ class Connection:
         try:
             parts = protocol.line_parts(message)
         except protocol.LineTooLarge as exc:
+            if isinstance(message, Dispatch):
+                raise  # no reply stands in for it: the core fails its task
             logger.warning("sending REPLY_TOO_LARGE to %s: %s", self.peer, exc)
             return self.send(ErrorReply(code="REPLY_TOO_LARGE", detail=str(exc)))
         size = sum(map(len, parts))
@@ -452,11 +467,14 @@ class Connection:
             self.close()
             return
         try:
-            for line in self._framer.feed(chunk):
-                if self.closed:  # a reply's send failed: no peer is left to serve
-                    break
+            # Popped as it is decoded, so no line outlives its decode into
+            # the delivery of its message: a multi-MB SUBMIT's line would
+            # sit under the DISPATCH copies its delivery queues.
+            lines = self._framer.feed(chunk)
+            lines.reverse()
+            while lines and not self.closed:  # closed: a reply's send failed, no peer is left
                 try:
-                    message = protocol.decode(line)
+                    message = protocol.decode(lines.pop())
                 except protocol.ProtocolError as exc:
                     self.send(ErrorReply(code=exc.code, detail=exc.detail))
                     continue

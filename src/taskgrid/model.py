@@ -113,8 +113,11 @@ class WorkerProfile:
     ``last_heartbeat_ms`` is on the master's clock and decides liveness;
     ``last_beat_ts_ms`` is the newest ``ts_ms`` the worker sent, on the
     worker's own clock, and only orders that worker's beats.
-    ``current_task`` is the task the master dispatched to the worker and
-    has not yet seen finish; ``busy`` is derived from it.
+    ``held`` is the one record of the tasks the master dispatched to the
+    worker and has not yet seen finish, in dispatch order: the one it
+    runs, then those queued behind it. The worker holds at most
+    ``slots`` (its REGISTER's ``slots``, 1 if unset); ``busy`` means every
+    slot is taken.
     ``sender`` delivers a message over the connection the worker
     registered on; the master sends its DISPATCHes through it.
     """
@@ -122,8 +125,14 @@ class WorkerProfile:
     register: Register
     last_heartbeat_ms: int = 0
     last_beat_ts_ms: int | None = None
-    current_task: str | None = None
+    held: list[str] = field(default_factory=list)
     sender: Callable[[Message], None] | None = field(default=None, compare=False, repr=False)
+    slots: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # A plain attribute, not a property: the dispatch scan reads it
+        # for every worker it passes.
+        self.slots = self.register.slots or 1
 
     @property
     def worker_id(self) -> str:
@@ -131,7 +140,17 @@ class WorkerProfile:
 
     @property
     def busy(self) -> bool:
-        return self.current_task is not None
+        return len(self.held) >= self.slots
+
+    @property
+    def current_task(self) -> str | None:
+        """The one-slot view of ``held``: its oldest task, or None;
+        setting it makes that task the only one held."""
+        return self.held[0] if self.held else None
+
+    @current_task.setter
+    def current_task(self, task_id: str | None) -> None:
+        self.held = [] if task_id is None else [task_id]
 
 
 def validate_profile(register: Register) -> str | None:
@@ -147,4 +166,6 @@ def validate_profile(register: Register) -> str | None:
         return "gpu_cores must be positive"
     if register.gpu_mem_mb is not None and register.gpu_mem_mb <= 0:
         return "gpu_mem_mb must be positive"
+    if register.slots is not None and register.slots < 1:
+        return "slots must be positive"
     return None

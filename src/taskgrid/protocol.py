@@ -117,11 +117,16 @@ def from_b64(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class Register:
+    """A worker's profile. ``slots`` is how many dispatched tasks it
+    holds at once: the one it runs and those queued behind it, in
+    dispatch order; unset means 1."""
+
     worker_id: str
     cpu_mhz: int
     has_gpu: bool
     gpu_cores: int | None = None
     gpu_mem_mb: int | None = None
+    slots: int | None = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,8 @@ class RegisterAck:
 
 @dataclass(frozen=True)
 class Heartbeat:
+    """``busy``: the worker holds at least one task."""
+
     worker_id: str
     ts_ms: int
     busy: bool

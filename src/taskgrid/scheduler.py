@@ -2,9 +2,12 @@
 
 Workers are segregated into a GPU ring and a CPU ring by their declared
 capability. Tasks are served first-come-first-served; each task draws
-the next idle worker from its eligible ring, from the one whose turn it
-is. GPU tasks are never placed on CPU-only workers. GPU capability metadata
-(cores, memory) and current load play no part in placement.
+a worker from its eligible ring, scanning from the one whose turn it
+is: the first that holds no task, else the first with a free slot (a
+worker declares how many tasks it holds at once; the ones past the
+first wait at it in dispatch order). GPU tasks are never placed on
+CPU-only workers. GPU capability metadata (cores, memory) plays no part
+in placement.
 """
 
 from __future__ import annotations
@@ -75,17 +78,27 @@ class _Ring:
             self.turn = self.ids[pos % len(self.ids)] if self.ids else None
 
     def take_idle(self, profiles: dict[str, WorkerProfile]) -> str | None:
-        """Next idle worker by cyclic scan from the turn; the turn passes
-        to the worker after the chosen one."""
+        """Next worker to take a task, by one cyclic scan from the turn:
+        the first holding no task, else the first with a free slot, so a
+        task never waits behind another while a worker is idle. With one
+        slot each, that is the first idle worker. The turn passes to the
+        worker after the chosen one."""
         ids = self.ids
         count = len(ids)
         start = ids.index(self.turn) if count else 0
+        free = None
         for step in range(count):
-            wid = ids[(start + step) % count]
-            if not profiles[wid].busy:
-                self.turn = ids[(start + step + 1) % count]
-                return wid
-        return None
+            profile = profiles[ids[(start + step) % count]]
+            if not profile.held:
+                break
+            if free is None and len(profile.held) < profile.slots:
+                free = step
+        else:
+            if free is None:
+                return None
+            step = free
+        self.turn = ids[(start + step + 1) % count]
+        return ids[(start + step) % count]
 
 
 class ClassQueues:
@@ -168,7 +181,7 @@ class Scheduler:
         """Insert (or replace) a worker in its capability ring.
 
         Re-registering a known id first removes the old profile through
-        :meth:`remove_worker`, which re-queues a task it held.
+        :meth:`remove_worker`, which re-queues every task it held.
         """
         reason = validate_profile(profile.register)
         if reason is not None:
@@ -177,16 +190,17 @@ class Scheduler:
             self.remove_worker(profile.worker_id, now_ms)
         profile.last_heartbeat_ms = now_ms
         profile.last_beat_ts_ms = None
-        profile.current_task = None
+        profile.held = []
         self.workers[profile.worker_id] = profile
         self._ring_for(profile).insert(profile, self.workers)
 
     def remove_worker(self, worker_id: str, now_ms: int) -> None:
-        """Drop a worker from its ring; a task it held is re-queued."""
+        """Drop a worker from its ring; each task it held is re-queued at
+        its FCFS slot."""
         profile = self.workers.pop(worker_id)
         self._ring_for(profile).remove(worker_id)
-        if profile.current_task is not None:
-            task = self.tasks[profile.current_task]
+        for task_id in profile.held:
+            task = self.tasks[task_id]
             self._requeue(task, now_ms)
             fields = {"task_id": task.task_id, "worker_id": worker_id, "attempt": task.attempt}
             logger.warning(
@@ -199,9 +213,8 @@ class Scheduler:
 
         ``ts_ms`` is on the worker's own clock, which is never compared
         with the master's: it only drops that worker's out-of-order
-        beats (older than the newest seen). A worker is busy exactly
-        while it holds a dispatched task, so the beat's own busy flag is
-        not read.
+        beats (older than the newest seen). The master's own record says
+        which tasks a worker holds, so the beat's busy flag is not read.
         """
         profile = self.workers.get(worker_id)
         if profile is None:
@@ -213,7 +226,7 @@ class Scheduler:
 
     def evict_stale(self, now_ms: int) -> list[str]:
         """Drop workers whose last beat is older than the liveness window;
-        re-queue any task they held. Returns the evicted worker ids."""
+        re-queue every task they held. Returns the evicted worker ids."""
         window = self.config.liveness_window_ms
         stale = [
             wid
@@ -247,13 +260,13 @@ class Scheduler:
 
         Each task draws from its eligible ring (GPU ring for GPU tasks;
         CPU ring otherwise, falling back to the GPU ring only when no
-        CPU worker exists). A task with no idle eligible worker stays
-        queued without blocking tasks of the other class. GPU tasks with
+        CPU worker exists). A task with no free slot in its eligible ring
+        stays queued without blocking tasks of the other class. GPU tasks with
         no GPU worker registered at all fail once they outlive the
         unschedulable timeout.
 
         The two class queues are merged head by head in FCFS order. A
-        class stops for the round once its ring has no idle worker, or,
+        class stops for the round once its ring has no free slot, or,
         with no GPU ring, at its first GPU task still inside the timeout
         (the queue is ordered by submission time, so expired tasks form a
         prefix). A round thus costs O(assignments + failures) in queue
@@ -266,7 +279,7 @@ class Scheduler:
         cpu_ring = self.cpu_ring if self.cpu_ring.ids else gpu_ring
         gpu_queue, cpu_queue = self.queue.gpu, self.queue.cpu
         expired_before = now_ms - self.config.unschedulable_timeout_ms
-        blocked: set[_Ring] = set()  # rings with no idle worker left
+        blocked: set[_Ring] = set()  # rings with no free slot left
         while True:
             gpu_ready = bool(gpu_queue) and (
                 gpu_queue[0].submitted_ms < expired_before if gpu_ring is None else gpu_ring not in blocked
@@ -288,7 +301,7 @@ class Scheduler:
                 blocked.add(ring)
                 continue
             task = queue.popleft()
-            workers[worker_id].current_task = task.task_id
+            workers[worker_id].held.append(task.task_id)
             task.assigned_worker = worker_id
             task.dispatched_ms = now_ms
             self._transition(task, TaskState.DISPATCHED, now_ms)
@@ -304,10 +317,11 @@ class Scheduler:
         error: str | None = None,
         output_b64: str | None = None,
     ) -> bool:
-        """Finish a dispatched task. Reports from a worker other than the
-        current assignee are stale (the task was re-queued) and ignored;
-        returns False for them. A completed task's ``output_b64`` is set
-        before its COMPLETED transition, so observers see it."""
+        """Finish a dispatched task and free the slot it held. Reports
+        from a worker other than the current assignee are stale (the task
+        was re-queued) and ignored; returns False for them. A completed
+        task's ``output_b64`` is set before its COMPLETED transition, so
+        observers see it."""
         task = self.tasks.get(task_id)
         if task is None or task.state is not TaskState.DISPATCHED or task.assigned_worker != worker_id:
             fields = {"task_id": task_id, "worker_id": worker_id}
@@ -321,7 +335,5 @@ class Scheduler:
         else:
             task.error = error or "task failed"
             self._transition(task, TaskState.FAILED, now_ms)
-        profile = self.workers.get(worker_id)
-        if profile is not None:
-            profile.current_task = None
+        self.workers[worker_id].held.remove(task_id)
         return True

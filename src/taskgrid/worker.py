@@ -1,15 +1,20 @@
 """Worker: registers with a master, heartbeats, executes dispatches.
 
-:class:`WorkerCore` holds every rule of the single-slot worker, the
-heartbeat cadence and when to register included, free of any transport;
-:class:`WorkerAgent` drives it over TCP with two long-lived threads: the
-socket reader, which also sends each beat when it falls due (so beats go
-on mid-task), and one executor fed through a queue (so the reader keeps
-draining while a task runs: a master sending a large payload must never
-deadlock against a busy executor). One lock serialises every core call
-and every socket write; the executor only computes outside it. The
-worker's profile is the REGISTER it sends, declared nowhere else. Each
-task taken is reported once: FAILED if its RESULT is refused unsent.
+:class:`WorkerCore` holds every rule of the worker, the heartbeat
+cadence and when to register included, free of any transport. A worker
+holds up to the ``slots`` its REGISTER declares (1 if unset): the task
+it runs, and the DISPATCHes the master sent ahead, which wait behind it
+in dispatch order, so the next task is at hand when the RESULT goes
+out. :class:`WorkerAgent` drives it over TCP with two long-lived
+threads: the socket reader, which also sends each beat when it falls
+due (so beats go on mid-task), and one executor fed through a FIFO
+queue, which holds the tasks waiting behind the running one (so the
+reader keeps draining while a task runs: a master sending a large
+payload must never deadlock against a busy executor). One lock
+serialises every core call and every socket write; the executor only
+computes outside it. The worker's profile is the REGISTER it sends,
+declared nowhere else. Each task taken is reported once: FAILED if its
+RESULT is refused unsent.
 """
 
 from __future__ import annotations
@@ -78,11 +83,12 @@ Sender = Callable[[Message], None]
 class WorkerCore:
     """The worker's protocol state machine, mirroring ``MasterCore``.
 
-    ``busy`` is the slot; ``beat_interval_ms`` is the cadence of the
-    latest accepted REGISTER_ACK and ``next_beat_ms`` when the next beat
-    falls due on ``clock``, both ``None`` until the first.
-    ``register_pending`` is a REGISTER deferred until the running task's
-    RESULT has gone out.
+    ``held`` counts the dispatched tasks taken and not yet finished, at
+    most ``slots``; ``busy``, the HEARTBEAT's flag, means it holds one.
+    ``beat_interval_ms`` is the cadence of the latest accepted
+    REGISTER_ACK and ``next_beat_ms`` when the next beat falls due on
+    ``clock``, both ``None`` until the first. ``register_pending`` is a
+    REGISTER deferred until the RESULT of every held task has gone out.
     """
 
     def __init__(
@@ -94,17 +100,23 @@ class WorkerCore:
         self.register = register
         self.registry = registry
         self.clock = clock
-        self.busy = False
+        self.slots = register.slots or 1
+        self.held = 0
         self.register_pending = False
         self.beat_interval_ms: int | None = None
         self.next_beat_ms: int | None = None
 
+    @property
+    def busy(self) -> bool:
+        return self.held > 0
+
     def handle(
         self, message: Message, send: Sender, start: Callable[[Dispatch], None]
     ) -> None:
-        """Apply one inbound message. A DISPATCH the slot can take marks
-        it busy and goes to ``start``, which must run it and later call
-        :meth:`finish`."""
+        """Apply one inbound message. A DISPATCH that finds a free slot
+        takes it and goes to ``start``, which must run it after the tasks
+        started before it and then call :meth:`finish`; one that finds
+        every slot taken is refused with BUSY."""
         if isinstance(message, RegisterAck):
             if not message.accepted:
                 raise RegistrationRejected(message.reason or "registration rejected")
@@ -118,11 +130,11 @@ class WorkerCore:
                 logger.warning("master does not know us; re-registering")
                 self.register_when_idle(send)
         elif isinstance(message, Dispatch):
-            if self.busy:
-                # Master bug guard; a healthy master never double-dispatches.
+            if self.held >= self.slots:
+                # Master bug guard; a healthy master never overfills a worker.
                 send(_failed(message.task_id, self.register.worker_id, "BUSY"))
                 return
-            self.busy = True
+            self.held += 1
             start(message)
         else:
             logger.warning("ignoring unexpected message: %s", type(message).__name__)
@@ -131,11 +143,11 @@ class WorkerCore:
         return execute_dispatch(self.registry, dispatch, self.register.worker_id)
 
     def register_when_idle(self, send: Sender) -> None:
-        """Send the REGISTER now if the slot is idle, else right after the
-        running task's RESULT: a master that sees a new registration
-        re-queues the task the worker held and may dispatch it straight
-        back into the busy slot."""
-        if self.busy:
+        """Send the REGISTER now if no task is held, else right after the
+        last held task's RESULT: a master that sees a new registration
+        re-queues every task the worker held and may dispatch them
+        straight back to it, to wait behind their own first attempts."""
+        if self.held:
             self.register_pending = True
             return
         # Cleared first, so a send that raises cannot repeat it later.
@@ -143,12 +155,13 @@ class WorkerCore:
         send(self.register)
 
     def finish(self, result: Result, send: Sender) -> None:
-        """Free the slot and send the RESULT, then any deferred REGISTER.
-        A RESULT the encoder refuses in ``send`` (TypeError or ValueError,
-        LineTooLarge among them), before any byte, fails its task instead."""
+        """Free one slot and send the RESULT, then any deferred REGISTER
+        once no task is held. A RESULT the encoder refuses in ``send``
+        (TypeError or ValueError, LineTooLarge among them), before any
+        byte, fails its task instead."""
         # Free the slot before the RESULT goes out: the master may
         # dispatch the next task as soon as it reads it.
-        self.busy = False
+        self.held -= 1
         try:
             send(result)
         except (TypeError, ValueError) as exc:
@@ -182,6 +195,8 @@ class WorkerAgent:
     ``register`` is the profile it sends to ``master``, a (host, port).
     One the master would refuse, or a built-in ``sobel_par`` lane count
     below 1 (0: one per CPU this process may run on), raises ValueError.
+    The executor runs the DISPATCHes that the profile's ``slots`` take one
+    at a time, in the order they arrive.
 
     One lock serialises every :class:`WorkerCore` call (the reader's
     ``handle`` and ``beat_if_due``, the REGISTER at session start and the

@@ -557,3 +557,71 @@ def test_a_peer_that_hangs_up_leaves_no_wait_and_no_idle_worker(caplog):
     assert replies == []
     assert [t.state for t in cluster.job_status().tasks] == ["COMPLETED"]
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+# -- workers that hold more than one task ------------------------------------------
+
+
+def test_a_two_slot_worker_runs_the_tasks_it_holds_one_after_another():
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=1000))
+    cluster.add_worker("W1", cpu_mhz=2400, slots=2)
+    cluster.submit(_sleeps([300, 450, 700]))
+    cluster.wait_job()
+    at = {(t.task_id, t.to_state): t.at_ms for t in cluster.transitions}
+    # T1 is sent while T0 runs, and T2 once T0's RESULT frees a slot.
+    assert [at[f"T{i}", TaskState.DISPATCHED] for i in range(3)] == [0, 0, 300]
+    assert [at[f"T{i}", TaskState.COMPLETED] for i in range(3)] == [300, 750, 1450]
+
+
+@pytest.mark.parametrize("departure", ["killed", "replaced"])
+def test_a_two_slot_worker_that_departs_holding_two_tasks_requeues_each_once(departure):
+    cluster = InProcCluster(SchedulerConfig(heartbeat_interval_ms=500))
+    cluster.add_worker("W1", cpu_mhz=2400, slots=2)
+    cluster.add_worker("W2", cpu_mhz=2000)
+    cluster.submit(_sleeps([0, 0, 0, 0], sim_exec_ms="5000"))
+    placed = [("T0", "W1"), ("T1", "W2"), ("T2", "W1")]  # T3 waits
+    assert [(a.task_id, a.worker_id) for a in cluster.assignments] == placed
+    cluster.advance(100)
+    if departure == "killed":
+        cluster.kill_worker("W1")
+        cluster.advance(2000)  # past the 1,500 ms liveness window; W2 still holds T1
+        assert list(cluster.core.scheduler.workers) == ["W2"]
+        assert cluster.core.scheduler.queue == ["T0", "T2", "T3"]
+    else:
+        cluster.add_worker("W1", cpu_mhz=2400, slots=2)  # a new incarnation's REGISTER
+    reply = cluster.wait_job()
+    assert (reply.completed, reply.failed) == (4, 0)
+    requeues = [t.task_id for t in cluster.transitions if (t.from_state, t.to_state) == (TaskState.DISPATCHED, TaskState.QUEUED)]
+    assert requeues == ["T0", "T2"]
+    tasks = cluster.core.scheduler.tasks
+    assert [tasks[f"T{i}"].attempt for i in range(4)] == [1, 0, 1, 0]
+    # Each went back at its FCFS slot, ahead of T3.
+    assert [a.task_id for a in cluster.assignments[len(placed):]] == ["T0", "T2", "T3"]
+
+
+@pytest.mark.parametrize("slots", [None, 2])
+def test_a_dispatch_over_the_line_cap_fails_its_task_and_frees_its_slot(monkeypatch, slots):
+    # A 4 KiB cap stands in for 64 MiB. The SUBMIT holds the task id in
+    # raw UTF-8, two bytes a character, under the cap; the DISPATCH
+    # escapes each character as \u00e9, six bytes, over it.
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    task_id = "é" * 1000
+    cluster = InProcCluster()
+    cluster.add_worker("W1", cpu_mhz=2400, slots=slots)
+    line = '{"type":"SUBMIT","job_id":"J1","tasks":[{"kind":"noop","params":{},"payload_b64":"","requires_gpu":false,"task_id":"%s"}]}\n'
+    line = (line % task_id).encode("utf-8")
+    assert len(line) < 4096
+    cluster._client.put(line)
+    cluster.advance(0)
+    assert cluster._client_replies.pop(0) == SubmitAck(job_id="J1", accepted_count=1)
+    assert cluster.wait_job("J1", max_ms=60_000).failed == 1
+    task = cluster.core.scheduler.tasks[task_id]  # its status reply is over the cap too
+    dispatch_bytes = len(protocol.encode(Dispatch(task_id=task_id, kind="noop", requires_gpu=False))) - 1
+    assert dispatch_bytes > 4096
+    assert (task.state, task.error) == (TaskState.FAILED, f"DISPATCH_TOO_LARGE: {dispatch_bytes} bytes exceeds line cap 4096")
+    assert (task.attempt, cluster.now_ms) == (0, 0)
+    assert cluster.core.scheduler.workers["W1"].held == []
+    assert cluster.dispatch_frames == []
+    cluster.submit([make_task("noop", task_id="T2")], job_id="J2")
+    [report] = cluster.run_until_terminal("J2", max_ms=60_000).tasks
+    assert (report.state, report.worker_id) == ("COMPLETED", "W1")

@@ -1,11 +1,14 @@
 import contextlib
 import gc
 import logging
+import random
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -32,8 +35,10 @@ from taskgrid.protocol import (
     Submit,
 )
 from taskgrid.scheduler import SchedulerConfig
+from taskgrid.sobel import GrayImage, parse_pgm, write_pgm
 from taskgrid.worker import WorkerAgent
 from taskgrid.workloads import ExecutorRegistry, built_in_registry
+from oracle import brute_force_sobel
 
 
 class FakeWorkerConn:
@@ -1127,3 +1132,113 @@ def test_the_master_serves_every_peer_on_the_thread_start_returned():
         for thread in threads + [serving]:
             thread.join(10)
     assert not any(thread.is_alive() for thread in threads + [serving])
+
+
+# -- workers that hold two tasks ------------------------------------------------------
+
+
+class _StubSocket:
+    """A peer's socket for a master :class:`Connection`, with no selector
+    behind it. ``recv`` hands over ``inbound`` as one chunk, whatever its
+    size; ``send`` would block until ``draining`` is set, so everything
+    the master sends before then stays queued on it."""
+
+    def __init__(self, inbound=b"", draining=False):
+        self.inbound = inbound
+        self.draining = draining
+        self.received = bytearray()
+
+    def recv(self, bufsize):
+        if not self.inbound:
+            raise BlockingIOError
+        chunk, self.inbound = self.inbound, b""
+        return chunk
+
+    def send(self, data):
+        if not self.draining:
+            raise BlockingIOError
+        self.received += data
+        return len(data)
+
+    def _ignore(self, *args):
+        pass
+
+    setblocking = register = modify = unregister = close = _ignore
+
+
+def _stub_connection(core, **kwargs):
+    sock = _StubSocket(**kwargs)
+    return sock, Connection(sock, sock, core)
+
+
+def test_two_near_cap_dispatches_queued_to_a_two_slot_worker_both_arrive(monkeypatch):
+    # A 4 KiB line cap stands in for 64 MiB, and the unsent cap is scaled
+    # with it. The worker reads nothing until both DISPATCHes are queued.
+    monkeypatch.setattr(master_mod, "MAX_UNSENT_BYTES", master_mod.MAX_UNSENT_BYTES * 4096 // protocol.MAX_LINE_BYTES)
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    sock, conn = _stub_connection(core)
+    core.deliver(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2), conn.send)
+    bare = len(protocol.encode(make_task("noop", task_id="T1"))) - 1
+    payload_b64 = "A" * ((4096 - bare) // 4 * 4)
+    for task_id in ("T1", "T2"):
+        task = Dispatch(task_id=task_id, kind="noop", requires_gpu=False, payload_b64=payload_b64)
+        core.deliver(Submit(job_id=task_id, tasks=(task,)), lambda reply: None)
+    assert core.scheduler.workers["W1"].held == ["T1", "T2"]
+    assert not conn.closed
+    sock.draining = True
+    conn.flush()
+    lines = protocol.LineFramer().feed(bytes(sock.received))
+    assert [type(protocol.decode(line)).__name__ for line in lines] == ["RegisterAck", "Dispatch", "Dispatch"]
+    assert all(4093 <= len(line) <= 4096 for line in lines[1:])
+    assert not conn.closed
+
+
+def test_a_submit_line_is_released_before_its_message_is_delivered():
+    # Four one-slot workers that read nothing: delivering the SUBMIT
+    # queues each of them a DISPATCH, a copy of one payload. The line's
+    # buffer must be gone by then, so that the peak holds the line and its
+    # payloads, or the payloads and their copies, but never all three.
+    core = MasterCore(SchedulerConfig(), clock=lambda: 0)
+    workers = [_stub_connection(core)[1] for _ in range(4)]
+    for i, conn in enumerate(workers):
+        core.deliver(Register(worker_id=f"W{i}", cpu_mhz=2400, has_gpu=False), conn.send)
+    tasks = tuple(make_task("noop", payload=bytes(1 << 20), task_id=f"T{i}") for i in range(4))
+    line = protocol.encode(Submit(job_id="J1", tasks=tasks))
+    payload_bytes = sum(len(task.payload_b64) for task in tasks)
+    del tasks
+    _, client = _stub_connection(core, inbound=line, draining=True)
+    tracemalloc.start()
+    try:
+        client.read()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [profile.held for profile in core.scheduler.workers.values()] == [[f"T{i}"] for i in range(4)]
+    assert not any(conn.closed for conn in workers)
+    assert peak <= len(line) + payload_bytes + (256 << 10), (peak, len(line), payload_bytes)
+
+
+def test_a_cli_worker_is_sent_its_next_task_while_it_runs_one(server):
+    rng = random.Random(35)
+    images = [GrayImage(64, 48, bytes(rng.randrange(256) for _ in range(64 * 48))) for _ in range(3)]
+    tasks = [make_task("sleep", params={"duration_ms": "300"}, task_id="T0")]
+    tasks += [make_task("sobel_seq", payload=write_pgm(img), task_id=f"T{i}") for i, img in enumerate(images, 1)]
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "taskgrid.cli", "worker", "--master", f"127.0.0.1:{server.port}",
+         "--id", "Wcli", "--mhz", "2400", "--lanes", "1"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        with MasterClient("127.0.0.1", server.port) as client:
+            client.submit(tasks, job_id="J1")
+            reports = client.wait_for_job("J1", timeout_s=60).tasks
+    finally:
+        worker.terminate()
+        worker.wait(timeout=10)
+    assert [(report.state, report.worker_id) for report in reports] == [("COMPLETED", "Wcli")] * 4
+    # T1 went out while T0 ran, so it was at the worker when T0's RESULT left.
+    assert reports[1].dispatched_ms < reports[0].completed_ms
+    for report, img in zip(reports[1:], images):
+        assert parse_pgm(protocol.from_b64(report.output_b64)).pixels == brute_force_sobel(img)

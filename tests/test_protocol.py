@@ -68,6 +68,7 @@ messages = st.one_of(
         has_gpu=st.booleans(),
         gpu_cores=st.none() | st.integers(1, 10000),
         gpu_mem_mb=st.none() | st.integers(1, 1 << 20),
+        slots=st.none() | st.integers(1, 64),
     ),
     st.builds(
         RegisterAck,
@@ -104,6 +105,18 @@ messages = st.one_of(
     ),
     st.builds(ErrorReply, code=ids, detail=st.text(max_size=40)),
 )
+
+
+def test_register_golden_bytes():
+    # Unset, ``slots`` is left out, so a one-slot REGISTER is the line it
+    # was before the field existed.
+    register = Register(worker_id="W1", cpu_mhz=2400, has_gpu=True, gpu_cores=384, gpu_mem_mb=2048)
+    assert encode(register) == (
+        b'{"type":"REGISTER","cpu_mhz":2400,"gpu_cores":384,"gpu_mem_mb":2048,"has_gpu":true,"worker_id":"W1"}\n'
+    )
+    assert encode(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2)) == (
+        b'{"type":"REGISTER","cpu_mhz":2400,"has_gpu":false,"slots":2,"worker_id":"W1"}\n'
+    )
 
 
 def test_heartbeat_golden_bytes():
@@ -969,6 +982,7 @@ _WIRE_FIELDS = {
         "has_gpu": (_BOOL, True, True),
         "gpu_cores": (_INT, False, 384),
         "gpu_mem_mb": (_INT, False, 2048),
+        "slots": (_INT, False, 2),
     },
     "REGISTER_ACK": {
         "accepted": (_BOOL, True, True),

@@ -400,6 +400,33 @@ def test_busy_workers_are_skipped():
     assert s.schedule_round(3) == [("T2", "W1")]
 
 
+def test_tasks_go_to_workers_holding_nothing_before_free_slots():
+    s = mk_scheduler()
+    for wid in ("W1", "W2"):
+        s.register_worker(WorkerProfile(Register(worker_id=wid, cpu_mhz=2000, has_gpu=False, slots=2)), 0)
+    for i in range(5):
+        s.enqueue_task(mk_task(f"T{i}"), 0)
+    # Each worker gets a task before either gets a second; then both are full.
+    assert s.schedule_round(0) == [("T0", "W1"), ("T1", "W2"), ("T2", "W1"), ("T3", "W2")]
+    assert s.queue == ["T4"] and s.workers["W1"].busy and s.workers["W2"].busy
+    assert (s.workers["W1"].held, s.workers["W2"].held) == (["T0", "T2"], ["T1", "T3"])
+    # The turn is W1's, and W1 has a free slot, but W2 holds nothing.
+    s.complete_task("T0", "W1", ok=True, exec_ms=1, now_ms=1)
+    s.complete_task("T1", "W2", ok=True, exec_ms=1, now_ms=1)
+    s.complete_task("T3", "W2", ok=True, exec_ms=1, now_ms=1)
+    assert s.schedule_round(1) == [("T4", "W2")]
+    assert (s.workers["W1"].held, s.workers["W2"].held) == (["T2"], ["T4"])
+
+
+def test_a_profile_with_fewer_than_one_slot_is_refused_alike_by_master_and_agent():
+    for slots in (0, -1):
+        register = Register(worker_id="W1", cpu_mhz=2000, has_gpu=False, slots=slots)
+        with pytest.raises(RegistrationError, match="^slots must be positive$"):
+            mk_scheduler().register_worker(WorkerProfile(register), 0)
+        with pytest.raises(ValueError, match="^slots must be positive$"):
+            WorkerAgent(register, ("127.0.0.1", 1))
+
+
 def test_unschedulable_gpu_task_times_out_to_failed():
     s = mk_scheduler()
     task = mk_task("T1", gpu=True)

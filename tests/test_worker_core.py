@@ -53,7 +53,7 @@ def make_core(registry=None):
 def test_inbound_message_table(row):
     inbound, busy, sent, started, raised, interval = row
     core = make_core()
-    core.busy = busy
+    core.held = int(busy)
     out, runs = [], []
     if raised is None:
         core.handle(inbound, out.append, runs.append)
@@ -114,7 +114,36 @@ def test_slot_is_freed_when_execution_raises():
     assert not core.busy
 
 
+def test_a_two_slot_core_takes_two_dispatches_and_refuses_a_third():
+    core = WorkerCore(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2), built_in_registry())
+    dispatches = [Dispatch(task_id=f"T{i}", kind="noop", requires_gpu=False) for i in (1, 2, 3)]
+    sent, runs = [], []
+    for dispatch in dispatches:
+        core.handle(dispatch, sent.append, runs.append)
+    assert runs == dispatches[:2]
+    assert sent == [Result(task_id="T3", worker_id="W1", status="FAILED", exec_ms=0, error="BUSY")]
+    assert core.held == 2 and core.heartbeat(1).busy
+    core.finish(core.execute(runs[0]), sent.append)
+    assert core.held == 1 and core.heartbeat(2).busy  # it still holds T2
+    core.handle(dispatches[2], sent.append, runs.append)
+    assert runs == dispatches and core.held == 2
+
+
 # -- when to register ----------------------------------------------------------------
+
+
+def test_a_not_registered_ack_with_two_tasks_held_sends_both_results_before_the_register():
+    core = WorkerCore(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2), built_in_registry())
+    runs, sent = [], []
+    for task_id in ("T1", "T2"):
+        core.handle(Dispatch(task_id=task_id, kind="noop", requires_gpu=False), sent.append, runs.append)
+    core.handle(NOT_REGISTERED, sent.append, None)
+    results = [core.execute(dispatch) for dispatch in runs]
+    core.finish(results[0], sent.append)
+    assert sent == [results[0]]  # T2 is still held
+    core.finish(results[1], sent.append)
+    assert sent == [results[0], results[1], core.register]
+    assert core.held == 0 and not core.register_pending
 
 
 def test_an_idle_core_registers_at_once():
