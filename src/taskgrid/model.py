@@ -116,8 +116,7 @@ class WorkerProfile:
     ``held`` is the one record of the tasks the master dispatched to the
     worker and has not yet seen finish, in dispatch order: the one it
     runs, then those queued behind it. The worker holds at most
-    ``slots`` (its REGISTER's ``slots``, 1 if unset); ``busy`` means every
-    slot is taken.
+    ``slots`` (its REGISTER's ``slots``, 1 if unset).
     ``sender`` delivers a message over the connection the worker
     registered on; the master sends its DISPATCHes through it.
     """
@@ -137,20 +136,6 @@ class WorkerProfile:
     @property
     def worker_id(self) -> str:
         return self.register.worker_id
-
-    @property
-    def busy(self) -> bool:
-        return len(self.held) >= self.slots
-
-    @property
-    def current_task(self) -> str | None:
-        """The one-slot view of ``held``: its oldest task, or None;
-        setting it makes that task the only one held."""
-        return self.held[0] if self.held else None
-
-    @current_task.setter
-    def current_task(self, task_id: str | None) -> None:
-        self.held = [] if task_id is None else [task_id]
 
 
 def validate_profile(register: Register) -> str | None:

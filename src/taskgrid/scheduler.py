@@ -16,7 +16,7 @@ import bisect
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .model import TaskDescriptor, TaskState, WorkerProfile, validate_profile, validate_transition
 
@@ -105,9 +105,7 @@ class ClassQueues:
     """Queued tasks as one FCFS deque per task class.
 
     Each deque holds task records in ascending ``seq`` (enqueue) order,
-    so its head is its class's oldest task. Iterating yields the task
-    ids of both classes merged in that order, and the queue compares
-    equal to the list of them; ``len`` is O(1).
+    so its head is its class's oldest task; ``len`` is O(1).
     """
 
     def __init__(self) -> None:
@@ -119,19 +117,6 @@ class ClassQueues:
 
     def __len__(self) -> int:
         return len(self.gpu) + len(self.cpu)
-
-    def __iter__(self) -> Iterator[str]:
-        return (task.task_id for task in sorted([*self.gpu, *self.cpu], key=lambda task: task.seq))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ClassQueues):
-            other = list(other)
-        return list(self) == other
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"ClassQueues({list(self)!r})"
 
 
 class Scheduler:

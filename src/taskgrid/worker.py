@@ -221,10 +221,6 @@ class WorkerAgent:
         self._exec_thread: threading.Thread | None = None
         self._exec_queue: queue.SimpleQueue[Dispatch | None] = queue.SimpleQueue()
 
-    @property
-    def busy(self) -> bool:
-        return self.core.busy
-
     def stop(self) -> None:
         """End ``run()``. Takes no lock, so a signal handler may call it."""
         self._stop.set()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import taskgrid.cluster as cluster_mod
-from conftest import random_image
+from conftest import assert_held_is_dispatched, queued_ids, random_image
 from oracle import brute_force_sobel
 from taskgrid import protocol
 from taskgrid.client import make_task
@@ -510,6 +510,7 @@ def test_job_counts_match_a_count_over_each_jobs_tasks(seed):
         for job_id, task_ids in core.jobs.items():
             by_tasks = Counter(core.scheduler.tasks[t].state for t in task_ids)
             assert core.job_counts[job_id] == {s: by_tasks[s] for s in TaskState}
+        assert_held_is_dispatched(core.scheduler)
 
     for j in range(4):
         tasks = [
@@ -525,7 +526,7 @@ def test_job_counts_match_a_count_over_each_jobs_tasks(seed):
         check()
         cluster.advance(rng.randrange(0, 300))
         check()
-    busy = sorted(w for w, profile in core.scheduler.workers.items() if profile.busy)
+    busy = sorted(w for w, profile in core.scheduler.workers.items() if profile.held)
     cluster.kill_worker(rng.choice(busy))
     for step in range(120):
         if step == 40:
@@ -586,7 +587,7 @@ def test_a_two_slot_worker_that_departs_holding_two_tasks_requeues_each_once(dep
         cluster.kill_worker("W1")
         cluster.advance(2000)  # past the 1,500 ms liveness window; W2 still holds T1
         assert list(cluster.core.scheduler.workers) == ["W2"]
-        assert cluster.core.scheduler.queue == ["T0", "T2", "T3"]
+        assert queued_ids(cluster.core.scheduler.queue) == ["T0", "T2", "T3"]
     else:
         cluster.add_worker("W1", cpu_mhz=2400, slots=2)  # a new incarnation's REGISTER
     reply = cluster.wait_job()

@@ -362,7 +362,7 @@ def test_a_worker_that_reconnects_mid_task_reports_it_before_registering(monkeyp
             task = make_task("sleep", params={"duration_ms": "1500"}, task_id="T1")
             client.submit([task], job_id="J1")
             deadline = time.monotonic() + 5
-            while not agent.busy and time.monotonic() < deadline:
+            while not agent.core.busy and time.monotonic() < deadline:
                 time.sleep(0.01)
             time.sleep(0.3)
             agent._link.sock.shutdown(socket.SHUT_RDWR)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import assert_held_is_dispatched, queued_ids
 from taskgrid import protocol
 from taskgrid.master import MasterCore
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
@@ -78,7 +79,7 @@ def test_reregistration_replaces_and_orphans_task():
     assert task.state is TaskState.QUEUED
     assert task.attempt == 1
     assert s.workers["W1"].register.cpu_mhz == 2600
-    assert not s.workers["W1"].busy
+    assert s.workers["W1"].held == []
 
 
 def test_insertion_preserves_rotation_of_existing_workers():
@@ -227,7 +228,7 @@ def test_orphan_requeues_at_original_fcfs_slot():
     s.enqueue_task(mk_task("T8"), 200)  # submitted after T7
     evicted = s.evict_stale(7000)
     assert evicted == ["W1"]
-    assert s.queue == ["T7", "T8"]
+    assert queued_ids(s.queue) == ["T7", "T8"]
     assert t7.state is TaskState.QUEUED
     assert t7.attempt == 1
 
@@ -240,7 +241,7 @@ def test_a_requeue_within_one_millisecond_keeps_enqueue_order():
         s.enqueue_task(mk_task(task_id), 100)
     assert s.schedule_round(100) == [("T1", "W1")]
     assert s.evict_stale(7000) == ["W1"]
-    assert list(s.queue) == ["T1", "T2", "T3"]
+    assert queued_ids(s.queue) == ["T1", "T2", "T3"]
     s.register_worker(mk_profile("W2"), 7000)
     assert s.schedule_round(7000) == [("T1", "W2")]
 
@@ -302,9 +303,9 @@ def test_stale_eviction_and_worker_failure_warnings_carry_the_ids_they_name(capl
 def test_fcfs_append():
     s = mk_scheduler()
     s.enqueue_task(mk_task("T1"), 0)
-    assert s.queue == ["T1"]
+    assert queued_ids(s.queue) == ["T1"]
     s.enqueue_task(mk_task("T2"), 1)
-    assert s.queue == ["T1", "T2"]
+    assert queued_ids(s.queue) == ["T1", "T2"]
 
 
 def test_duplicate_task_id_rejected():
@@ -343,7 +344,7 @@ def test_no_workers_leaves_task_queued():
     s.enqueue_task(mk_task("T1", gpu=True), 0)
     assert s.schedule_round(1) == []
     assert s.tasks["T1"].state is TaskState.QUEUED
-    assert s.queue == ["T1"]
+    assert queued_ids(s.queue) == ["T1"]
 
 
 def test_round_robin_cycles_through_ring():
@@ -386,7 +387,7 @@ def test_skipped_gpu_task_does_not_block_cpu_task():
     s.enqueue_task(mk_task("T1", gpu=True), 0)
     s.enqueue_task(mk_task("T2"), 1)
     assert s.schedule_round(2) == [("T2", "W2")]
-    assert s.queue == ["T1"]
+    assert queued_ids(s.queue) == ["T1"]
 
 
 def test_busy_workers_are_skipped():
@@ -395,7 +396,7 @@ def test_busy_workers_are_skipped():
     s.enqueue_task(mk_task("T1", gpu=True), 0)
     s.enqueue_task(mk_task("T2", gpu=True), 1)
     assert s.schedule_round(2) == [("T1", "W1")]
-    assert s.queue == ["T2"]
+    assert queued_ids(s.queue) == ["T2"]
     s.complete_task("T1", "W1", ok=True, exec_ms=1, now_ms=3)
     assert s.schedule_round(3) == [("T2", "W1")]
 
@@ -408,7 +409,7 @@ def test_tasks_go_to_workers_holding_nothing_before_free_slots():
         s.enqueue_task(mk_task(f"T{i}"), 0)
     # Each worker gets a task before either gets a second; then both are full.
     assert s.schedule_round(0) == [("T0", "W1"), ("T1", "W2"), ("T2", "W1"), ("T3", "W2")]
-    assert s.queue == ["T4"] and s.workers["W1"].busy and s.workers["W2"].busy
+    assert queued_ids(s.queue) == ["T4"]
     assert (s.workers["W1"].held, s.workers["W2"].held) == (["T0", "T2"], ["T1", "T3"])
     # The turn is W1's, and W1 has a free slot, but W2 holds nothing.
     s.complete_task("T0", "W1", ok=True, exec_ms=1, now_ms=1)
@@ -462,7 +463,7 @@ def test_ok_completion():
     assert task.state is TaskState.COMPLETED
     assert task.exec_ms == 42
     assert task.completed_ms == 100
-    assert not s.workers["W1"].busy
+    assert s.workers["W1"].held == []
 
 
 def test_stale_report_from_wrong_worker_ignored():
@@ -537,24 +538,29 @@ def test_requeue_exactness_on_worker_loss():
 
 
 def _has_eligible_idle(s):
-    # at least one queued task has an idle worker in its eligible ring
-    for tid in s.queue:
+    # at least one queued task has a worker with a free slot in its eligible ring
+    for tid in queued_ids(s.queue):
         task = s.tasks[tid]
         if task.requires_gpu:
             ring = s.gpu_ring
         else:
             ring = s.cpu_ring if s.cpu_ring.ids else s.gpu_ring
-        if any(not s.workers[w].busy for w in ring.ids):
+        if any(len(s.workers[w].held) < s.workers[w].slots for w in ring.ids):
             return True
     return False
 
 
-def _run_random_trace(seed):
+def _run_random_trace(seed, slots=None):
+    # Each new worker has one slot or ``slots``, drawn from its own
+    # generator so that a seed replays the same ops whatever ``slots`` is.
+    # Free-slot liveness and the held invariant are checked after every op.
     rng = random.Random(seed)
+    slot_rng = random.Random(seed)
     s = mk_scheduler()
     now = 0
     next_worker = 0
     next_task = 0
+    most_held = 0
     assignments = []
     enqueued = {"gpu": [], "cpu": []}
     first_dispatch = {"gpu": [], "cpu": []}
@@ -566,7 +572,13 @@ def _run_random_trace(seed):
         if op < 0.2:
             wid = f"W{next_worker}"
             next_worker += 1
-            s.register_worker(mk_profile(wid, rng.randrange(1, 4000), gpu=rng.random() < 0.5), now)
+            register = Register(
+                worker_id=wid,
+                cpu_mhz=rng.randrange(1, 4000),
+                has_gpu=rng.random() < 0.5,
+                slots=slot_rng.choice((None, slots)),
+            )
+            s.register_worker(WorkerProfile(register), now)
         elif op < 0.45:
             tid = f"T{next_task}"
             next_task += 1
@@ -601,12 +613,12 @@ def _run_random_trace(seed):
             # the turn is held by a ring member, and is unheld only while the ring is empty
             assert (ring.turn is None) == (not ring.ids)
             assert ring.turn is None or ring.turn in ring.ids
-    return s, assignments, enqueued, first_dispatch
+        assert_held_is_dispatched(s)
+        most_held = max([most_held, *(len(profile.held) for profile in s.workers.values())])
+    return s, assignments, enqueued, first_dispatch, most_held
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 7])
-def test_random_trace_properties(seed):
-    s, assignments, enqueued, first_dispatch = _run_random_trace(seed)
+def _assert_trace_properties(s, assignments, enqueued, first_dispatch):
     # capability safety: GPU tasks only ever land on GPU workers
     for tid, wid, requires_gpu, has_gpu in assignments:
         assert not (requires_gpu and not has_gpu), (tid, wid)
@@ -614,9 +626,6 @@ def test_random_trace_properties(seed):
     for cls in ("gpu", "cpu"):
         expected = [t for t in enqueued[cls] if t in set(first_dispatch[cls])]
         assert first_dispatch[cls] == expected
-    # invariant: a worker is busy iff it holds a task
-    for profile in s.workers.values():
-        assert profile.busy == (profile.current_task is not None)
     # assigned_worker only for dispatched/terminal-by-result states
     for task in s.tasks.values():
         if task.assigned_worker is not None:
@@ -625,9 +634,26 @@ def test_random_trace_properties(seed):
             assert task.assigned_worker is not None
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_random_trace_properties(seed):
+    s, assignments, enqueued, first_dispatch, _ = _run_random_trace(seed)
+    _assert_trace_properties(s, assignments, enqueued, first_dispatch)
+
+
+@pytest.mark.parametrize("slots", [None, 2])
+def test_random_traces_with_one_or_two_slot_workers(slots):
+    most_held = 0
+    for seed in (1, 2, 3, 7, 11, 13):
+        s, assignments, enqueued, first_dispatch, held = _run_random_trace(seed, slots)
+        _assert_trace_properties(s, assignments, enqueued, first_dispatch)
+        most_held = max(most_held, held)
+    # some seed fills every slot a worker has
+    assert most_held == (slots or 1)
+
+
 def test_trace_determinism():
-    _, a1, _, _ = _run_random_trace(42)
-    _, a2, _, _ = _run_random_trace(42)
+    _, a1, _, _, _ = _run_random_trace(42)
+    _, a2, _, _, _ = _run_random_trace(42)
     assert a1 == a2
 
 

@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import queued_ids
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
 from taskgrid.protocol import Register
 from taskgrid.scheduler import (
@@ -61,7 +62,7 @@ class FrozenRing:
         for step in range(count):
             pos = (self.cursor + step) % count
             wid = self.ids[pos]
-            if not profiles[wid].busy:
+            if not profiles[wid].held:
                 self.cursor = (pos + 1) % count
                 return wid
         return None
@@ -131,7 +132,7 @@ class ScanScheduler(Scheduler):
                 remaining.append(task_id)
                 continue
             profile = self.workers[worker_id]
-            profile.current_task = task_id
+            profile.held = [task_id]
             task.assigned_worker = worker_id
             task.dispatched_ms = now_ms
             self._transition(task, TaskState.DISPATCHED, now_ms)
@@ -187,7 +188,7 @@ class _Side:
             return ring.turn
 
         rings = self.s.gpu_ring, self.s.cpu_ring
-        return list(self.s.queue), len(self.s.queue), [(ring.ids, turn(ring)) for ring in rings]
+        return queued_ids(self.s.queue), len(self.s.queue), [(ring.ids, turn(ring)) for ring in rings]
 
     def task_table(self):
         return {t.task_id: (t.state, t.assigned_worker, t.attempt, t.error) for t in self.s.tasks.values()}
@@ -254,7 +255,7 @@ def _run_trace(seed, ops=250, pool=0):
         assert len(merged.log) == logged
         assert merged.snapshot() == scan.snapshot(), (seed, step, op)
         seen["max_workers"] = max(seen["max_workers"], len(scan.s.workers))
-        busy = sum(profile.busy for profile in scan.s.workers.values())
+        busy = sum(bool(profile.held) for profile in scan.s.workers.values())
         seen["max_busy"] = max(seen["max_busy"], busy)
         if op[0] == "round":
             for task_id, worker_id in got:
@@ -267,7 +268,7 @@ def _run_trace(seed, ops=250, pool=0):
             for tid, wid in state["dispatched"].items()
             if merged.s.tasks[tid].state is TaskState.DISPATCHED
         }
-    assert merged.s.queue == scan.s.queue
+    assert queued_ids(merged.s.queue) == queued_ids(scan.s.queue)
     assert merged.task_table() == scan.task_table(), seed
     for task_id, from_state, to_state, _ in merged.log:
         if from_state is TaskState.DISPATCHED and to_state is TaskState.QUEUED:

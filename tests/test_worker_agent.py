@@ -197,7 +197,7 @@ def test_agent_is_idle_when_its_result_is_sent():
     delivered = threading.Event()
 
     def send(message):
-        sent.append((message, agent.busy))
+        sent.append((message, agent.core.busy))
         delivered.set()
 
     agent._send = send
@@ -206,7 +206,7 @@ def test_agent_is_idle_when_its_result_is_sent():
     [(result, busy_at_send)] = sent
     assert isinstance(result, Result) and result.status == "OK"
     assert busy_at_send is False
-    assert agent.busy is False
+    assert agent.core.busy is False
 
 
 def test_agent_reregisters_on_not_registered(scripted):
@@ -414,7 +414,7 @@ def test_executor_survives_a_raising_task(scripted):
     master.send(make_dispatch("noop", task_id="T-good"))
     ok = master.read_until(Result)
     assert (ok.task_id, ok.status) == ("T-good", "OK")
-    assert agent.busy is False
+    assert agent.core.busy is False
 
 
 def test_stop_ends_the_executor_thread(scripted):
