@@ -30,7 +30,7 @@ import selectors
 import socket
 import threading
 from collections import deque
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import protocol
 from .model import TaskDescriptor, TaskState, WorkerProfile, monotonic_ms
@@ -154,16 +154,15 @@ class MasterCore:
 
     def connection_closed(self, sender: Sender) -> None:
         """Forget the waits parked through ``sender``, whose connection
-        has closed, and the worker registered through it if it holds no
-        task. One that holds tasks keeps them until eviction: their
-        RESULTs may still arrive on a new connection."""
+        has closed, and disconnect the worker registered through it
+        (:meth:`Scheduler.disconnect_worker`)."""
         gone = [wait for wait in self._waits if wait.sender == sender]
         if gone:
             self._waits = [wait for wait in self._waits if wait.sender != sender]
             self._forget(gone)
         for profile in list(self.scheduler.workers.values()):
-            if profile.sender == sender and not profile.held:
-                self.scheduler.remove_worker(profile.worker_id, self.clock())
+            if profile.sender == sender:
+                self.scheduler.disconnect_worker(profile.worker_id, self.clock())
                 ids = {"worker_id": profile.worker_id}
                 logger.info("worker %s closed its connection", profile.worker_id, extra=ids)
 
@@ -321,8 +320,8 @@ class MasterCore:
                         scheduler.complete_task(task_id, worker_id, False, 0, now_ms, error=error)
                         refused = True
                     elif isinstance(exc, ConnectionError):
-                        # Say, a worker that reconnected mid-task: the REGISTER
-                        # it sends after its RESULTs re-queues the task.
+                        # Its connection closed during this round (a flush failed,
+                        # say): the task waits for the worker's REGISTER or eviction.
                         logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc, extra=fields)
                     else:
                         logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id, extra=fields)
@@ -369,11 +368,6 @@ class MasterCore:
         unknown job has none."""
         counts = self.job_counts.get(job_id)
         return counts is None or counts[TaskState.QUEUED] + counts[TaskState.DISPATCHED] == 0
-
-    def state_dump_lines(self) -> Iterable[list[bytes]]:
-        """One canonical JOB_STATUS_REPLY line per job, as its parts."""
-        for job_id in self.jobs:
-            yield protocol.encode_parts(self.job_status_reply(job_id))
 
 
 class Connection:
@@ -588,9 +582,9 @@ class MasterServer:
             self._wake_w.send(b"\0")
 
     def dump_state(self, path: str) -> None:
-        """Write the state dump; call it after :meth:`serve_forever` has
-        returned, as it reads the core without the loop."""
+        """Write one canonical JOB_STATUS_REPLY line per job; call it after
+        :meth:`serve_forever` has returned, as it reads the core without the loop."""
         with open(path, "wb") as fh:
-            for parts in self.core.state_dump_lines():
-                fh.writelines(parts)
+            for job_id in self.core.jobs:
+                fh.writelines(protocol.encode_parts(self.core.job_status_reply(job_id)))
         logger.info("wrote state dump to %s", path)

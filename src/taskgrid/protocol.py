@@ -678,12 +678,12 @@ class LineFramer:
     handed over, and a fresh one started. That is the usual case for a
     large line, as its sender then waits for a reply. A
     :class:`FramingError` leaves the stream unusable; the caller drops
-    the framer with its connection.
+    the framer with its connection. The cap is :data:`MAX_LINE_BYTES`,
+    read when each chunk is checked, as :func:`line_parts` reads it.
     """
 
-    def __init__(self, max_line_bytes: int = MAX_LINE_BYTES):
+    def __init__(self):
         self._buffer = bytearray()
-        self._max = max_line_bytes
 
     def feed(self, data: bytes) -> list[bytes | bytearray]:
         """Append a chunk; return the now-complete lines (LF stripped),
@@ -696,10 +696,11 @@ class LineFramer:
         buffer.extend(data)
         lines: list[bytes | bytearray] = []
         start = 0
+        cap = MAX_LINE_BYTES
         with memoryview(buffer) as view:
             while (idx := buffer.find(b"\n", pos)) >= 0:
-                if idx - start > self._max:
-                    raise FramingError(f"line of {idx - start} bytes exceeds cap {self._max}")
+                if idx - start > cap:
+                    raise FramingError(f"line of {idx - start} bytes exceeds cap {cap}")
                 if idx == len(buffer) - 1 and not start:
                     break  # the line is the whole buffer
                 lines.append(view[start:idx].tobytes())
@@ -709,8 +710,8 @@ class LineFramer:
             self._buffer = bytearray()
             return [buffer]
         del buffer[:start]
-        if len(buffer) > self._max:
-            raise FramingError(f"unterminated line exceeds cap {self._max}")
+        if len(buffer) > cap:
+            raise FramingError(f"unterminated line exceeds cap {cap}")
         return lines
 
 

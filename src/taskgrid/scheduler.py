@@ -72,6 +72,8 @@ class _Ring:
             self.turn = profile.worker_id
 
     def remove(self, worker_id: str) -> None:
+        if worker_id not in self.ids:
+            return  # it left when its connection closed
         pos = self.ids.index(worker_id)
         del self.ids[pos]
         if self.turn == worker_id:
@@ -180,8 +182,8 @@ class Scheduler:
         self._ring_for(profile).insert(profile, self.workers)
 
     def remove_worker(self, worker_id: str, now_ms: int) -> None:
-        """Drop a worker from its ring; each task it held is re-queued at
-        its FCFS slot."""
+        """Drop a worker, and its ring entry if it still has one; each
+        task it held is re-queued at its FCFS slot."""
         profile = self.workers.pop(worker_id)
         self._ring_for(profile).remove(worker_id)
         for task_id in profile.held:
@@ -191,6 +193,16 @@ class Scheduler:
             logger.warning(
                 "re-queueing task %(task_id)s from worker %(worker_id)s (attempt %(attempt)d)", fields, extra=fields
             )
+
+    def disconnect_worker(self, worker_id: str, now_ms: int) -> None:
+        """A worker whose connection closed leaves its ring, so it takes
+        no new task. One that holds none is removed; one that holds tasks
+        keeps them, as their RESULTs may arrive on a new connection, until
+        it registers again or is evicted."""
+        profile = self.workers[worker_id]
+        self._ring_for(profile).remove(worker_id)
+        if not profile.held:
+            self.remove_worker(worker_id, now_ms)
 
     def heartbeat(self, worker_id: str, ts_ms: int, now_ms: int) -> bool:
         """Record liveness at ``now_ms``, the master's clock; returns False

@@ -84,7 +84,7 @@ class WorkerCore:
     """The worker's protocol state machine, mirroring ``MasterCore``.
 
     ``held`` counts the dispatched tasks taken and not yet finished, at
-    most ``slots``; ``busy``, the HEARTBEAT's flag, means it holds one.
+    most ``slots``; a HEARTBEAT's ``busy`` flag says it holds one.
     ``beat_interval_ms`` is the cadence of the latest accepted
     REGISTER_ACK and ``next_beat_ms`` when the next beat falls due on
     ``clock``, both ``None`` until the first. ``register_pending`` is a
@@ -105,10 +105,6 @@ class WorkerCore:
         self.register_pending = False
         self.beat_interval_ms: int | None = None
         self.next_beat_ms: int | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.held > 0
 
     def handle(
         self, message: Message, send: Sender, start: Callable[[Dispatch], None]
@@ -174,9 +170,6 @@ class WorkerCore:
         if self.register_pending:
             self.register_when_idle(send)
 
-    def heartbeat(self, ts_ms: int) -> Heartbeat:
-        return Heartbeat(worker_id=self.register.worker_id, ts_ms=ts_ms, busy=self.busy)
-
     def beat_if_due(self, send: Sender) -> bool:
         """Send the beat due by now, if any, and re-arm; True if it beat.
         Re-arming first keeps it to one beat per due time, even if
@@ -185,7 +178,7 @@ class WorkerCore:
         if self.next_beat_ms is None or now < self.next_beat_ms:
             return False
         self.next_beat_ms = now + self.beat_interval_ms
-        send(self.heartbeat(now))
+        send(Heartbeat(worker_id=self.register.worker_id, ts_ms=now, busy=self.held > 0))
         return True
 
 
@@ -240,8 +233,6 @@ class WorkerAgent:
             try:
                 self._run_session()
                 delay = RETRY_BASE_S
-            except RegistrationRejected:
-                raise
             except (OSError, protocol.FramingError) as exc:
                 # An oversized line from the master loses the session too.
                 if self._stop.is_set():

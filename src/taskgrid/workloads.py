@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Mapping
 
-from .sobel import parse_pgm, sobel_parallel, sobel_sequential, write_pgm
+from .sobel import GrayImage, parse_pgm, sobel_parallel, sobel_sequential, write_pgm
 
 Executor = Callable[[Mapping[str, str], bytes], tuple[bytes, int]]
 
@@ -57,22 +57,23 @@ def _make_sleep(simulated: bool) -> Executor:
     return sleep_executor
 
 
-def _sobel_seq(params: Mapping[str, str], payload: bytes) -> tuple[bytes, int]:
+def _filter_pgm(payload: bytes, sobel: Callable[[GrayImage], GrayImage]) -> tuple[bytes, int]:
+    """Parse, ``sobel`` and write a PGM; ``exec_ms`` times ``sobel`` alone."""
     img = parse_pgm(payload)
     t0 = time.perf_counter_ns()
-    result = sobel_sequential(img)
+    result = sobel(img)
     exec_ms = (time.perf_counter_ns() - t0) // 1_000_000
-    return write_pgm(result), int(exec_ms)
+    return write_pgm(result), exec_ms
+
+
+def _sobel_seq(params: Mapping[str, str], payload: bytes) -> tuple[bytes, int]:
+    return _filter_pgm(payload, sobel_sequential)
 
 
 def _make_sobel_par(default_lanes: int) -> Executor:
     def sobel_par(params: Mapping[str, str], payload: bytes) -> tuple[bytes, int]:
         lanes = int(params.get("lane_count", str(default_lanes)))
-        img = parse_pgm(payload)
-        t0 = time.perf_counter_ns()
-        result = sobel_parallel(img, lanes)
-        exec_ms = (time.perf_counter_ns() - t0) // 1_000_000
-        return write_pgm(result), int(exec_ms)
+        return _filter_pgm(payload, lambda img: sobel_parallel(img, lanes))
 
     return sobel_par
 

@@ -1,5 +1,3 @@
-import functools
-import random
 import sys
 from pathlib import Path
 
@@ -7,52 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from support import int_digit_limit, json_refused_value
 from taskgrid import protocol
-from taskgrid.model import TaskState
 from taskgrid.protocol import Result
-from taskgrid.sobel import GrayImage
-
-
-def random_image(rng: random.Random, width: int, height: int) -> GrayImage:
-    return GrayImage(width, height, bytes(rng.randrange(256) for _ in range(width * height)))
-
-
-def queued_ids(queue) -> list[str]:
-    """The ids of the tasks a ``ClassQueues`` holds, both classes merged
-    in ``seq`` (enqueue) order; a plain list of ids is returned as is."""
-    if isinstance(queue, list):
-        return queue
-    return [task.task_id for task in sorted([*queue.gpu, *queue.cpu], key=lambda task: task.seq)]
-
-
-def assert_held_is_dispatched(scheduler) -> None:
-    """A task is DISPATCHED iff it is in the ``held`` of the worker it
-    is assigned to, and no worker holds more than its slots."""
-    dispatched = {}
-    for task in scheduler.tasks.values():
-        if task.state is TaskState.DISPATCHED:
-            dispatched.setdefault(task.assigned_worker, []).append(task.task_id)
-    for worker_id, profile in scheduler.workers.items():
-        assert len(profile.held) <= profile.slots, worker_id
-        assert sorted(profile.held) == sorted(dispatched.pop(worker_id, [])), worker_id
-    assert dispatched == {}  # none is assigned to a worker the scheduler dropped
-
-
-def int_digit_limit() -> int:
-    """The most digits ``int`` converts to or from text; 0 for no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def json_refused_value(kind: str) -> bytes:
-    """A JSON value ``json.loads`` refuses with other than a
-    JSONDecodeError: an array nested past the recursion limit
-    (RecursionError), or an integer one digit past the int-digit limit
-    (ValueError), skipped where there is no such limit."""
-    if kind == "nested":
-        return b"[" * 100_000 + b"]" * 100_000
-    if not (limit := int_digit_limit()):
-        pytest.skip("no int-digit limit")
-    return b"9" * (limit + 1)
 
 
 @pytest.fixture(params=["nested", "digits"])
@@ -71,7 +26,6 @@ def refused_result(request, monkeypatch):
     digits, or its ``exec_ms`` has more digits than ``int.__repr__`` may
     print. Gives the executor and the error its task must fail with."""
     monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
-    monkeypatch.setattr(protocol, "LineFramer", functools.partial(protocol.LineFramer, 4096))
     if request.param == "over_cap":
         output, exec_ms = bytes(2844), 10**250
         ok = Result(task_id="T1", worker_id="W1", status="OK", exec_ms=exec_ms, output_b64=protocol.to_b64(output))

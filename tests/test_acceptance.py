@@ -15,8 +15,8 @@ import time
 
 import pytest
 
-from conftest import random_image
 from oracle import brute_force_sobel
+from support import random_image
 from taskgrid import protocol
 from taskgrid.bench import run_bench
 from taskgrid.client import MasterClient, make_task

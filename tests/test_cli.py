@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import os
 import random
 import re
@@ -175,7 +174,7 @@ def test_bench_reports_a_reply_json_loads_refuses_in_one_line(json_refused_line,
 
 def test_submit_reports_a_status_reply_over_the_line_cap_in_one_line(capsys, tmp_path, monkeypatch):
     # A 4 KiB cap stands in for the 64 MiB one.
-    monkeypatch.setattr(protocol, "LineFramer", functools.partial(protocol.LineFramer, 4096))
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
     big = _failed_status("x" * 8192)
     with fake_master(ACK, DONE, big) as port:
         code = main(["submit", "--master", f"127.0.0.1:{port}", "--kind", "noop", "--outdir", str(tmp_path)])

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import taskgrid.cluster as cluster_mod
-from conftest import assert_held_is_dispatched, queued_ids, random_image
 from oracle import brute_force_sobel
+from support import assert_held_is_dispatched, queued_ids, random_image
 from taskgrid import protocol
 from taskgrid.client import make_task
 from taskgrid.cluster import InProcCluster
@@ -558,6 +558,33 @@ def test_a_peer_that_hangs_up_leaves_no_wait_and_no_idle_worker(caplog):
     assert replies == []
     assert [t.state for t in cluster.job_status().tasks] == ["COMPLETED"]
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def test_a_worker_whose_connection_closed_gets_no_new_task():
+    # Left in its ring, W1 would take T3 into its free slot and closed
+    # connection, and T3 would wait there for W1's eviction, while W2
+    # stood idle from 1,000 ms.
+    cluster = InProcCluster()
+    w1 = cluster.add_worker("W1", cpu_mhz=2400, slots=2)
+    cluster.add_worker("W2", cpu_mhz=2000)
+    cluster.submit(
+        [
+            make_task("sleep", params={"duration_ms": "20000"}, task_id="T1"),
+            make_task("sleep", params={"duration_ms": "1000"}, task_id="T2"),
+        ],
+        job_id="J1",
+    )
+    to_w1 = []
+    deliver = w1.link._deliver
+    w1.link._deliver = lambda message: (to_w1.append(message), deliver(message))
+    w1.link.hang_up()
+    cluster.advance(0)
+    assert cluster.core.scheduler.workers["W1"].held == ["T1"]  # kept for its RESULT
+    cluster.submit([make_task("noop", task_id="T3")], job_id="J2")
+    [report] = cluster.run_until_terminal("J2").tasks
+    assert (report.state, report.worker_id, report.dispatched_ms) == ("COMPLETED", "W2", 1000)
+    assert cluster.core.scheduler.tasks["T3"].attempt == 0
+    assert not [message for message in to_w1 if isinstance(message, Dispatch)]
 
 
 # -- workers that hold more than one task ------------------------------------------

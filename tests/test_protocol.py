@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import json_refused_value
+from support import json_refused_value
 from taskgrid import protocol
 from taskgrid.model import TaskState
 from taskgrid.protocol import (
@@ -843,13 +843,22 @@ def test_message_split_across_chunks():
     assert framer.feed(b":1}\n") == [b'{"a":1}']
 
 
-def test_line_cap_enforced():
-    framer = LineFramer(max_line_bytes=10)
+def test_line_cap_enforced(monkeypatch):
+    # One patch of the constant caps every framer, made before it or
+    # after, and every sender.
+    made_before = LineFramer()
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 10)
+    assert made_before.feed(b"z" * 10 + b"\n") == [b"z" * 10]
+    with pytest.raises(FramingError, match="line of 11 bytes exceeds cap 10"):
+        made_before.feed(b"z" * 11 + b"\n")
+    framer = LineFramer()
     with pytest.raises(FramingError):
         framer.feed(b"x" * 11)
-    framer = LineFramer(max_line_bytes=10)
+    framer = LineFramer()
     with pytest.raises(FramingError):
         framer.feed(b"y" * 11 + b"\n")
+    with pytest.raises(protocol.LineTooLarge):
+        protocol.line_parts(Heartbeat(worker_id="W1", ts_ms=1, busy=False))
 
 
 def test_default_cap_is_64mib():
@@ -927,10 +936,9 @@ def _chunked(stream, cuts):
         [b"ab\nabcdefg\nxyz"],  # terminated line over the cap
     ],
 )
-def test_framer_matches_rescan_oracle_on_edge_chunks(chunks):
-    assert _feed_all(LineFramer(max_line_bytes=5), chunks) == _feed_all(
-        RescanLineFramer(max_line_bytes=5), chunks
-    )
+def test_framer_matches_rescan_oracle_on_edge_chunks(chunks, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 5)
+    assert _feed_all(LineFramer(), chunks) == _feed_all(RescanLineFramer(max_line_bytes=5), chunks)
 
 
 @given(
@@ -944,9 +952,9 @@ def test_framer_matches_rescan_oracle(lines, terminated, cap, data):
     stream = b"\n".join(lines) + (b"\n" if terminated and lines else b"")
     cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=10))
     chunks = _chunked(stream, cuts)
-    assert _feed_all(LineFramer(max_line_bytes=cap), chunks) == _feed_all(
-        RescanLineFramer(max_line_bytes=cap), chunks
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "MAX_LINE_BYTES", cap)
+        assert _feed_all(LineFramer(), chunks) == _feed_all(RescanLineFramer(max_line_bytes=cap), chunks)
 
 
 # -- decoding rejections, field by field --------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import assert_held_is_dispatched, queued_ids
+from support import assert_held_is_dispatched, queued_ids
 from taskgrid import protocol
 from taskgrid.master import MasterCore
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
@@ -537,6 +537,30 @@ def test_requeue_exactness_on_worker_loss():
     assert task.assigned_worker is None
 
 
+@pytest.mark.parametrize("end", ["registers", "evicted"])
+def test_a_disconnected_worker_keeps_its_tasks_outside_its_ring(end):
+    s = mk_scheduler()
+    two_slots = Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2)
+    s.register_worker(WorkerProfile(two_slots), 0)
+    s.register_worker(mk_profile("W2"), 0)
+    s.enqueue_task(mk_task("T1"), 0)
+    assert s.schedule_round(0) == [("T1", "W1")]
+    s.disconnect_worker("W1", 1)
+    s.disconnect_worker("W2", 1)
+    assert list(s.workers) == ["W1"] and s.workers["W1"].held == ["T1"]
+    assert (s.cpu_ring.ids, s.cpu_ring.turn) == ([], None)
+    s.enqueue_task(mk_task("T2"), 2)
+    assert s.schedule_round(2) == []  # W1 has a free slot, but no connection
+    if end == "registers":
+        assert s.complete_task("T1", "W1", ok=True, exec_ms=0, now_ms=3)  # its RESULT, on a new connection
+        s.register_worker(WorkerProfile(two_slots), 4)
+        assert s.cpu_ring.ids == ["W1"]
+        assert s.schedule_round(4) == [("T2", "W1")]
+    else:
+        assert s.evict_stale(6001) == ["W1"]
+        assert queued_ids(s.queue) == ["T1", "T2"] and s.tasks["T1"].attempt == 1
+
+
 def _has_eligible_idle(s):
     # at least one queued task has a worker with a free slot in its eligible ring
     for tid in queued_ids(s.queue):
@@ -550,13 +574,14 @@ def _has_eligible_idle(s):
     return False
 
 
-def _run_random_trace(seed, slots=None):
+def _run_random_trace(seed, slots=None, config=None):
     # Each new worker has one slot or ``slots``, drawn from its own
     # generator so that a seed replays the same ops whatever ``slots`` is.
     # Free-slot liveness and the held invariant are checked after every op.
+    # The default config's 6,000 ms liveness window outlasts most traces.
     rng = random.Random(seed)
     slot_rng = random.Random(seed)
-    s = mk_scheduler()
+    s = Scheduler(config or SchedulerConfig())
     now = 0
     next_worker = 0
     next_task = 0
@@ -649,6 +674,24 @@ def test_random_traces_with_one_or_two_slot_workers(slots):
         most_held = max(most_held, held)
     # some seed fills every slot a worker has
     assert most_held == (slots or 1)
+
+
+def test_short_window_traces_evict_workers_holding_two_tasks(monkeypatch):
+    held_at_eviction = []
+    evict_stale = Scheduler.evict_stale
+
+    def recording(self, now_ms):
+        held = {wid: len(profile.held) for wid, profile in self.workers.items()}
+        evicted = evict_stale(self, now_ms)
+        held_at_eviction.extend(held[wid] for wid in evicted)
+        return evicted
+
+    monkeypatch.setattr(Scheduler, "evict_stale", recording)
+    config = SchedulerConfig(heartbeat_interval_ms=200)  # a 600 ms liveness window
+    for seed in (1, 2, 3, 7, 11, 13):
+        s, assignments, enqueued, first_dispatch, _ = _run_random_trace(seed, 2, config)
+        _assert_trace_properties(s, assignments, enqueued, first_dispatch)
+    assert 2 in held_at_eviction
 
 
 def test_trace_determinism():

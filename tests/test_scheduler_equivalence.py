@@ -18,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import queued_ids
+from support import queued_ids
 from taskgrid.model import TaskDescriptor, TaskState, WorkerProfile
 from taskgrid.protocol import Register
 from taskgrid.scheduler import (

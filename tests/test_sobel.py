@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_image
 from oracle import brute_force_sobel
+from support import random_image
 import taskgrid.sobel as sobel
 from taskgrid.sobel import (
     GrayImage,

@@ -197,16 +197,17 @@ def test_agent_is_idle_when_its_result_is_sent():
     delivered = threading.Event()
 
     def send(message):
-        sent.append((message, agent.core.busy))
+        sent.append((message, agent.core.held))
         delivered.set()
 
     agent._send = send
+    agent.core.held = 1  # the slot ``handle`` takes for the DISPATCH
     agent._start_task(make_dispatch("noop"))
     delivered.wait(timeout=5)
-    [(result, busy_at_send)] = sent
+    [(result, held_at_send)] = sent
     assert isinstance(result, Result) and result.status == "OK"
-    assert busy_at_send is False
-    assert agent.core.busy is False
+    assert held_at_send == 0
+    assert agent.core.held == 0
 
 
 def test_agent_reregisters_on_not_registered(scripted):
@@ -319,7 +320,7 @@ def test_an_output_whose_result_line_passes_the_cap_fails_once(over, monkeypatch
     core.finish(core.execute(dispatch), send)
     [result] = sent
     # The rule is the framer's: a line of ``cap`` bytes passes it.
-    framer = protocol.LineFramer(cap)
+    framer = protocol.LineFramer()
     if over:
         with pytest.raises(protocol.FramingError):
             framer.feed(protocol.encode(ok))
@@ -414,7 +415,7 @@ def test_executor_survives_a_raising_task(scripted):
     master.send(make_dispatch("noop", task_id="T-good"))
     ok = master.read_until(Result)
     assert (ok.task_id, ok.status) == ("T-good", "OK")
-    assert agent.core.busy is False
+    assert agent.core.held == 0
 
 
 def test_stop_ends_the_executor_thread(scripted):

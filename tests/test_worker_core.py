@@ -63,7 +63,7 @@ def test_inbound_message_table(row):
     assert out == sent
     assert runs == started
     # Only an accepted dispatch takes the slot; nothing here frees it.
-    assert core.busy == (busy or bool(started))
+    assert core.held == int(busy or bool(started))
     assert core.beat_interval_ms == interval
 
 
@@ -74,11 +74,21 @@ def test_latest_accepted_ack_sets_the_interval():
     assert core.beat_interval_ms == 20
 
 
+def next_beat(core, clock):
+    """The HEARTBEAT ``core`` sends once its next beat falls due."""
+    sent = []
+    clock.now_ms = core.next_beat_ms
+    assert core.beat_if_due(sent.append)
+    [beat] = sent
+    return beat
+
+
 def test_heartbeat_reports_the_slot():
-    core = make_core()
-    assert core.heartbeat(7) == Heartbeat(worker_id="W1", ts_ms=7, busy=False)
+    core, clock = make_clocked_core()
+    core.handle(ack(7), None, None)
+    assert next_beat(core, clock) == Heartbeat(worker_id="W1", ts_ms=7, busy=False)
     core.handle(DISPATCH, None, lambda dispatch: None)
-    assert core.heartbeat(8) == Heartbeat(worker_id="W1", ts_ms=8, busy=True)
+    assert next_beat(core, clock) == Heartbeat(worker_id="W1", ts_ms=14, busy=True)
 
 
 def test_finish_frees_the_slot_before_the_result_is_sent():
@@ -87,10 +97,10 @@ def test_finish_frees_the_slot_before_the_result_is_sent():
     core.handle(DISPATCH, None, runs.append)
     result = core.execute(runs.pop())
     assert result == Result(task_id="T1", worker_id="W1", status="OK", exec_ms=0, output_b64="")
-    assert core.busy
+    assert core.held == 1
     sent = []
-    core.finish(result, lambda message: sent.append((message, core.busy)))
-    assert sent == [(result, False)]
+    core.finish(result, lambda message: sent.append((message, core.held)))
+    assert sent == [(result, 0)]
 
 
 def test_slot_is_freed_when_execution_raises():
@@ -111,20 +121,22 @@ def test_slot_is_freed_when_execution_raises():
     sent = []
     core.finish(result, sent.append)
     assert sent == [result]
-    assert not core.busy
+    assert core.held == 0
 
 
 def test_a_two_slot_core_takes_two_dispatches_and_refuses_a_third():
-    core = WorkerCore(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2), built_in_registry())
+    clock = Clock()
+    core = WorkerCore(Register(worker_id="W1", cpu_mhz=2400, has_gpu=False, slots=2), built_in_registry(), clock=clock)
+    core.handle(ack(1), None, None)
     dispatches = [Dispatch(task_id=f"T{i}", kind="noop", requires_gpu=False) for i in (1, 2, 3)]
     sent, runs = [], []
     for dispatch in dispatches:
         core.handle(dispatch, sent.append, runs.append)
     assert runs == dispatches[:2]
     assert sent == [Result(task_id="T3", worker_id="W1", status="FAILED", exec_ms=0, error="BUSY")]
-    assert core.held == 2 and core.heartbeat(1).busy
+    assert core.held == 2 and next_beat(core, clock).busy
     core.finish(core.execute(runs[0]), sent.append)
-    assert core.held == 1 and core.heartbeat(2).busy  # it still holds T2
+    assert core.held == 1 and next_beat(core, clock).busy  # it still holds T2
     core.handle(dispatches[2], sent.append, runs.append)
     assert runs == dispatches and core.held == 2
 
@@ -215,12 +227,12 @@ def test_a_refused_result_goes_as_failed_before_the_deferred_register(refusal, e
     def send(message):
         if message is result:
             raise refusal(result)
-        sent.append((message, core.busy))
+        sent.append((message, core.held))
 
     core.finish(result, send)
     failed = Result(task_id="T1", worker_id="W1", status="FAILED", exec_ms=0, error=error)
-    assert sent == [(failed, False), (REGISTER, False)]
-    assert not core.busy and not core.register_pending
+    assert sent == [(failed, 0), (REGISTER, 0)]
+    assert core.held == 0 and not core.register_pending
 
 
 # -- heartbeat cadence, on a clock the test sets -----------------------------------
