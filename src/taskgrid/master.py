@@ -320,8 +320,7 @@ class MasterCore:
                         scheduler.complete_task(task_id, worker_id, False, 0, now_ms, error=error)
                         refused = True
                     elif isinstance(exc, ConnectionError):
-                        # Its connection closed during this round (a flush failed,
-                        # say): the task waits for the worker's REGISTER or eviction.
+                        # Closed this round: the task waits for a REGISTER or eviction.
                         logger.warning("failed to send %s to %s: %s", task_id, worker_id, exc, extra=fields)
                     else:
                         logger.exception("failed to send %s to %s; awaiting eviction", task_id, worker_id, extra=fields)

@@ -671,15 +671,14 @@ def decode(line: bytes | bytearray) -> Message:
 class LineFramer:
     """Reassemble LF-terminated lines from an arbitrarily chunked stream.
 
-    Work is linear in the bytes fed: each chunk is scanned for LF once,
-    resuming where the previous scan stopped, and the consumed lines are
-    trimmed from the buffer once per call. A line that fills the buffer
-    from its first byte to its last is not copied: the buffer itself is
-    handed over, and a fresh one started. That is the usual case for a
-    large line, as its sender then waits for a reply. A
-    :class:`FramingError` leaves the stream unusable; the caller drops
-    the framer with its connection. The cap is :data:`MAX_LINE_BYTES`,
-    read when each chunk is checked, as :func:`line_parts` reads it.
+    Work is linear in the bytes fed: each chunk is scanned for LF once, resuming
+    where the previous scan stopped, and the consumed lines are trimmed from the
+    buffer once per call. A line that fills the buffer from its first byte to its
+    last is not copied: the buffer itself is handed over, and a fresh one started.
+    That is the usual case for a large line, as its sender then waits for a reply.
+    A :class:`FramingError` leaves the stream unusable; the caller drops the
+    framer with its connection. The cap is :data:`MAX_LINE_BYTES`, read when each
+    chunk is checked, as :func:`line_parts` reads it.
     """
 
     def __init__(self):

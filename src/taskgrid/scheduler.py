@@ -56,10 +56,12 @@ class SchedulerConfig:
 class _Ring:
     """Worker ids ordered by descending cpu_mhz (ties: ascending id), served
     round-robin from ``turn``, the worker whose turn is next (``None`` only
-    while empty). A joiner never takes the turn; a leaver hands it on."""
+    while empty). A joiner never takes the turn; a leaver hands it on.
+    ``away`` holds members out of the turn order (``disconnect_worker``)."""
 
     def __init__(self) -> None:
         self.ids: list[str] = []
+        self.away: set[str] = set()
         self.turn: str | None = None
 
     @staticmethod
@@ -72,12 +74,12 @@ class _Ring:
             self.turn = profile.worker_id
 
     def remove(self, worker_id: str) -> None:
-        if worker_id not in self.ids:
-            return  # it left when its connection closed
-        pos = self.ids.index(worker_id)
-        del self.ids[pos]
-        if self.turn == worker_id:
-            self.turn = self.ids[pos % len(self.ids)] if self.ids else None
+        self.away.discard(worker_id)
+        if worker_id in self.ids:
+            pos = self.ids.index(worker_id)
+            del self.ids[pos]
+            if self.turn == worker_id:
+                self.turn = self.ids[pos % len(self.ids)] if self.ids else None
 
     def take_idle(self, profiles: dict[str, WorkerProfile]) -> str | None:
         """Next worker to take a task, by one cyclic scan from the turn:
@@ -182,8 +184,8 @@ class Scheduler:
         self._ring_for(profile).insert(profile, self.workers)
 
     def remove_worker(self, worker_id: str, now_ms: int) -> None:
-        """Drop a worker, and its ring entry if it still has one; each
-        task it held is re-queued at its FCFS slot."""
+        """Drop a worker from its ring; each task it held is re-queued at
+        its FCFS slot."""
         profile = self.workers.pop(worker_id)
         self._ring_for(profile).remove(worker_id)
         for task_id in profile.held:
@@ -195,14 +197,14 @@ class Scheduler:
             )
 
     def disconnect_worker(self, worker_id: str, now_ms: int) -> None:
-        """A worker whose connection closed leaves its ring, so it takes
-        no new task. One that holds none is removed; one that holds tasks
-        keeps them, as their RESULTs may arrive on a new connection, until
-        it registers again or is evicted."""
+        """A worker whose connection closed takes no new task. One holding tasks stays
+        registered, ``away``, until it registers again or is evicted; others are removed."""
         profile = self.workers[worker_id]
-        self._ring_for(profile).remove(worker_id)
         if not profile.held:
-            self.remove_worker(worker_id, now_ms)
+            return self.remove_worker(worker_id, now_ms)
+        ring = self._ring_for(profile)
+        ring.remove(worker_id)
+        ring.away.add(worker_id)
 
     def heartbeat(self, worker_id: str, ts_ms: int, now_ms: int) -> bool:
         """Record liveness at ``now_ms``, the master's clock; returns False
@@ -256,15 +258,15 @@ class Scheduler:
         assignments made.
 
         Each task draws from its eligible ring (GPU ring for GPU tasks;
-        CPU ring otherwise, falling back to the GPU ring only when no
-        CPU worker exists). A task with no free slot in its eligible ring
-        stays queued without blocking tasks of the other class. GPU tasks with
-        no GPU worker registered at all fail once they outlive the
-        unschedulable timeout.
+        CPU ring otherwise, falling back to the GPU ring only when no CPU
+        worker is registered). A task with no free slot in its eligible ring,
+        or whose ring's workers are all away, waits without blocking tasks of
+        the other class. GPU tasks with no GPU worker registered fail once
+        they outlive the unschedulable timeout.
 
         The two class queues are merged head by head in FCFS order. A
         class stops for the round once its ring has no free slot, or,
-        with no GPU ring, at its first GPU task still inside the timeout
+        with no GPU worker, at its first GPU task still inside the timeout
         (the queue is ordered by submission time, so expired tasks form a
         prefix). A round thus costs O(assignments + failures) in queue
         length; each pick still scans its ring from the turn, so it is
@@ -272,8 +274,8 @@ class Scheduler:
         """
         assignments: list[tuple[str, str]] = []
         workers = self.workers
-        gpu_ring = self.gpu_ring if self.gpu_ring.ids else None
-        cpu_ring = self.cpu_ring if self.cpu_ring.ids else gpu_ring
+        gpu_ring = self.gpu_ring if self.gpu_ring.ids or self.gpu_ring.away else None
+        cpu_ring = self.cpu_ring if self.cpu_ring.ids or self.cpu_ring.away else gpu_ring
         gpu_queue, cpu_queue = self.queue.gpu, self.queue.cpu
         expired_before = now_ms - self.config.unschedulable_timeout_ms
         blocked: set[_Ring] = set()  # rings with no free slot left

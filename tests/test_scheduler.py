@@ -561,6 +561,34 @@ def test_a_disconnected_worker_keeps_its_tasks_outside_its_ring(end):
         assert queued_ids(s.queue) == ["T1", "T2"] and s.tasks["T1"].attempt == 1
 
 
+def test_gpu_tasks_wait_for_a_registered_gpu_worker_whose_connection_closed():
+    s = mk_scheduler(unschedulable_timeout_ms=100)
+    s.register_worker(WorkerProfile(Register(worker_id="G1", cpu_mhz=2400, has_gpu=True, slots=2)), 0)
+    s.enqueue_task(mk_task("T1", gpu=True), 0)
+    assert s.schedule_round(0) == [("T1", "G1")]
+    s.disconnect_worker("G1", 1)
+    s.enqueue_task(mk_task("T2", gpu=True), 2)
+    assert s.schedule_round(200) == []  # T2 outlived the timeout, but G1 is still registered
+    assert s.tasks["T2"].state is TaskState.QUEUED
+    assert s.evict_stale(6002) == ["G1"]
+    s.schedule_round(6002)  # now no GPU worker is registered
+    assert [s.tasks[tid].error for tid in ("T1", "T2")] == [UNSCHEDULABLE_ERROR] * 2
+
+
+def test_cpu_tasks_wait_for_a_registered_cpu_worker_whose_connection_closed():
+    s = mk_scheduler()
+    s.register_worker(mk_profile("G1", gpu=True), 0)
+    s.register_worker(mk_profile("C1"), 0)
+    s.enqueue_task(mk_task("T1"), 0)
+    assert s.schedule_round(0) == [("T1", "C1")]
+    s.disconnect_worker("C1", 1)
+    s.enqueue_task(mk_task("T2"), 2)
+    assert s.schedule_round(2) == []  # G1 is idle, but a CPU worker is registered
+    s.heartbeat("G1", 6000, 6000)
+    assert s.evict_stale(6002) == ["C1"]
+    assert s.schedule_round(6002) == [("T1", "G1")]  # no CPU worker left: the fallback applies
+
+
 def _has_eligible_idle(s):
     # at least one queued task has a worker with a free slot in its eligible ring
     for tid in queued_ids(s.queue):
@@ -568,7 +596,7 @@ def _has_eligible_idle(s):
         if task.requires_gpu:
             ring = s.gpu_ring
         else:
-            ring = s.cpu_ring if s.cpu_ring.ids else s.gpu_ring
+            ring = s.cpu_ring if s.cpu_ring.ids or s.cpu_ring.away else s.gpu_ring
         if any(len(s.workers[w].held) < s.workers[w].slots for w in ring.ids):
             return True
     return False
